@@ -1,6 +1,6 @@
 """Gradients, Hessians, and convexity probes for game objectives.
 
-Analytic derivatives: closed block form for quadratics, recursive symbolic
+Analytic derivatives: the flat view H x + l for quadratics, recursive symbolic
 differentiation for expression trees.  A central finite-difference gradient
 is kept alongside as an independent cross-check oracle.
 """
@@ -8,7 +8,7 @@ is kept alongside as an independent cross-check oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .model import (
     Var,
     eval_node,
     evaluate,
+    split_blocks,
 )
 
 __all__ = [
@@ -143,18 +144,6 @@ def differentiate(node: Node, level: int, index: int) -> Node:
 # gradients
 # ---------------------------------------------------------------------------
 
-def _quadratic_gradient(obj: QuadraticObjective, p: DecisionPoint) -> BlockGradient:
-    g = [vec.astype(float).copy() for vec in obj.l]
-    u = p.blocks
-    for (j, k), A in obj.A.items():
-        if j == k:
-            g[j - 1] += 2.0 * (A @ u[j - 1])
-        else:
-            g[j - 1] += A @ u[k - 1]
-            g[k - 1] += A.T @ u[j - 1]
-    return BlockGradient(tuple(g))
-
-
 def _expr_gradient(obj: ExprObjective, p: DecisionPoint) -> BlockGradient:
     out = []
     for lev, block in enumerate(p.blocks, start=1):
@@ -172,7 +161,8 @@ def gradient(obj: Objective, p: DecisionPoint) -> BlockGradient:
             raise DimensionError(
                 "objective spans %d levels, point has %d" % (len(obj.l), p.levels)
             )
-        return _quadratic_gradient(obj, p)
+        H, l = obj.flat()
+        return BlockGradient(tuple(split_blocks(p.widths, H @ p.concat() + l)))
     if isinstance(obj, ExprObjective):
         return _expr_gradient(obj, p)
     raise TypeError("not an objective: %r" % (obj,))
@@ -199,25 +189,10 @@ def fd_gradient(obj: Objective, p: DecisionPoint, h: float = 1e-6) -> BlockGradi
 # Hessians and convexity
 # ---------------------------------------------------------------------------
 
-def _quadratic_hessian(obj: QuadraticObjective, widths: Sequence[int]) -> np.ndarray:
-    n = len(widths)
-    offs = np.concatenate([[0], np.cumsum(widths)])
-    H = np.zeros((offs[-1], offs[-1]))
-    for (j, k), A in obj.A.items():
-        rj = slice(offs[j - 1], offs[j])
-        rk = slice(offs[k - 1], offs[k])
-        if j == k:
-            H[rj, rj] += 2.0 * A
-        else:
-            H[rj, rk] += A
-            H[rk, rj] += A.T
-    return H
-
-
 def hessian(obj: Objective, p: DecisionPoint) -> np.ndarray:
     """Full (symmetric) Hessian over the concatenated decision vector."""
     if isinstance(obj, QuadraticObjective):
-        return _quadratic_hessian(obj, p.widths)
+        return obj.flat()[0]
     if isinstance(obj, ExprObjective):
         coords = [(lev, i + 1) for lev, b in enumerate(p.blocks, start=1) for i in range(b.size)]
         N = len(coords)

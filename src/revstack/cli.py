@@ -20,22 +20,14 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .constrained import FeasibilityVerdict, feasibility_check
+from .constrained import feasibility_check
 from .documents import (
     parse_problem,
     parse_strategies,
     strategies_to_document,
 )
 from .equilibrium import team_optimum
-from .errors import (
-    DimensionError,
-    DocumentError,
-    EquilibriumError,
-    ExistenceError,
-    RevstackError,
-    SynthesisError,
-    UnboundedRegionError,
-)
+from .errors import DimensionError, DocumentError, RevstackError
 from .model import DecisionPoint, GameProblem
 from .synthesis import (
     AffineStrategy,
@@ -339,9 +331,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="oracle grid nodes per axis (default 41)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for all sampling (default 0)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (accepted for compatibility; "
-                        "the implementation is single-threaded)")
     p.add_argument("--output", choices=("json", "text"), default="text",
                    help="report format (default text)")
 
@@ -405,10 +394,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print("error: cannot read input: %s" % exc, file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ExistenceError, SynthesisError, EquilibriumError,
-            UnboundedRegionError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PRECONDITION
     except RevstackError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PRECONDITION

@@ -12,13 +12,13 @@ is the follower region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, RevstackError, UnboundedRegionError
-from .model import Dims, LinearConstraints
+from .model import Dims, LinearConstraints, split_blocks
 from .synthesis import AffineStrategy, StrategyFamily, instantiate
 
 __all__ = [
@@ -210,9 +210,7 @@ def feasibility_check(strategy: AffineStrategy, constraints: LinearConstraints,
 
     A_joint = np.hstack(constraints.A)  # (k, N)
     b = constraints.b
-    widths = dims.m
-    offs = np.concatenate([[0], np.cumsum(widths)])
-    lower_cols = np.arange(offs[L], offs[n])  # columns of levels L+1..n
+    lower_cols = np.arange(sum(dims.m[:L]), dims.total)  # columns of levels L+1..n
 
     A_lp = A_joint
     b_lp = b
@@ -238,15 +236,13 @@ def feasibility_check(strategy: AffineStrategy, constraints: LinearConstraints,
     witnesses: List[Optional[np.ndarray]] = []
     for i in range(k):
         coef = np.zeros(A_joint.shape[1])
-        for lev in range(1, n + 1):
-            cols = slice(offs[lev - 1], offs[lev])
+        for lev, part in enumerate(split_blocks(dims.m, coef), start=1):
+            # the announcing level's own columns stay zero
             if lev < L:
-                coef[cols] = constraints.A[lev - 1][i]
-            elif lev == L:
-                coef[cols] = 0.0
-            else:
-                coef[cols] = (constraints.A[lev - 1][i]
-                              + constraints.A[L - 1][i] @ C[lev - L - 1])
+                part[:] = constraints.A[lev - 1][i]
+            elif lev > L:
+                part[:] = (constraints.A[lev - 1][i]
+                           + constraints.A[L - 1][i] @ C[lev - L - 1])
         kappa = float(constraints.A[L - 1][i] @ offset)
         status, x, value = simplex_maximize(coef, A_lp, b_lp, tol=EPS)
         if status == "infeasible":

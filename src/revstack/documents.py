@@ -55,9 +55,28 @@ __all__ = [
 ]
 
 
+def _reject_constant(token: str) -> float:
+    raise DocumentError("non-finite number %s is not allowed" % token)
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)  # any digit count; out of range gives inf
+    if not np.isfinite(value):
+        shown = token if len(token) <= 24 else token[:24] + "..."
+        raise DocumentError("number %s overflows a double" % shown)
+    return value
+
+
+def _finite_int(token: str) -> int:
+    _finite_float(token)
+    return int(token)
+
+
 def _load_json(text: str) -> Any:
+    """JSON with NaN, Infinity and overflowing literals refused."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant,
+                          parse_float=_finite_float, parse_int=_finite_int)
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError(exc.msg, line=exc.lineno, column=exc.colno)
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .calculus import gradient, hessian
+from .calculus import gradient
 from .errors import (
     ConvergenceError,
     EquilibriumError,
@@ -62,9 +62,7 @@ def _quadratic_system(problem: GameProblem):
         v.size != w for v, w in zip(obj.l, problem.dims.m)
     ):
         raise EquilibriumError("top objective linear part does not match the dims")
-    zero = DecisionPoint.from_concat(problem.dims.m, np.zeros(problem.dims.total))
-    H = hessian(obj, zero)
-    l = np.concatenate(obj.l)
+    H, l = obj.flat()
     return obj, H, l
 
 

@@ -13,6 +13,7 @@ produces negative constants, so parse -> print -> parse is idempotent.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import List, Optional, Tuple
 
@@ -76,6 +77,11 @@ class _Tokens:
         return tok
 
 
+def _too_large(tok: Tuple[str, str, int]) -> FormulaError:
+    return FormulaError("exponent is unreasonably large (limit %d)" % _MAX_EXPONENT,
+                        column=tok[2] + 1)
+
+
 class _Parser:
     def __init__(self, text: str, dims: Dims):
         self.tokens = _Tokens(text)
@@ -131,23 +137,31 @@ class _Parser:
                 "exponent must be a positive integer, got %r" % tok[1],
                 column=tok[2] + 1,
             )
+        if len(tok[1].lstrip("0")) > len(str(_MAX_EXPONENT)):
+            raise _too_large(tok)
         value = int(tok[1])
         if value < 1:
             raise FormulaError("exponent must be >= 1", column=tok[2] + 1)
         nxt = self.tokens.peek()
         if nxt is not None and nxt[0] == "op" and nxt[1] == "^":
             self.tokens.next()
-            value = value ** self.exponent()  # right-associative chain
+            inner = self.exponent()  # right-associative chain, already bounded
+            # value >= 2 gives value**inner >= 2**inner, past the limit from here on
+            if value > 1 and inner >= _MAX_EXPONENT.bit_length():
+                raise _too_large(tok)
+            value = value ** inner
         if value > _MAX_EXPONENT:
-            raise FormulaError("exponent %d is unreasonably large" % value,
-                               column=tok[2] + 1)
+            raise _too_large(tok)
         return value
 
     def atom(self) -> Node:
         tok = self.tokens.next()
         kind, text, pos = tok
         if kind == "number":
-            return Constant(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise FormulaError("number overflows a double", column=pos + 1)
+            return Constant(value)
         if kind == "ident":
             return self.variable(text, pos)
         if kind == "op" and text == "(":

@@ -23,6 +23,7 @@ from .model import (
     Objective,
     evaluate,
     evaluate_many,
+    split_blocks,
 )
 
 __all__ = [
@@ -156,10 +157,13 @@ def leader_existence_check(problem: GameProblem, d: DecisionPoint,
     at the desired point.  The convexity field is advisory: when the
     second objective is not certified strictly convex, a passing check
     still only means the construction is plausible, not guaranteed.
+    Cascade stage s runs this check on the reduced game, whose top player
+    is the one at level s, so the reason speaks of the announcing player
+    and the cascade names its level.
     """
     if problem.levels < 2:
         raise DimensionError("need at least two levels")
-    return _gradient_block_check(problem.objective(2), d, "top player", tol)
+    return _gradient_block_check(problem.objective(2), d, "announcing player", tol)
 
 
 def middle_existence_check(reduced_obj: Objective, d_tail: DecisionPoint,
@@ -190,9 +194,7 @@ def exposed_point_probe(probe: SublevelProbe, plane: SupportingHyperplane,
     pts = anchor_flat + dirs / norms[:, None] * radii[:, None]
 
     widths = probe.anchor.widths
-    offs = np.concatenate([[0], np.cumsum(widths)])
-    blocks = [pts[:, offs[i] : offs[i + 1]] for i in range(len(widths))]
-    values = np.asarray(evaluate_many(probe.objective, blocks))
+    values = np.asarray(evaluate_many(probe.objective, split_blocks(widths, pts)))
     members = values <= probe.threshold
     normal_flat = plane.normal.concat()
     point_flat = plane.point.concat()

@@ -18,7 +18,7 @@ elsewhere in the package, on stacked batches of points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .errors import DimensionError
 __all__ = [
     "Dims",
     "DecisionPoint",
+    "split_blocks",
     "Constant",
     "Var",
     "Sum",
@@ -86,6 +87,20 @@ class Dims:
         return Dims(self.levels - 1, self.m[1:])
 
 
+def split_blocks(widths: Sequence[int], X) -> List[np.ndarray]:
+    """Views of ``X`` with its last axis cut into consecutive blocks of ``widths``."""
+    X = np.asarray(X)
+    if X.shape[-1:] != (sum(widths),):
+        raise DimensionError(
+            "last axis of shape %s does not split into widths %s" % (X.shape, tuple(widths))
+        )
+    out, at = [], 0
+    for w in widths:
+        out.append(X[..., at : at + w])
+        at += w
+    return out
+
+
 def _as_block(x) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.ndim != 1:
@@ -108,17 +123,7 @@ class DecisionPoint:
 
     @classmethod
     def from_concat(cls, widths: Sequence[int], vec) -> "DecisionPoint":
-        vec = np.asarray(vec, dtype=float).ravel()
-        if vec.size != sum(widths):
-            raise DimensionError(
-                "flat vector of length %d does not split into widths %s"
-                % (vec.size, tuple(widths))
-            )
-        out, at = [], 0
-        for w in widths:
-            out.append(vec[at : at + w])
-            at += w
-        return cls(tuple(out))
+        return cls(tuple(split_blocks(widths, np.asarray(vec, dtype=float).ravel())))
 
     @property
     def levels(self) -> int:
@@ -330,6 +335,35 @@ class QuadraticObjective:
     @property
     def levels(self) -> int:
         return len(self.l)
+
+    def flat(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(H, l)`` over the concatenated decision x: ``x'Hx/2 + l'x + const``."""
+        widths = [v.size for v in self.l]
+        H = np.zeros((sum(widths), sum(widths)))
+        cells = _cells(widths, H)
+        for (j, k), A in self.A.items():
+            if j == k:
+                cells[j - 1][j - 1][...] = 2.0 * A
+            else:
+                cells[j - 1][k - 1][...] = A
+                cells[k - 1][j - 1][...] = A.T
+        return H, np.concatenate(self.l)
+
+    @classmethod
+    def from_flat(cls, H, l, const: float,
+                  widths: Sequence[int]) -> "QuadraticObjective":
+        """Inverse of :meth:`flat`: ``A_jj = H_jj / 2`` and ``A_jk = H_jk`` for j < k."""
+        cells = _cells(widths, np.asarray(H, dtype=float))
+        n = len(widths)
+        A = {(j + 1, k + 1): 0.5 * cells[j][j] if j == k else cells[j][k]
+             for j in range(n) for k in range(j, n)}
+        return cls(A=A, l=tuple(split_blocks(widths, np.asarray(l, dtype=float))),
+                   const=const)
+
+
+def _cells(widths: Sequence[int], M: np.ndarray) -> List[List[np.ndarray]]:
+    """Views ``cells[j][k]`` of the (j, k) block of a square matrix over the blocks."""
+    return [split_blocks(widths, rows.T) for rows in split_blocks(widths, M.T)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,24 +20,22 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .calculus import gradient
 from .equilibrium import team_optimum
-from .errors import DimensionError, ExistenceError, SynthesisError
-from .geometry import ExistenceVerdict, grad_tol, leader_existence_check
+from .errors import DimensionError, ExistenceError
+from .geometry import leader_existence_check
 from .model import (
     Constant,
     DecisionPoint,
-    Dims,
     ExprObjective,
     GameProblem,
     LinearConstraints,
     Negate,
     Node,
-    Objective,
     Power,
     Product,
     QuadraticObjective,
@@ -205,20 +203,16 @@ class ReducedGradients:
 
 def reduced_gradients(problem: GameProblem, leader: AffineStrategy,
                       d: DecisionPoint) -> ReducedGradients:
-    """Chain-rule gradients of the third objective through the top strategy.
+    """Gradient of the third objective once the top strategy is substituted.
 
-    With u^1 = gamma(u^2..u^n), the substituted bottom cost has blocks
-    grad_j = grad_{u^j} J3(d) - Q_j^T grad_{u^1} J3(d).
+    This is stage 2 of the cascade seen from the bottom objective: the
+    gradient of ``reduce_problem(problem, leader).objective(2)`` at the
+    tail of ``d``.
     """
     if problem.levels < 3:
         raise DimensionError("reduced gradients need at least three levels")
-    if leader.level != 1 or len(leader.coeffs) != problem.levels - 1:
-        raise DimensionError("leader strategy does not span this hierarchy's top level")
-    g = gradient(problem.objective(3), d)
-    g1 = g.block(1)
-    adjusted = [g.block(j) - leader.coeffs[j - 2].T @ g1
-                for j in range(2, problem.levels + 1)]
-    return ReducedGradients(adjusted[0], tuple(adjusted[1:]))
+    g = gradient(reduce_problem(problem, leader).objective(2), d.tail(2))
+    return ReducedGradients(g.blocks[0], g.blocks[1:])
 
 
 def synthesize_single_leader(problem: GameProblem, d: DecisionPoint,
@@ -247,30 +241,26 @@ def synthesize_single_leader(problem: GameProblem, d: DecisionPoint,
 def synthesize_single_middle(problem: GameProblem, leader: AffineStrategy,
                              d: DecisionPoint,
                              tol: Optional[float] = None) -> AffineStrategy:
-    """Rank-one middle strategy of a 3-level game under the given top strategy."""
+    """Rank-one middle strategy of a 3-level game: stage 2 of the cascade."""
     if problem.levels != 3:
         raise DimensionError(
             "direct middle synthesis is for 3-level games; use synthesize_cascade"
         )
-    rg = reduced_gradients(problem, leader, d)
-    threshold = grad_tol(rg.norm(), tol)
-    own_norm = float(np.linalg.norm(rg.own))
-    if own_norm <= threshold:
-        verdict = ExistenceVerdict(
-            passed=False,
-            block_norm=own_norm,
-            tol=threshold,
-            reasons=(
-                "the middle player cannot influence the substituted bottom "
-                "objective at the anchor: its gradient block has norm %.3g "
-                "(tolerance %.3g)" % (own_norm, threshold),
-            ),
-            convexity="skipped",
-        )
-        raise ExistenceError(verdict.reasons[0], verdict=verdict, level=2)
-    denom = float(rg.own @ rg.own)
-    coeffs = tuple(np.outer(rg.own, gl) / denom for gl in rg.lower)
-    return AffineStrategy(2, d.tail(2), coeffs)
+    return _stage_strategy(reduce_problem(problem, leader), d.tail(2), tol, 2)
+
+
+def _stage_strategy(stage: GameProblem, stage_d: DecisionPoint,
+                    tol: Optional[float], level: int) -> AffineStrategy:
+    """Top strategy of the reduced game ``stage``, labelled with its absolute level."""
+    try:
+        strategy = synthesize_single_leader(stage, stage_d, tol)
+    except ExistenceError as err:
+        raise ExistenceError(
+            "stage %d (announcing level %d): %s" % (level, level, err),
+            verdict=err.verdict,
+            level=level,
+        ) from None
+    return strategy if level == 1 else dataclasses.replace(strategy, level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -390,54 +380,13 @@ def select_parameters(family: StrategyFamily, criterion: str = "min-frobenius",
 # reduction and the cascade
 # ---------------------------------------------------------------------------
 
-def _substitute_quadratic(obj: QuadraticObjective, dims: Dims,
-                          offset: np.ndarray, C: Sequence[np.ndarray],
-                          ) -> QuadraticObjective:
-    """Closed-form substitution of u^1 = offset + sum C_m u^m into a quadratic."""
-    n = dims.levels
-    new_m = dims.m[1:]
-    A_new: Dict[Tuple[int, int], np.ndarray] = {}
-    l_new = [np.zeros(w) for w in new_m]
-    const = obj.const
-
-    def add_block(p: int, q: int, mat: np.ndarray) -> None:
-        # new-problem indices, p <= q enforced by callers
-        key = (p, q)
-        if key in A_new:
-            A_new[key] = A_new[key] + mat
-        else:
-            A_new[key] = mat.copy()
-
-    for (j, k), A in obj.A.items():
-        if j == 1 and k == 1:
-            const += float(offset @ (A @ offset))
-            for m in range(2, n + 1):
-                l_new[m - 2] += 2.0 * (C[m - 2].T @ (A @ offset))
-            for m in range(2, n + 1):
-                for r in range(m, n + 1):
-                    mat = C[m - 2].T @ A @ C[r - 2]
-                    if m == r:
-                        add_block(m - 1, m - 1, mat)
-                    else:
-                        add_block(m - 1, r - 1, 2.0 * mat)
-        elif j == 1:
-            l_new[k - 2] += A.T @ offset
-            for m in range(2, n + 1):
-                mat = C[m - 2].T @ A
-                if m < k:
-                    add_block(m - 1, k - 1, mat)
-                elif m == k:
-                    add_block(k - 1, k - 1, 0.5 * (mat + mat.T))
-                else:
-                    add_block(k - 1, m - 1, mat.T)
-        else:
-            add_block(j - 1, k - 1, A)
-
-    const += float(offset @ obj.l[0])
-    for m in range(2, n + 1):
-        l_new[m - 2] += C[m - 2].T @ obj.l[0]
-        l_new[m - 2] += obj.l[m - 1]
-    return QuadraticObjective(A=A_new, l=tuple(l_new), const=const)
+def _substitute_quadratic(obj: QuadraticObjective, q: np.ndarray, P: np.ndarray,
+                          widths: Sequence[int]) -> QuadraticObjective:
+    """Congruence for x = q + P z: Hessian P'HP, linear P'(Hq + l), constant J(q)."""
+    H, l = obj.flat()
+    Hq = H @ q
+    return QuadraticObjective.from_flat(
+        P.T @ H @ P, P.T @ (Hq + l), 0.5 * (q @ Hq) + l @ q + obj.const, widths)
 
 
 def _substitute_expr(obj: ExprObjective, offset: np.ndarray,
@@ -486,7 +435,7 @@ def _substitute_expr(obj: ExprObjective, offset: np.ndarray,
 def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProblem:
     """Substitute the top strategy and drop the top level.
 
-    Quadratic objectives stay quadratic (closed block composition);
+    Quadratic objectives stay quadratic (one congruence of the flat view);
     expression objectives are rewritten by tree substitution; constraint
     rows absorb the substitution as well.  The result has n-1 levels with
     level indices shifted down by one.
@@ -503,10 +452,13 @@ def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProble
         )
     offset, C = strategy.as_affine()
     new_dims = problem.dims.drop_top()
+    # the full decision is q + P z over the lower blocks z
+    P = np.vstack([np.hstack(C), np.eye(new_dims.total)])
+    q = np.concatenate([offset, np.zeros(new_dims.total)])
     new_objectives = []
     for obj in problem.objectives[1:]:
         if isinstance(obj, QuadraticObjective):
-            new_objectives.append(_substitute_quadratic(obj, problem.dims, offset, C))
+            new_objectives.append(_substitute_quadratic(obj, q, P, new_dims.m))
         elif isinstance(obj, ExprObjective):
             new_objectives.append(_substitute_expr(obj, offset, C))
         else:
@@ -539,16 +491,8 @@ def synthesize_cascade(problem: GameProblem,
     stage = problem
     stage_d = d
     for s in range(1, problem.levels):
-        try:
-            rel = synthesize_single_leader(stage, stage_d, tol)
-        except ExistenceError as err:
-            raise ExistenceError(
-                "stage %d (announcing level %d): %s" % (s, s, err),
-                verdict=err.verdict,
-                level=s,
-            ) from None
-        strategies.append(rel if s == 1 else dataclasses.replace(rel, level=s))
+        strategies.append(_stage_strategy(stage, stage_d, tol, s))
         if s < problem.levels - 1:
-            stage = reduce_problem(stage, rel)
+            stage = reduce_problem(stage, dataclasses.replace(strategies[-1], level=1))
             stage_d = stage_d.tail(2)
     return strategies

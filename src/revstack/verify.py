@@ -10,7 +10,7 @@ A strategy chain is 'verified' when every check lands inside its tolerance.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,6 +23,7 @@ from .model import (
     DecisionPoint,
     GameProblem,
     evaluate_many,
+    split_blocks,
 )
 from .synthesis import AffineStrategy, reduce_problem
 
@@ -146,17 +147,14 @@ def oracle_best_response(problem: GameProblem,
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
 
-    offs = np.concatenate([[0], np.cumsum(free_widths)])
-    free_blocks = [pts[:, offs[i] : offs[i + 1]] for i in range(len(free_widths))]
-    blocks = _substitute_chain(problem, announced, level, free_blocks)
+    blocks = _substitute_chain(problem, announced, level, split_blocks(free_widths, pts))
     values = np.asarray(evaluate_many(problem.objective(level), blocks), dtype=float)
     evaluations = pts.shape[0]
     i0 = int(np.argmin(values))
     x0 = pts[i0].copy()
 
     def point_value(x: np.ndarray) -> float:
-        fb = [x[offs[i] : offs[i + 1]].reshape(1, -1) for i in range(len(free_widths))]
-        bl = _substitute_chain(problem, announced, level, fb)
+        bl = _substitute_chain(problem, announced, level, split_blocks(free_widths, x[None, :]))
         return float(np.asarray(evaluate_many(problem.objective(level), bl))[0])
 
     x = x0.copy()
@@ -202,9 +200,7 @@ def sublevel_inequality_check(probe: SublevelProbe, strategy: AffineStrategy,
     rng = np.random.default_rng(sampler.seed)
     pts = base + rng.uniform(-sampler.radius, sampler.radius, (sampler.count, base.size))
     pts[0] = base
-    widths = [b.size for b in lower_anchor]
-    offs = np.concatenate([[0], np.cumsum(widths)])
-    lower = [pts[:, offs[i] : offs[i + 1]] for i in range(len(widths))]
+    lower = split_blocks([b.size for b in lower_anchor], pts)
     own = strategy.batch(lower)
     values = np.asarray(evaluate_many(probe.objective, [own] + lower), dtype=float)
     violations = int(np.count_nonzero(values < probe.threshold - tol))
@@ -312,9 +308,7 @@ def _membership_residual(stage: GameProblem, stage_d: DecisionPoint,
     lower_anchor = stage_d.blocks[1:]
     base = np.concatenate(lower_anchor)
     pts = base + rng.uniform(-radius, radius, (count, base.size))
-    widths = [b.size for b in lower_anchor]
-    offs = np.concatenate([[0], np.cumsum(widths)])
-    lower = [pts[:, offs[i] : offs[i + 1]] for i in range(len(widths))]
+    lower = split_blocks([b.size for b in lower_anchor], pts)
     own = strategy.batch(lower)
     terms = [(own - stage_d.blocks[0]) @ g.blocks[0]]
     for Xj, dj, gj in zip(lower, lower_anchor, g.blocks[1:]):

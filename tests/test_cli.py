@@ -128,10 +128,6 @@ def test_solve_json_matches_the_checked_in_report(tri_doc, capsys):
     _approx_tree(got, want)
 
 
-def test_solve_accepts_thread_count(tri_doc, capsys):
-    assert main(["solve", tri_doc, "--threads", "4"]) == 0
-
-
 def test_solve_reports_existence_failures(tmp_path, capsys):
     # second objective blind to the top block: no supporting construction
     doc = json.loads(TRI_PROBLEM)
@@ -245,6 +241,22 @@ def test_feasible_supplied_strategies(tmp_path, capsys):
 def test_unknown_flag_is_bad_input(tri_doc, capsys):
     assert main(["solve", tri_doc, "--frobnicate"]) == 4
     assert "error" in capsys.readouterr().err
+    # the former no-op thread count is gone as well
+    assert main(["solve", tri_doc, "--threads", "4"]) == 4
+
+
+def test_huge_exponent_chain_is_bad_input(tmp_path, capsys):
+    doc = json.loads(TRI_PROBLEM)
+    doc["objectives"][2]["formula"] = "u1^999^999999"
+    assert main(["solve", _write(tmp_path, "tower.json", doc)]) == 4
+    assert "unreasonably large" in capsys.readouterr().err
+
+
+def test_non_finite_coefficient_is_bad_input(tmp_path, capsys):
+    doc = json.loads(TRI_PROBLEM)
+    doc["objectives"][0]["l"][0] = [float("nan")]
+    assert main(["solve", _write(tmp_path, "nan.json", doc)]) == 4
+    assert "NaN" in capsys.readouterr().err
 
 
 def test_missing_file_is_bad_input(capsys):

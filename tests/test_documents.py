@@ -117,6 +117,8 @@ def test_json_syntax_errors_carry_line_and_column():
      "one block per level"),
     (lambda d: d.__setitem__("constraints", {"A": [[[1]], [[0]], [[0]]]}),
      "missing key"),
+    (lambda d: d["objectives"][0]["l"].__setitem__(0, [float("nan")]), "NaN"),
+    (lambda d: d["objectives"][0]["l"].__setitem__(0, [10 ** 400]), "overflows"),
 ])
 def test_malformed_documents_are_refused(mangle, needle):
     doc = json.loads(TRI_DOC)
@@ -193,6 +195,8 @@ def test_hand_edited_strategy_keeps_its_realization_error(tri):
      "one matrix per lower level"),
     ({"strategies": [{"level": 1, "offset": [0.0],
                       "coeffs": [[[0.0, 1.0]], [[0.0]]]}]}, "shape"),
+    ({"strategies": [{"level": 1, "offset": [float("inf")],
+                      "coeffs": [[[0.0]], [[0.0]]]}]}, "Infinity"),
 ])
 def test_malformed_strategy_documents_are_refused(tri, doc, needle):
     eq = team_optimum_quadratic(tri)

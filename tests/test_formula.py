@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,7 @@ def test_unknown_variables_are_reported_with_position():
     "u1 u2",
     "* u1",
     "",
+    "u1 + 1e999",
 ])
 def test_malformed_input_raises(text):
     with pytest.raises(FormulaError):
@@ -90,6 +93,14 @@ def test_malformed_input_raises(text):
 def test_huge_exponents_are_refused():
     with pytest.raises(FormulaError, match="large"):
         parse_formula("u1^9^9^9", D3)
+    # the chain is bounded before it is evaluated: no 3M-digit integer
+    for text in ("u1^999^999999", "u1^99999^999999", "u1^" + "9" * 5000):
+        start = time.perf_counter()
+        with pytest.raises(FormulaError, match="large"):
+            parse_formula(text, D3)
+        assert time.perf_counter() - start < 0.5
+    assert parse_formula("u1^10^6", D3).exponent == 1_000_000
+    assert parse_formula("u1^1^999999", D3).exponent == 1
 
 
 def test_evaluation_of_parsed_formula():

@@ -16,7 +16,9 @@ from revstack import (
     validate,
 )
 
-from conftest import scalar_trilevel, wide_leader
+from revstack.model import split_blocks
+
+from conftest import random_convex_game, scalar_trilevel, wide_leader
 
 
 def test_dims_basics():
@@ -46,6 +48,16 @@ def test_decision_point_accessors():
         p.tail(5)
     with pytest.raises(DimensionError):
         DecisionPoint.from_concat((2, 2), [1.0, 2.0, 3.0])
+    with pytest.raises(DimensionError):
+        split_blocks((2, 2), np.zeros((5, 3)))
+
+
+def test_split_blocks_returns_views_of_the_last_axis():
+    X = np.arange(12.0).reshape(3, 4)
+    a, b = split_blocks((1, 3), X)
+    assert a.shape == (3, 1) and b.shape == (3, 3)
+    assert np.shares_memory(a, X) and np.shares_memory(b, X)
+    assert np.array_equal(b[1], [5.0, 6.0, 7.0])
 
 
 def test_known_objective_values(tri):
@@ -104,6 +116,21 @@ def test_diagonal_blocks_are_symmetrized():
     x = np.array([0.7, -1.3])
     p = DecisionPoint.of(x, [0.0])
     assert evaluate(obj, p) == pytest.approx(x @ skew @ x)
+
+
+def test_flat_view_round_trips_exactly(wide):
+    for game in (wide, random_convex_game(5, (2, 1, 2))):
+        for q in game.objectives:
+            H, l = q.flat()
+            back = QuadraticObjective.from_flat(H, l, q.const, game.dims.m)
+            for key, block in q.A.items():
+                assert np.array_equal(back.A[key], block)
+            missing = set(back.A) - set(q.A)
+            assert all(not np.any(back.A[key]) for key in missing)
+            assert all(np.array_equal(a, b) for a, b in zip(back.l, q.l))
+            assert back.const == q.const
+            H2, l2 = back.flat()
+            assert np.array_equal(H2, H) and np.array_equal(l2, l)
 
 
 def test_constant_term_survives():

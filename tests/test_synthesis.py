@@ -102,6 +102,10 @@ def test_middle_existence_failure_raises(tri):
     with pytest.raises(ExistenceError) as info:
         synthesize_single_middle(prob, leader, eq.point)
     assert info.value.level == 2
+    # the same stage-2 refusal as the cascade's, naming the announcing level
+    assert "stage 2 (announcing level 2)" in str(info.value)
+    assert "cannot influence" in str(info.value)
+    assert "top player" not in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +272,10 @@ def test_reduction_is_exact_on_expression_objectives(tri_expr):
 
 
 def test_reduction_is_exact_on_a_random_game():
-    prob = random_convex_game(17, (3, 2, 2))
-    eq = team_optimum_quadratic(prob)
-    _substitution_agrees(prob, synthesize_single_leader(prob, eq.point), 34)
+    for widths in ((3, 2, 2), (2, 1, 1, 1), (1, 2, 2)):
+        prob = random_convex_game(17, widths)
+        eq = team_optimum_quadratic(prob)
+        _substitution_agrees(prob, synthesize_single_leader(prob, eq.point), 34)
 
 
 def test_reduced_scalar_trilevel_bottom_cost(tri):
@@ -338,6 +343,7 @@ def test_cascade_annotates_existence_failures(tri):
         synthesize_cascade(prob, desired=eq.point)
     assert info.value.level == 2
     assert "stage 2" in str(info.value)
+    assert "top player" not in str(info.value)
 
 
 def test_strategy_offset_form_round_trip(wide):
