@@ -1,31 +1,24 @@
 """Gradients, Hessians, and convexity probes for game objectives.
 
-Analytic derivatives: the flat view H x + l for quadratics, recursive symbolic
-differentiation for expression trees.  A central finite-difference gradient
-is kept alongside as an independent cross-check oracle.
+Analytic derivatives: the flat view H x + l for quadratics, and the partial
+derivative polynomials of the compiled form for expressions.  A central
+finite-difference gradient is kept alongside as an independent cross-check
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import DimensionError
 from .model import (
-    Constant,
     DecisionPoint,
     ExprObjective,
-    Negate,
-    Node,
     Objective,
-    Power,
-    Product,
     QuadraticObjective,
-    Sum,
-    Var,
-    eval_node,
     evaluate,
     split_blocks,
 )
@@ -36,7 +29,6 @@ __all__ = [
     "fd_gradient",
     "hessian",
     "strict_convexity_probe",
-    "differentiate",
 ]
 
 # Shift applied to the Hessian diagonal before the Cholesky attempt: the
@@ -70,89 +62,8 @@ class BlockGradient:
 
 
 # ---------------------------------------------------------------------------
-# symbolic differentiation of expression trees
-# ---------------------------------------------------------------------------
-
-_ZERO = Constant(0.0)
-
-
-def _is_zero(node: Node) -> bool:
-    return isinstance(node, Constant) and node.value == 0.0
-
-
-def _is_one(node: Node) -> bool:
-    return isinstance(node, Constant) and node.value == 1.0
-
-
-def _sum(terms: List[Node]) -> Node:
-    terms = [t for t in terms if not _is_zero(t)]
-    if not terms:
-        return _ZERO
-    if len(terms) == 1:
-        return terms[0]
-    return Sum(tuple(terms))
-
-
-def _product(factors: List[Node]) -> Node:
-    if any(_is_zero(f) for f in factors):
-        return _ZERO
-    factors = [f for f in factors if not _is_one(f)]
-    if not factors:
-        return Constant(1.0)
-    if len(factors) == 1:
-        return factors[0]
-    return Product(tuple(factors))
-
-
-def differentiate(node: Node, level: int, index: int) -> Node:
-    """Partial derivative of a tree w.r.t. the scalar u<level>_<index>.
-
-    Returns a new tree; only trivial zero/one folding is applied (no
-    symbolic simplification).
-    """
-    if isinstance(node, Constant):
-        return _ZERO
-    if isinstance(node, Var):
-        return Constant(1.0) if (node.level, node.index) == (level, index) else _ZERO
-    if isinstance(node, Sum):
-        return _sum([differentiate(t, level, index) for t in node.terms])
-    if isinstance(node, Negate):
-        inner = differentiate(node.child, level, index)
-        return _ZERO if _is_zero(inner) else Negate(inner)
-    if isinstance(node, Product):
-        pieces: List[Node] = []
-        for i, f in enumerate(node.factors):
-            df = differentiate(f, level, index)
-            if _is_zero(df):
-                continue
-            rest = list(node.factors[:i]) + list(node.factors[i + 1 :])
-            pieces.append(_product([df] + rest))
-        return _sum(pieces)
-    if isinstance(node, Power):
-        db = differentiate(node.base, level, index)
-        if _is_zero(db):
-            return _ZERO
-        p = node.exponent
-        if p == 1:
-            return db
-        lowered: Node = node.base if p == 2 else Power(node.base, p - 1)
-        return _product([Constant(float(p)), lowered, db])
-    raise TypeError("not an expression node: %r" % (node,))
-
-
-# ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
-
-def _expr_gradient(obj: ExprObjective, p: DecisionPoint) -> BlockGradient:
-    out = []
-    for lev, block in enumerate(p.blocks, start=1):
-        g = np.empty(block.size)
-        for i in range(block.size):
-            g[i] = float(eval_node(differentiate(obj.root, lev, i + 1), p.blocks))
-        out.append(g)
-    return BlockGradient(tuple(out))
-
 
 def gradient(obj: Objective, p: DecisionPoint) -> BlockGradient:
     """Analytic gradient of an objective at ``p``, split into level blocks."""
@@ -164,7 +75,11 @@ def gradient(obj: Objective, p: DecisionPoint) -> BlockGradient:
         H, l = obj.flat()
         return BlockGradient(tuple(split_blocks(p.widths, H @ p.concat() + l)))
     if isinstance(obj, ExprObjective):
-        return _expr_gradient(obj, p)
+        g = [np.zeros(b.size) for b in p.blocks]
+        for (level, index), d in zip(obj.poly.keys, obj.poly.derivatives[0]):
+            # evaluated first: a key outside p raises DimensionError
+            g[level - 1][index - 1] = d(p.blocks)
+        return BlockGradient(tuple(g))
     raise TypeError("not an objective: %r" % (obj,))
 
 
@@ -194,16 +109,13 @@ def hessian(obj: Objective, p: DecisionPoint) -> np.ndarray:
     if isinstance(obj, QuadraticObjective):
         return obj.flat()[0]
     if isinstance(obj, ExprObjective):
+        keys, (_, second) = obj.poly.keys, obj.poly.derivatives
+        values = {ab: d(p.blocks) for ab, d in second.items()}
         coords = [(lev, i + 1) for lev, b in enumerate(p.blocks, start=1) for i in range(b.size)]
-        N = len(coords)
-        H = np.empty((N, N))
-        firsts = [differentiate(obj.root, lev, idx) for lev, idx in coords]
-        for a in range(N):
-            for b in range(a, N):
-                lev, idx = coords[b]
-                val = float(eval_node(differentiate(firsts[a], lev, idx), p.blocks))
-                H[a, b] = val
-                H[b, a] = val
+        at = {key: k for k, key in enumerate(coords)}
+        H = np.zeros((len(at), len(at)))
+        for (a, b), value in values.items():
+            H[at[keys[a]], at[keys[b]]] = H[at[keys[b]], at[keys[a]]] = value
         return H
     raise TypeError("not an objective: %r" % (obj,))
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .constrained import feasibility_check
 from .documents import (
+    load_json,
     parse_problem,
     parse_strategies,
     strategies_to_document,
@@ -170,9 +171,9 @@ def _parse_param_arg(text: str, family: StrategyFamily) -> List[np.ndarray]:
     out = []
     for part, shape in zip(parts, shapes):
         try:
-            raw = json.loads(part)
-        except json.JSONDecodeError as exc:
-            raise DocumentError("bad --params entry %r: %s" % (part, exc.msg))
+            raw = load_json(part)
+        except DocumentError as exc:
+            raise DocumentError("bad --params entry %r: %s" % (part, exc)) from None
         arr = np.asarray(raw, dtype=float)
         if arr.size == 0:
             arr = arr.reshape(shape)

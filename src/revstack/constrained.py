@@ -251,7 +251,9 @@ def feasibility_check(strategy: AffineStrategy, constraints: LinearConstraints,
         if status == "unbounded":
             raise UnboundedRegionError(
                 "follower region is unbounded along constraint row %d; "
-                "supply explicit bounds" % i
+                "supply explicit bounds: rows in the document's \"constraints\" "
+                "that bound every lower-level variable, or feasibility_check(bounds=...)"
+                % i
             )
         margins.append(kappa + value - float(b[i]))
         witnesses.append(x)

@@ -72,7 +72,7 @@ def _finite_int(token: str) -> int:
     return int(token)
 
 
-def _load_json(text: str) -> Any:
+def load_json(text: str) -> Any:
     """JSON with NaN, Infinity and overflowing literals refused."""
     try:
         return json.loads(text, parse_constant=_reject_constant,
@@ -156,11 +156,10 @@ def _parse_objective(raw: Any, dims: Dims, where: str) -> Objective:
         if not isinstance(formula, str):
             raise DocumentError("'formula' must be a string", where=where)
         try:
-            root = parse_formula(formula, dims)
+            return ExprObjective(parse_formula(formula, dims))
         except DocumentError as exc:
             exc.where = where + ".formula"
             raise
-        return ExprObjective(root)
     raise DocumentError(
         "unknown objective type %r (want 'quadratic' or 'expr')" % kind,
         where=where)
@@ -168,7 +167,7 @@ def _parse_objective(raw: Any, dims: Dims, where: str) -> Objective:
 
 def parse_problem(text: str) -> GameProblem:
     """Build a validated :class:`GameProblem` from JSON text."""
-    doc = _load_json(text)
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise DocumentError("top level must be an object")
     levels = _require(doc, "levels", "levels")
@@ -271,7 +270,7 @@ def parse_strategies(
     the supplied desired point so later checks can measure how far off a
     hand-edited document actually is.
     """
-    doc = _load_json(text)
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise DocumentError("top level must be an object")
     raw_list = _require(doc, "strategies", "strategies")

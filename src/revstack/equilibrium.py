@@ -4,7 +4,7 @@ The desired equilibrium is the joint minimizer of the leader's cost over all
 players' variables.  Three routes:
 
 * exact linear solve for quadratic leader costs,
-* multi-start gradient descent with backtracking for expression costs,
+* multi-start damped Newton with backtracking for expression costs,
 * active-set enumeration for quadratic costs under linear inequality rows.
 """
 
@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .calculus import gradient
+from .calculus import gradient, hessian
 from .errors import (
     ConvergenceError,
     EquilibriumError,
@@ -95,25 +95,35 @@ def team_optimum_quadratic(problem: GameProblem) -> EquilibriumResult:
 
 
 def _descend_once(obj, widths, start: np.ndarray, tol: float, max_iters: int):
-    """Backtracking gradient descent from one start.  Returns (x, f, gnorm, ok)."""
+    """Damped Newton from one start.  Returns (x, f, gnorm, ok).
+
+    Cholesky steps on the exact Hessian, gradient steps where it is not
+    positive definite, both shortened by Armijo backtracking.
+    """
     x = start.astype(float).copy()
-    point = DecisionPoint.from_concat(widths, x)
-    f = evaluate(obj, point)
+    f = evaluate(obj, DecisionPoint.from_concat(widths, x))
     for _ in range(max_iters):
-        g = gradient(obj, DecisionPoint.from_concat(widths, x)).concat()
+        point = DecisionPoint.from_concat(widths, x)
+        g = gradient(obj, point).concat()
         gnorm = float(np.linalg.norm(g))
         if gnorm <= tol:
             return x, f, gnorm, True
+        try:
+            L = np.linalg.cholesky(hessian(obj, point))
+            step = np.linalg.solve(L.T, np.linalg.solve(L, g))
+        except np.linalg.LinAlgError:
+            step = g
+        slope = float(g @ step)
         t = 1.0
         for _ in range(60):
-            trial = x - t * g
+            trial = x - t * step
             f_trial = evaluate(obj, DecisionPoint.from_concat(widths, trial))
-            if f_trial <= f - 1e-4 * t * gnorm * gnorm:
+            if f_trial <= f - 1e-4 * t * slope:
                 x, f = trial, f_trial
                 break
             t *= 0.5
         else:
-            # no acceptable step: gradient scale is at numerical floor
+            # no acceptable step: the decrease is below the roundoff of f
             return x, f, gnorm, gnorm <= tol
     g = gradient(obj, DecisionPoint.from_concat(widths, x)).concat()
     gnorm = float(np.linalg.norm(g))

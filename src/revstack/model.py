@@ -8,8 +8,9 @@ in two flavours:
 * :class:`QuadraticObjective` — block form
   ``sum_{j<=k} <u^j, A[j,k] u^k> + sum_k <u^k, l[k]> + const``
   with upper-triangular block storage,
-* :class:`ExprObjective` — an explicit expression tree over the scalar
-  decision variables (sums, products, integer powers, negation).
+* :class:`ExprObjective` — a formula over the scalar decision variables
+  (sums, products, positive integer powers, negation), compiled once into a
+  sparse :class:`Polynomial` that evaluates and differentiates it.
 
 Evaluation works on single decision points and, for the brute-force checks
 elsewhere in the package, on stacked batches of points.
@@ -17,12 +18,16 @@ elsewhere in the package, on stacked batches of points.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, FormulaError, RevstackError
 
 __all__ = [
     "Dims",
@@ -35,6 +40,7 @@ __all__ = [
     "Power",
     "Negate",
     "Node",
+    "Polynomial",
     "QuadraticObjective",
     "ExprObjective",
     "Objective",
@@ -217,55 +223,179 @@ class Negate(Node):
     child: Node
 
 
-def eval_node(node: Node, blocks: Sequence[np.ndarray]):
-    """Evaluate a node given per-level blocks.
+# ---------------------------------------------------------------------------
+# sparse polynomials
+# ---------------------------------------------------------------------------
 
-    Blocks may be plain vectors ``(m,)`` or batches ``(P, m)``; the result is
-    a scalar or a ``(P,)`` array accordingly.
+# Monomials that one product or sum may build before like terms are merged.
+_MAX_MONOMIALS = 100_000
+_TOO_LARGE = "polynomial expansion exceeds %d monomials" % _MAX_MONOMIALS
+
+
+@dataclass(frozen=True, eq=False)
+class Polynomial:
+    """Sparse polynomial ``sum_m c[m] * prod_v x_v ** E[m, v]``.
+
+    Column v of the integer exponent matrix ``E`` (M, V) is the scalar
+    ``keys[v] = (level, index)``.  Keys are sorted, rows distinct and sorted,
+    coefficients nonzero and finite.  Arithmetic raises RevstackError on a
+    non-finite coefficient, an exponent past int64, or a step building more
+    than ``_MAX_MONOMIALS`` monomials.
     """
-    if isinstance(node, Constant):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return blocks[node.level - 1][..., node.index - 1]
-        except IndexError:
-            raise DimensionError(
-                "variable u%d_%d is outside the hierarchy" % (node.level, node.index)
-            ) from None
-    if isinstance(node, Sum):
-        total = 0.0
-        for t in node.terms:
-            total = total + eval_node(t, blocks)
-        return total
-    if isinstance(node, Product):
-        out = 1.0
-        for f in node.factors:
-            out = out * eval_node(f, blocks)
+
+    keys: Tuple[Tuple[int, int], ...]
+    E: np.ndarray
+    c: np.ndarray
+
+    @classmethod
+    def from_terms(cls, keys, E, c) -> "Polynomial":
+        """Sum of the terms ``c[m] * x ** E[m]`` over sorted ``keys``, like monomials merged."""
+        if len(c) > _MAX_MONOMIALS:
+            raise RevstackError(_TOO_LARGE)
+        merged: Dict[Tuple[int, ...], float] = {}
+        rows = np.asarray(E, dtype=np.int64).reshape(len(c), len(keys)).tolist()
+        for row, coef in zip(map(tuple, rows), np.asarray(c, dtype=float).tolist()):
+            merged[row] = merged.get(row, 0.0) + coef
+        if not all(map(math.isfinite, merged.values())):
+            raise RevstackError("polynomial coefficient is not finite")
+        order = sorted(row for row, coef in merged.items() if coef != 0.0)
+        return cls(tuple(keys), np.array(order, dtype=np.int64).reshape(len(order), len(keys)),
+                   np.array([merged[row] for row in order], dtype=float))
+
+    @classmethod
+    def constant(cls, value: float) -> "Polynomial":
+        return cls.from_terms((), np.zeros((1, 0)), [value])
+
+    @staticmethod
+    def total(polys: Sequence["Polynomial"]) -> "Polynomial":
+        keys = tuple(sorted(set().union(*(p.keys for p in polys))))
+        return Polynomial.from_terms(keys, np.vstack([p._widened(keys) for p in polys]),
+                                     np.concatenate([p.c for p in polys]))
+
+    def _widened(self, keys: Tuple[Tuple[int, int], ...]) -> np.ndarray:
+        """``E`` with one column per key of the sorted superset ``keys``."""
+        if keys == self.keys:
+            return self.E
+        at = {key: v for v, key in enumerate(keys)}
+        out = np.zeros((self.E.shape[0], len(keys)), dtype=np.int64)
+        out[:, [at[key] for key in self.keys]] = self.E
         return out
+
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if self.c.size * other.c.size > _MAX_MONOMIALS:
+            raise RevstackError(_TOO_LARGE)
+        keys = tuple(sorted(set(self.keys) | set(other.keys)))
+        E = (self._widened(keys)[:, None, :] + other._widened(keys)[None, :, :]
+             ).reshape(self.c.size * other.c.size, len(keys))
+        if (E < 0).any():  # a sum of exponents wrapped past int64
+            raise RevstackError("polynomial exponent overflows")
+        with np.errstate(over="ignore"):
+            c = np.outer(self.c, other.c).ravel()
+        return Polynomial.from_terms(keys, E, c)
+
+    def __pow__(self, k: int) -> "Polynomial":
+        """``self ** k`` for an integer k >= 0, by repeated squaring."""
+        result, base = Polynomial.constant(1.0), self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
+    @cached_property
+    def _terms(self) -> List[Tuple[float, Tuple[Tuple[int, int], ...]]]:
+        """Per monomial, its coefficient and its (column, exponent) factors."""
+        return [(coef, tuple((v, e) for v, e in enumerate(row) if e))
+                for coef, row in zip(self.c.tolist(), self.E.tolist())]
+
+    def __call__(self, blocks: Sequence[np.ndarray]):
+        """Values at stacked points, each block shaped ``(..., m_level)``.
+
+        One pass over the monomials: every temporary has the shape of one
+        batch, so P points never build a (P, M, V) array.
+        """
+        cols = []
+        for level, index in self.keys:
+            if not (1 <= level <= len(blocks)
+                    and 1 <= index <= np.shape(blocks[level - 1])[-1]):
+                raise DimensionError(
+                    "variable u%d_%d is outside the hierarchy" % (level, index))
+            cols.append(blocks[level - 1][..., index - 1])
+        total = 0.0
+        for coef, factors in self._terms:
+            term = coef
+            for v, e in factors:
+                term = term * (cols[v] if e == 1 else cols[v] ** e)
+            total = total + term
+        shape = np.broadcast_shapes(*(np.shape(b)[:-1] for b in blocks))
+        return total if np.shape(total) == shape else np.full(shape, total)
+
+    def derivative(self, v: int) -> "Polynomial":
+        """Partial derivative along column ``v``, by exponent shifting."""
+        e = self.E[:, v]
+        E = self.E[e > 0]
+        E[:, v] -= 1
+        with np.errstate(over="ignore"):
+            return Polynomial.from_terms(self.keys, E, self.c[e > 0] * e[e > 0])
+
+    @cached_property
+    def derivatives(self) -> Tuple[List["Polynomial"], Dict[Tuple[int, int], "Polynomial"]]:
+        """First partials by column, and second partials by columns a <= b; built once."""
+        first = [self.derivative(v) for v in range(len(self.keys))]
+        V = len(first)
+        return first, {(a, b): first[a].derivative(b) for a in range(V) for b in range(a, V)}
+
+    def substitute_top(self, offset: np.ndarray, C: Sequence[np.ndarray]) -> "Polynomial":
+        """Put ``offset[i] + sum_j C[j][i] @ u^(j+2)`` for each level-1 scalar i,
+        then renumber every level down by one."""
+        lower = [(j + 1, col + 1) for j, M in enumerate(C) for col in range(M.shape[1])]
+        rule_E = np.vstack([np.zeros((1, len(lower))), np.eye(len(lower))])
+        # level 1 is level 0 until it is substituted; the key order is kept
+        poly = Polynomial(tuple((lev - 1, idx) for lev, idx in self.keys), self.E, self.c)
+        for i in range(offset.size):
+            if (0, i + 1) in poly.keys:
+                rule = Polynomial.from_terms(
+                    lower, rule_E, np.concatenate([[offset[i]]] + [M[i] for M in C]))
+                # split by the power k of the substituted scalar: sum_k rest_k * rule^k
+                v = poly.keys.index((0, i + 1))
+                e, rest = poly.E[:, v], np.delete(poly.E, v, 1)
+                keys = poly.keys[:v] + poly.keys[v + 1:]
+                poly = Polynomial.total([
+                    Polynomial.from_terms(keys, rest[e == k], poly.c[e == k]) * rule ** k
+                    for k in sorted(set(e.tolist()))])
+        return poly
+
+    def to_node(self) -> Node:
+        """A formula tree of this polynomial: one signed monomial per term."""
+        terms: List[Node] = []
+        for coef, factors in self._terms:
+            nodes: List[Node] = [Constant(abs(coef))] if abs(coef) != 1.0 or not factors else []
+            nodes += [Var(*self.keys[v]) if e == 1 else Power(Var(*self.keys[v]), e)
+                      for v, e in factors]
+            term = nodes[0] if len(nodes) == 1 else Product(tuple(nodes))
+            terms.append(Negate(term) if coef < 0 else term)
+        return Sum(tuple(terms)) if len(terms) > 1 else (terms or [Constant(0.0)])[0]
+
+
+def _compile(node: Node) -> Polynomial:
+    """Expand a formula tree into its polynomial."""
+    if isinstance(node, Constant):
+        return Polynomial.constant(node.value)
+    if isinstance(node, Var):
+        return Polynomial(((node.level, node.index),), np.ones((1, 1), dtype=np.int64),
+                          np.ones(1))
+    if isinstance(node, Sum):
+        return Polynomial.total([_compile(t) for t in node.terms])
+    if isinstance(node, Product):
+        return functools.reduce(operator.mul, [_compile(f) for f in node.factors])
     if isinstance(node, Power):
-        return eval_node(node.base, blocks) ** node.exponent
+        return _compile(node.base) ** node.exponent
     if isinstance(node, Negate):
-        return -eval_node(node.child, blocks)
+        child = _compile(node.child)
+        return Polynomial(child.keys, child.E, -child.c)
     raise TypeError("not an expression node: %r" % (node,))
-
-
-def expr_variables(node: Node) -> set:
-    """All (level, index) pairs referenced by the tree."""
-    out = set()
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Var):
-            out.add((cur.level, cur.index))
-        elif isinstance(cur, Sum):
-            stack.extend(cur.terms)
-        elif isinstance(cur, Product):
-            stack.extend(cur.factors)
-        elif isinstance(cur, Power):
-            stack.append(cur.base)
-        elif isinstance(cur, Negate):
-            stack.append(cur.child)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +496,32 @@ def _cells(widths: Sequence[int], M: np.ndarray) -> List[List[np.ndarray]]:
     return [split_blocks(widths, rows.T) for rows in split_blocks(widths, M.T)]
 
 
-@dataclass(frozen=True, eq=False)
 class ExprObjective:
-    """Cost given as an explicit expression tree."""
+    """Cost given by a formula, held as the polynomial ``poly`` it expands to.
 
-    root: Node
+    ``ExprObjective(root)`` compiles the tree once, raising FormulaError when
+    the expansion is refused.  An objective from :meth:`from_polynomial`
+    prints its ``root`` from ``poly`` when ``root`` is first read.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.root, Node):
-            raise TypeError("ExprObjective wants a Node, got %r" % (self.root,))
+    def __init__(self, root: Node):
+        if not isinstance(root, Node):
+            raise TypeError("ExprObjective wants a Node, got %r" % (root,))
+        try:
+            self.poly = _compile(root)
+        except RevstackError as exc:
+            raise FormulaError(str(exc)) from None
+        self.root = root
+
+    @classmethod
+    def from_polynomial(cls, poly: Polynomial) -> "ExprObjective":
+        obj = cls.__new__(cls)
+        obj.poly = poly
+        return obj
+
+    @cached_property
+    def root(self) -> Node:
+        return self.poly.to_node()
 
 
 Objective = Union[QuadraticObjective, ExprObjective]
@@ -397,7 +544,7 @@ def evaluate_many(obj: Objective, blocks: Sequence[np.ndarray]):
     if isinstance(obj, QuadraticObjective):
         return _eval_quadratic(obj, blocks)
     if isinstance(obj, ExprObjective):
-        return eval_node(obj.root, blocks)
+        return obj.poly(blocks)
     raise TypeError("not an objective: %r" % (obj,))
 
 
@@ -536,7 +683,7 @@ def _validate_quadratic(report: ValidationReport, dims: Dims,
 
 def _validate_expr(report: ValidationReport, dims: Dims,
                    obj: ExprObjective, where: str) -> None:
-    for lev, idx in sorted(expr_variables(obj.root)):
+    for lev, idx in obj.poly.keys:
         if not 1 <= lev <= dims.levels:
             report.add("error", "variable u%d_%d: no level %d" % (lev, idx, lev), where)
         elif not 1 <= idx <= dims.m[lev - 1]:
@@ -599,46 +746,11 @@ def validate(problem: GameProblem) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def quadratic_to_expr(obj: QuadraticObjective) -> ExprObjective:
-    """Expand a block quadratic into an equivalent expression tree.
-
-    The expansion is bilinear term by term; agreement with the quadratic
-    evaluation is exact up to floating-point roundoff.
-    """
-    terms: List[Node] = []
-
-    def monomial(coef: float, *vars_: Node) -> None:
-        if coef == 0.0:
-            return
-        # collapse repeated variables into squares for readability
-        factors: List[Node] = [] if coef == 1.0 else [Constant(coef)]
-        i = 0
-        vs = list(vars_)
-        while i < len(vs):
-            if i + 1 < len(vs) and vs[i] == vs[i + 1]:
-                factors.append(Power(vs[i], 2))
-                i += 2
-            else:
-                factors.append(vs[i])
-                i += 1
-        if not factors:
-            terms.append(Constant(coef))
-        elif len(factors) == 1:
-            terms.append(factors[0])
-        else:
-            terms.append(Product(tuple(factors)))
-
-    for (j, k), mat in sorted(obj.A.items()):
-        rows, cols = mat.shape
-        for r in range(rows):
-            for c in range(cols):
-                monomial(float(mat[r, c]), Var(j, r + 1), Var(k, c + 1))
-    for lev, vec in enumerate(obj.l, start=1):
-        for i in range(vec.size):
-            monomial(float(vec[i]), Var(lev, i + 1))
-    if obj.const != 0.0:
-        terms.append(Constant(obj.const))
-    if not terms:
-        return ExprObjective(Constant(0.0))
-    if len(terms) == 1:
-        return ExprObjective(terms[0])
-    return ExprObjective(Sum(tuple(terms)))
+    """The same cost as an expression: ``x'Hx/2 + l'x + const`` monomial by monomial."""
+    H, l = obj.flat()
+    keys = [(lev, i + 1) for lev, seg in enumerate(obj.l, start=1) for i in range(seg.size)]
+    rows, cols = np.triu_indices(len(keys))
+    eye = np.eye(len(keys), dtype=np.int64)
+    E = np.vstack([eye[rows] + eye[cols], eye, np.zeros((1, len(keys)), dtype=np.int64)])
+    c = np.concatenate([np.where(rows == cols, 0.5, 1.0) * H[rows, cols], l, [obj.const]])
+    return ExprObjective.from_polynomial(Polynomial.from_terms(keys, E, c))

@@ -29,18 +29,11 @@ from .equilibrium import team_optimum
 from .errors import DimensionError, ExistenceError
 from .geometry import leader_existence_check
 from .model import (
-    Constant,
     DecisionPoint,
     ExprObjective,
     GameProblem,
     LinearConstraints,
-    Negate,
-    Node,
-    Power,
-    Product,
     QuadraticObjective,
-    Sum,
-    Var,
 )
 
 __all__ = [
@@ -389,56 +382,13 @@ def _substitute_quadratic(obj: QuadraticObjective, q: np.ndarray, P: np.ndarray,
         P.T @ H @ P, P.T @ (Hq + l), 0.5 * (q @ Hq) + l @ q + obj.const, widths)
 
 
-def _substitute_expr(obj: ExprObjective, offset: np.ndarray,
-                     C: Sequence[np.ndarray]) -> ExprObjective:
-    """Tree substitution: the top block becomes affine in the shifted lower vars."""
-    m_top = offset.size
-    replacements: List[Node] = []
-    for i in range(m_top):
-        terms: List[Node] = []
-        if offset[i] != 0.0:
-            terms.append(Constant(float(offset[i])))
-        for off_level, M in enumerate(C):
-            for col in range(M.shape[1]):
-                coef = float(M[i, col])
-                if coef == 0.0:
-                    continue
-                var = Var(off_level + 1, col + 1)  # already in new numbering
-                terms.append(var if coef == 1.0 else Product((Constant(coef), var)))
-        if not terms:
-            replacements.append(Constant(0.0))
-        elif len(terms) == 1:
-            replacements.append(terms[0])
-        else:
-            replacements.append(Sum(tuple(terms)))
-
-    def walk(node: Node) -> Node:
-        if isinstance(node, Constant):
-            return node
-        if isinstance(node, Var):
-            if node.level == 1:
-                return replacements[node.index - 1]
-            return Var(node.level - 1, node.index)
-        if isinstance(node, Sum):
-            return Sum(tuple(walk(t) for t in node.terms))
-        if isinstance(node, Product):
-            return Product(tuple(walk(f) for f in node.factors))
-        if isinstance(node, Power):
-            return Power(walk(node.base), node.exponent)
-        if isinstance(node, Negate):
-            return Negate(walk(node.child))
-        raise TypeError("not an expression node: %r" % (node,))
-
-    return ExprObjective(walk(obj.root))
-
-
 def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProblem:
     """Substitute the top strategy and drop the top level.
 
     Quadratic objectives stay quadratic (one congruence of the flat view);
-    expression objectives are rewritten by tree substitution; constraint
-    rows absorb the substitution as well.  The result has n-1 levels with
-    level indices shifted down by one.
+    expression objectives substitute the rule into their polynomial and
+    merge monomials; constraint rows absorb the substitution as well.  The
+    result has n-1 levels with level indices shifted down by one.
     """
     if strategy.level != 1:
         raise DimensionError("reduction substitutes the top level; strategy has level %d"
@@ -460,7 +410,8 @@ def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProble
         if isinstance(obj, QuadraticObjective):
             new_objectives.append(_substitute_quadratic(obj, q, P, new_dims.m))
         elif isinstance(obj, ExprObjective):
-            new_objectives.append(_substitute_expr(obj, offset, C))
+            new_objectives.append(
+                ExprObjective.from_polynomial(obj.poly.substitute_top(offset, C)))
         else:
             raise TypeError("not an objective: %r" % (obj,))
     new_cons = None

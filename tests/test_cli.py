@@ -195,6 +195,12 @@ def test_family_checks_random_members(wide_doc, capsys):
     assert out.count("[ok]") == 3
 
 
+def test_family_refuses_non_finite_parameters(wide_doc, capsys):
+    assert main(["family", wide_doc, "--params", "[[NaN]];[[0.5]]"]) == 4
+    err = capsys.readouterr().err
+    assert "--params" in err and "NaN" in err
+
+
 def test_family_rejects_wrong_parameter_count(wide_doc, capsys):
     assert main(["family", wide_doc, "--params", "[[0.25]]"]) == 4
     assert "--params" in capsys.readouterr().err
@@ -228,6 +234,16 @@ def test_feasible_without_rows_is_a_precondition_failure(tri_doc, capsys):
     assert "nothing to check" in capsys.readouterr().err
 
 
+def test_feasible_unbounded_region_names_the_document_remedy(tmp_path, capsys):
+    # the README game: one row bounds u1 only, so u2 and u3 are free
+    doc = json.loads(TRI_PROBLEM)
+    doc["constraints"] = {"A": [[[1]], [[0]], [[0]]], "b": [18]}
+    assert main(["feasible", _write(tmp_path, "readme.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "explicit bounds" in err
+    assert '"constraints"' in err
+
+
 def test_feasible_supplied_strategies(tmp_path, capsys):
     path = _constrained_doc(tmp_path, ceiling=18)
     spath = _write(tmp_path, "good.json", GOOD_STRATEGIES)
@@ -250,6 +266,15 @@ def test_huge_exponent_chain_is_bad_input(tmp_path, capsys):
     doc["objectives"][2]["formula"] = "u1^999^999999"
     assert main(["solve", _write(tmp_path, "tower.json", doc)]) == 4
     assert "unreasonably large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("formula", [
+    "(u1 - 2)^1000000", "(u1 + u2 + u3)^1000", "(u1 + 1e200)^2"])
+def test_refused_expansion_is_bad_input(tmp_path, capsys, formula):
+    doc = json.loads(TRI_PROBLEM)
+    doc["objectives"][2]["formula"] = formula
+    assert main(["solve", _write(tmp_path, "big.json", doc)]) == 4
+    assert "objectives[2].formula" in capsys.readouterr().err
 
 
 def test_non_finite_coefficient_is_bad_input(tmp_path, capsys):

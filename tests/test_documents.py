@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 
 from revstack import (
+    DecisionPoint,
     DimensionError,
     DocumentError,
     DocumentSyntaxError,
     ExprObjective,
     QuadraticObjective,
     UnknownVariableError,
+    evaluate,
     format_problem,
     parse_problem,
     parse_strategies,
     problem_to_document,
+    reduce_problem,
     strategies_to_document,
     synthesize_cascade,
+    synthesize_single_leader,
+    team_optimum,
     team_optimum_quadratic,
     verify_full,
 )
@@ -70,6 +75,18 @@ def test_document_of_a_programmatic_problem_round_trips(wide):
     again = parse_problem(text)
     assert again.dims == wide.dims
     assert format_problem(again) == text
+
+
+def test_reduced_expression_problem_round_trips(tri_expr):
+    d = team_optimum(tri_expr).point
+    reduced = reduce_problem(tri_expr, synthesize_single_leader(tri_expr, d))
+    back = parse_problem(format_problem(reduced))
+    assert format_problem(back) == format_problem(reduced)
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        p = DecisionPoint.from_concat((1, 1), rng.uniform(-5, 5, 2))
+        for lev in (1, 2):
+            assert evaluate(back.objective(lev), p) == evaluate(reduced.objective(lev), p)
 
 
 def test_quadratic_document_drops_zero_blocks_and_keeps_c(tri):

@@ -13,11 +13,14 @@ from revstack import (
     NotMinimumError,
     QuadraticObjective,
     parse_formula,
+    quadratic_to_expr,
     team_optimum,
     team_optimum_constrained,
     team_optimum_descent,
     team_optimum_quadratic,
 )
+
+from conftest import random_convex_game
 
 
 def test_scalar_trilevel_optimum_is_exact(tri):
@@ -41,6 +44,17 @@ def test_descent_agrees_with_the_linear_solve(tri_expr):
     eq = team_optimum(tri_expr)
     assert eq.method == "descent"
     assert np.allclose(eq.point.concat(), [2.0, 1.0, 3.0], atol=1e-6)
+
+
+def test_newton_solves_the_expression_form_of_a_convex_game():
+    # plain steepest descent ran out of iterations on this ill-conditioned game
+    quad = random_convex_game(5, (1, 1, 1))
+    expr = GameProblem(quad.dims, tuple(quadratic_to_expr(o) for o in quad.objectives))
+    eq = team_optimum(expr)
+    assert eq.method == "descent"
+    assert eq.kkt_residual <= 1e-8
+    assert np.allclose(eq.point.concat(), team_optimum_quadratic(quad).point.concat(),
+                       rtol=0, atol=1e-9)
 
 
 def test_descent_handles_two_basins():

@@ -162,3 +162,24 @@ def test_printed_form_evaluates_identically():
         p = DecisionPoint.from_concat((1, 1, 1), rng.uniform(-2, 2, 3))
         assert evaluate(ExprObjective(back), p) == pytest.approx(
             evaluate(ExprObjective(tree), p), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("text", [
+    "(u1 - 2)^1000000",
+    "(u1 + u2 + u3)^1000",
+    "(u1 + 1e200)^2",
+    "(((u1^1000000)^1000000)^1000000)^10",
+])
+def test_oversized_expansions_are_refused(text):
+    tree = parse_formula(text, D3)
+    start = time.perf_counter()
+    with pytest.raises(FormulaError):
+        ExprObjective(tree)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_large_exponent_on_one_variable_loads():
+    poly = ExprObjective(parse_formula("u1^10^6", D3)).poly
+    assert poly.keys == ((1, 1),)
+    assert poly.E.tolist() == [[1_000_000]]
+    assert poly.c.tolist() == [1.0]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,23 @@ def test_batched_evaluation_matches_pointwise(tri):
     for i in range(40):
         p = DecisionPoint.from_concat((1, 1, 1), pts[i])
         assert batched[i] == pytest.approx(evaluate(tri.objective(2), p))
+
+
+def test_expression_batch_memory_is_linear_in_the_batch():
+    quad = random_convex_game(3, (2, 2, 2)).objective(1)
+    expr = quadratic_to_expr(quad)
+    P = 100_000
+    blocks = split_blocks((2, 2, 2), np.random.default_rng(4).uniform(-2, 2, (P, 6)))
+    tracemalloc.start()
+    try:
+        values = evaluate_many(expr, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few length-P temporaries; a (P, M, V) array would be 27 * 6 of them
+    assert peak <= 6 * 8 * P
+    assert values.shape == (P,)
+    assert np.allclose(values, evaluate_many(quad, blocks), rtol=1e-12, atol=1e-9)
 
 
 def test_quadratic_expansion_to_expression_tree(wide):

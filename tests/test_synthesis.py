@@ -5,10 +5,12 @@ from revstack import (
     AffineStrategy,
     DecisionPoint,
     DimensionError,
+    DocumentError,
     ExistenceError,
     GameProblem,
     LinearConstraints,
     QuadraticObjective,
+    RevstackError,
     evaluate,
     gradient,
     instantiate,
@@ -269,6 +271,15 @@ def test_reduction_is_exact_on_expression_objectives(tri_expr):
     eq = team_optimum(tri_expr)
     _substitution_agrees(
         tri_expr, synthesize_single_leader(tri_expr, eq.point), 33, atol=1e-6)
+
+
+def test_reduction_refuses_a_non_finite_expansion(tri_expr):
+    # u1 = 1e200 + u2 squares to a coefficient beyond the double range
+    rule = AffineStrategy.from_affine(
+        1, [1e200], [[[1.0]], [[0.0]]], DecisionPoint.of([0.0], [0.0]))
+    with pytest.raises(RevstackError, match="not finite") as info:
+        reduce_problem(tri_expr, rule)
+    assert not isinstance(info.value, DocumentError)
 
 
 def test_reduction_is_exact_on_a_random_game():
