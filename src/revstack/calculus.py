@@ -1,6 +1,6 @@
 """Gradients, Hessians, and convexity probes for game objectives.
 
-Analytic derivatives: the flat view H x + l for quadratics, and the partial
+Analytic derivatives: H x + l for quadratics, and the partial
 derivative polynomials of the compiled form for expressions.  A central
 finite-difference gradient is kept alongside as an independent cross-check
 oracle.
@@ -68,12 +68,10 @@ class BlockGradient:
 def gradient(obj: Objective, p: DecisionPoint) -> BlockGradient:
     """Analytic gradient of an objective at ``p``, split into level blocks."""
     if isinstance(obj, QuadraticObjective):
-        if len(obj.l) != p.levels:
+        if obj.widths != p.widths:
             raise DimensionError(
-                "objective spans %d levels, point has %d" % (len(obj.l), p.levels)
-            )
-        H, l = obj.flat()
-        return BlockGradient(tuple(split_blocks(p.widths, H @ p.concat() + l)))
+                "objective has block widths %s, point has %s" % (obj.widths, p.widths))
+        return BlockGradient(tuple(split_blocks(p.widths, obj.H @ p.concat() + obj.l)))
     if isinstance(obj, ExprObjective):
         g = [np.zeros(b.size) for b in p.blocks]
         for (level, index), d in zip(obj.poly.keys, obj.poly.derivatives[0]):
@@ -105,9 +103,12 @@ def fd_gradient(obj: Objective, p: DecisionPoint, h: float = 1e-6) -> BlockGradi
 # ---------------------------------------------------------------------------
 
 def hessian(obj: Objective, p: DecisionPoint) -> np.ndarray:
-    """Full (symmetric) Hessian over the concatenated decision vector."""
+    """Full (symmetric) Hessian over the concatenated decision vector.
+
+    A quadratic's is its stored, read-only ``H``.
+    """
     if isinstance(obj, QuadraticObjective):
-        return obj.flat()[0]
+        return obj.H
     if isinstance(obj, ExprObjective):
         keys, (_, second) = obj.poly.keys, obj.poly.derivatives
         values = {ab: d(p.blocks) for ab, d in second.items()}

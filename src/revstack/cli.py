@@ -87,10 +87,6 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _grid(args) -> GridSpec:
-    return GridSpec(radius=args.grid_radius, points=args.grid_points)
-
-
 def _point_lines(label: str, point: DecisionPoint) -> List[str]:
     lines = ["%s:" % label]
     for lev, block in enumerate(point.blocks, start=1):
@@ -140,7 +136,7 @@ def cmd_solve(args) -> int:
     eq = team_optimum(problem)
     strategies = synthesize_cascade(problem, desired=eq.point)
     report = verify_full(
-        problem, strategies, tol=args.tol, grid=_grid(args),
+        problem, strategies, tol=args.tol, grid=args.grid,
         desired=eq.point, seed=args.seed)
     doc = {
         "command": "solve",
@@ -187,7 +183,7 @@ def _check_member(problem: GameProblem, family: StrategyFamily,
         member(member.lower_anchor) - member.own_anchor))
     _, residual = family.membership(member)
     oracle = oracle_best_response(
-        problem, [member], 2, grid=_grid(args),
+        problem, [member], 2, grid=args.grid,
         anchor=family.anchor.tail(2))
     distance = max(
         float(np.abs(a - b).max(initial=0.0))
@@ -257,7 +253,7 @@ def cmd_verify(args) -> int:
     strategies = parse_strategies(_read(args.strategies), problem, eq.point)
     strategies.sort(key=lambda s: s.level)
     report = verify_full(
-        problem, strategies, tol=args.tol, grid=_grid(args),
+        problem, strategies, tol=args.tol, grid=args.grid,
         desired=eq.point, seed=args.seed)
     doc = {
         "command": "verify",
@@ -323,8 +319,30 @@ def cmd_feasible(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+def _tolerance(text: str) -> float:
+    """Option type: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("want a finite number >= 0, got %r" % text)
+    return value
+
+
+def _count(text: str) -> int:
+    """Option type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("want an integer >= 0, got %r" % text)
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-4,
+    p.add_argument("--tol", type=_tolerance, default=1e-4,
                    help="best-response agreement tolerance (default 1e-4)")
     p.add_argument("--grid-radius", type=float, default=10.0,
                    help="half-width of the oracle grid around the anchor")
@@ -354,7 +372,7 @@ def build_parser() -> _Parser:
     p_family.add_argument("--params", metavar="T2;T3;...",
                           help="';'-separated JSON parameter matrices; "
                                "checks that member")
-    p_family.add_argument("--samples", type=int, default=0,
+    p_family.add_argument("--samples", type=_count, default=0,
                           help="additionally check N random members")
     _add_common(p_family)
     p_family.set_defaults(fn=cmd_family)
@@ -373,7 +391,7 @@ def build_parser() -> _Parser:
     p_feas.add_argument("--strategies",
                         help="strategy document (JSON); default: the "
                              "synthesized cascade")
-    p_feas.add_argument("--samples", type=int, default=0,
+    p_feas.add_argument("--samples", type=_count, default=0,
                         help="check N random family members instead")
     _add_common(p_feas)
     p_feas.set_defaults(fn=cmd_feasible)
@@ -388,6 +406,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        args.grid = GridSpec(radius=args.grid_radius, points=args.grid_points)
         return args.fn(args)
     except (DocumentError, DimensionError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -42,6 +42,7 @@ from .model import (
     LinearConstraints,
     Objective,
     QuadraticObjective,
+    split_blocks,
     validate,
 )
 from .synthesis import AffineStrategy
@@ -142,7 +143,7 @@ def _parse_quadratic(raw: Dict[str, Any], dims: Dims, where: str) -> QuadraticOb
         return QuadraticObjective.build(
             dims, blocks, l=l_parts or None, const=float(const))
     except DimensionError as exc:
-        raise DimensionError("%s: %s" % (where, exc))
+        raise DimensionError("problem document failed validation: %s: %s" % (where, exc))
 
 
 def _parse_objective(raw: Any, dims: Dims, where: str) -> Objective:
@@ -220,7 +221,7 @@ def parse_problem(text: str) -> GameProblem:
     return problem
 
 
-def _quadratic_document(obj: QuadraticObjective, dims: Dims) -> Dict[str, Any]:
+def _quadratic_document(obj: QuadraticObjective) -> Dict[str, Any]:
     table = {
         "%d,%d" % key: block.tolist()
         for key, block in sorted(obj.A.items())
@@ -229,7 +230,7 @@ def _quadratic_document(obj: QuadraticObjective, dims: Dims) -> Dict[str, Any]:
     return {
         "type": "quadratic",
         "A": table,
-        "l": [seg.tolist() for seg in obj.l],
+        "l": [seg.tolist() for seg in split_blocks(obj.widths, obj.l)],
         "c": float(obj.const),
     }
 
@@ -239,7 +240,7 @@ def problem_to_document(problem: GameProblem) -> Dict[str, Any]:
     objectives: List[Dict[str, Any]] = []
     for obj in problem.objectives:
         if isinstance(obj, QuadraticObjective):
-            objectives.append(_quadratic_document(obj, problem.dims))
+            objectives.append(_quadratic_document(obj))
         else:
             objectives.append({"type": "expr", "formula": print_formula(obj.root)})
     doc: Dict[str, Any] = {

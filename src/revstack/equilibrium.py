@@ -58,12 +58,9 @@ def _quadratic_system(problem: GameProblem):
             "exact equilibrium solves need a quadratic top objective; "
             "for expression costs use team_optimum_descent (unconstrained only)"
         )
-    if len(obj.l) != problem.dims.levels or any(
-        v.size != w for v, w in zip(obj.l, problem.dims.m)
-    ):
-        raise EquilibriumError("top objective linear part does not match the dims")
-    H, l = obj.flat()
-    return obj, H, l
+    if obj.widths != problem.dims.m:
+        raise EquilibriumError("top objective block widths do not match the dims")
+    return obj, obj.H, obj.l
 
 
 def team_optimum_quadratic(problem: GameProblem) -> EquilibriumResult:

@@ -34,7 +34,6 @@ __all__ = [
     "ProbeResult",
     "supporting_hyperplane_at",
     "leader_existence_check",
-    "middle_existence_check",
     "exposed_point_probe",
 ]
 
@@ -121,34 +120,6 @@ def supporting_hyperplane_at(obj: Objective, p: DecisionPoint,
     return SupportingHyperplane(p, g)
 
 
-def _gradient_block_check(obj: Objective, point: DecisionPoint, whose: str,
-                          tol: Optional[float]) -> ExistenceVerdict:
-    g = gradient(obj, point)
-    full = g.norm()
-    threshold = grad_tol(full, tol)
-    block = g.block_norm(1)
-    convexity = strict_convexity_probe(obj, point)
-    reasons = []
-    if block <= threshold:
-        reasons.append(
-            "the %s cannot influence this objective at the anchor: "
-            "its gradient block has norm %.3g (tolerance %.3g)"
-            % (whose, block, threshold)
-        )
-    if convexity != "certified":
-        reasons.append(
-            "sublevel set not certified strictly convex at the anchor; "
-            "support can only be probed, not guaranteed"
-        )
-    return ExistenceVerdict(
-        passed=block > threshold,
-        block_norm=block,
-        tol=threshold,
-        reasons=tuple(reasons),
-        convexity=convexity,
-    )
-
-
 def leader_existence_check(problem: GameProblem, d: DecisionPoint,
                            tol: Optional[float] = None) -> ExistenceVerdict:
     """Can the top player steer the second-level objective at d?
@@ -163,16 +134,29 @@ def leader_existence_check(problem: GameProblem, d: DecisionPoint,
     """
     if problem.levels < 2:
         raise DimensionError("need at least two levels")
-    return _gradient_block_check(problem.objective(2), d, "announcing player", tol)
-
-
-def middle_existence_check(reduced_obj: Objective, d_tail: DecisionPoint,
-                           tol: Optional[float] = None) -> ExistenceVerdict:
-    """Same check one stage down: ``reduced_obj`` is the bottom objective
-    after the top strategy has been substituted, ``d_tail`` the desired
-    point of the reduced hierarchy (its first block is the middle player's).
-    """
-    return _gradient_block_check(reduced_obj, d_tail, "middle player", tol)
+    obj = problem.objective(2)
+    g = gradient(obj, d)
+    threshold = grad_tol(g.norm(), tol)
+    block = g.block_norm(1)
+    convexity = strict_convexity_probe(obj, d)
+    reasons = []
+    if block <= threshold:
+        reasons.append(
+            "the announcing player cannot influence this objective at the anchor: "
+            "its gradient block has norm %.3g (tolerance %.3g)" % (block, threshold)
+        )
+    if convexity != "certified":
+        reasons.append(
+            "sublevel set not certified strictly convex at the anchor; "
+            "support can only be probed, not guaranteed"
+        )
+    return ExistenceVerdict(
+        passed=block > threshold,
+        block_norm=block,
+        tol=threshold,
+        reasons=tuple(reasons),
+        convexity=convexity,
+    )
 
 
 def exposed_point_probe(probe: SublevelProbe, plane: SupportingHyperplane,

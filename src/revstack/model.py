@@ -5,9 +5,8 @@ the player at level n moves last.  Each player i owns a real decision block
 u^i of width m_i and a scalar cost J_i over the joint decision.  Costs come
 in two flavours:
 
-* :class:`QuadraticObjective` — block form
-  ``sum_{j<=k} <u^j, A[j,k] u^k> + sum_k <u^k, l[k]> + const``
-  with upper-triangular block storage,
+* :class:`QuadraticObjective` — ``x'Hx/2 + l'x + const`` over the
+  concatenated decision x, built from upper-triangular blocks,
 * :class:`ExprObjective` — a formula over the scalar decision variables
   (sums, products, positive integer powers, negation), compiled once into a
   sparse :class:`Polynomial` that evaluates and differentiates it.
@@ -53,10 +52,6 @@ __all__ = [
     "Diagnostic",
     "ValidationReport",
 ]
-
-# Symmetry / agreement tolerance used by validation and conversions.
-SYMMETRY_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # shapes and points
@@ -411,22 +406,48 @@ def _as_matrix(x) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticObjective:
-    """Block quadratic cost with upper-triangular storage.
+    """Quadratic cost ``x'Hx/2 + l'x + const`` over the concatenated decision x.
 
-    ``A`` maps 1-based pairs ``(j, k)`` with ``j <= k`` to an ``m_j x m_k``
-    matrix; ``l`` holds one linear vector per level; ``const`` is an additive
-    constant (irrelevant to gradients, kept so affine substitution preserves
-    values exactly).  Diagonal blocks are symmetrized on construction, which
-    leaves the quadratic form unchanged.
+    ``widths`` cuts x into level blocks.  ``H`` is symmetrized on
+    construction, which leaves the form unchanged; ``H`` and ``l`` are
+    read-only.  ``const`` does not affect gradients but keeps values exact
+    under affine substitution.  :meth:`build` takes the block form.
     """
 
-    A: Dict[Tuple[int, int], np.ndarray]
-    l: Tuple[np.ndarray, ...]
-    const: float = 0.0
+    H: np.ndarray
+    l: np.ndarray
+    const: float
+    widths: Tuple[int, ...]
 
     def __post_init__(self):
-        blocks = {}
-        for key, mat in self.A.items():
+        widths = tuple(int(w) for w in self.widths)
+        H = np.asarray(self.H, dtype=float)
+        l = np.array(self.l, dtype=float)
+        if H.shape != (sum(widths),) * 2 or l.shape != (sum(widths),):
+            raise DimensionError("H of shape %s and l of shape %s do not fit block widths %s"
+                                 % (H.shape, l.shape, widths))
+        H = 0.5 * (H + H.T)
+        H.setflags(write=False)
+        l.setflags(write=False)
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "const", float(self.const))
+        object.__setattr__(self, "widths", widths)
+
+    @classmethod
+    def build(cls, dims: Dims, A: Dict[Tuple[int, int], np.ndarray],
+              l=None, const: float = 0.0) -> "QuadraticObjective":
+        """Block-form constructor for
+        ``sum_{j<=k} <u^j, A[j,k] u^k> + sum_k <u^k, l[k]> + const``.
+
+        ``A`` maps 1-based pairs ``(j, k)`` with ``j <= k`` to ``m_j x m_k``
+        matrices.  ``l`` is either a sequence with one vector per level or a
+        sparse ``{level: vector}`` dict; missing parts default to zero.  Bad
+        keys and shapes raise DimensionError.
+        """
+        at = np.cumsum((0,) + dims.m)
+        H = np.zeros((dims.total, dims.total))
+        for key, mat in A.items():
             j, k = int(key[0]), int(key[1])
             if j < 1 or k < 1:
                 raise DimensionError("quadratic block keys are 1-based, got %r" % (key,))
@@ -435,65 +456,46 @@ class QuadraticObjective:
                     "quadratic blocks are stored upper-triangular; "
                     "got key (%d, %d) — use (%d, %d) transposed" % (j, k, k, j)
                 )
+            if k > dims.levels:
+                raise DimensionError(
+                    "block (%d,%d) refers to level beyond %d" % (j, k, dims.levels))
             mat = _as_matrix(mat)
+            want = (dims.m[j - 1], dims.m[k - 1])
+            if mat.shape != want:
+                raise DimensionError(
+                    "block (%d,%d) has shape %s, expected %s" % (j, k, mat.shape, want))
+            rows, cols = slice(at[j - 1], at[j]), slice(at[k - 1], at[k])
             if j == k:
-                mat = 0.5 * (mat + mat.T)
-            blocks[(j, k)] = mat
-        object.__setattr__(self, "A", blocks)
-        object.__setattr__(self, "l", tuple(_as_block(v) for v in self.l))
-        object.__setattr__(self, "const", float(self.const))
-
-    @classmethod
-    def build(cls, dims: Dims, A: Dict[Tuple[int, int], np.ndarray],
-              l=None, const: float = 0.0) -> "QuadraticObjective":
-        """Convenience constructor: missing linear parts default to zero.
-
-        ``l`` is either a sequence with one vector per level or a sparse
-        ``{level: vector}`` dict (1-based).
-        """
+                H[rows, rows] = mat + mat.T
+            else:
+                H[rows, cols] = mat
+                H[cols, rows] = mat.T
         lin = [np.zeros(w) for w in dims.m]
         if isinstance(l, dict):
             for lev, vec in l.items():
+                if not 1 <= lev <= dims.levels:
+                    raise DimensionError("linear part for level %r is outside the hierarchy"
+                                         % (lev,))
                 lin[lev - 1] = _as_block(vec)
         elif l is not None:
             if len(l) != dims.levels:
                 raise DimensionError(
                     "expected %d linear segments, got %d" % (dims.levels, len(l)))
             lin = [_as_block(v) for v in l]
-        return cls(A=dict(A), l=tuple(lin), const=const)
+        for lev, (vec, w) in enumerate(zip(lin, dims.m), start=1):
+            if vec.size != w:
+                raise DimensionError("linear vector for level %d has length %d, expected %d"
+                                     % (lev, vec.size, w))
+        return cls(H, np.concatenate(lin), const, dims.m)
 
     @property
-    def levels(self) -> int:
-        return len(self.l)
-
-    def flat(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(H, l)`` over the concatenated decision x: ``x'Hx/2 + l'x + const``."""
-        widths = [v.size for v in self.l]
-        H = np.zeros((sum(widths), sum(widths)))
-        cells = _cells(widths, H)
-        for (j, k), A in self.A.items():
-            if j == k:
-                cells[j - 1][j - 1][...] = 2.0 * A
-            else:
-                cells[j - 1][k - 1][...] = A
-                cells[k - 1][j - 1][...] = A.T
-        return H, np.concatenate(self.l)
-
-    @classmethod
-    def from_flat(cls, H, l, const: float,
-                  widths: Sequence[int]) -> "QuadraticObjective":
-        """Inverse of :meth:`flat`: ``A_jj = H_jj / 2`` and ``A_jk = H_jk`` for j < k."""
-        cells = _cells(widths, np.asarray(H, dtype=float))
-        n = len(widths)
-        A = {(j + 1, k + 1): 0.5 * cells[j][j] if j == k else cells[j][k]
-             for j in range(n) for k in range(j, n)}
-        return cls(A=A, l=tuple(split_blocks(widths, np.asarray(l, dtype=float))),
-                   const=const)
-
-
-def _cells(widths: Sequence[int], M: np.ndarray) -> List[List[np.ndarray]]:
-    """Views ``cells[j][k]`` of the (j, k) block of a square matrix over the blocks."""
-    return [split_blocks(widths, rows.T) for rows in split_blocks(widths, M.T)]
+    def A(self) -> Dict[Tuple[int, int], np.ndarray]:
+        """Upper-triangular blocks of :meth:`build`: ``A[j,j] = H_jj / 2``, ``A[j,k] = H_jk``."""
+        at = np.cumsum((0,) + self.widths)
+        n = len(self.widths)
+        return {(j + 1, k + 1): (0.5 if j == k else 1.0)
+                * self.H[at[j]:at[j + 1], at[k]:at[k + 1]]
+                for j in range(n) for k in range(j, n)}
 
 
 class ExprObjective:
@@ -527,16 +529,30 @@ class ExprObjective:
 Objective = Union[QuadraticObjective, ExprObjective]
 
 
+# Stacked coordinates (rows x total width) a quadratic evaluates at once, so
+# its temporaries stay a fixed size however many points a batch has.
+_CHUNK = 65_536
+
+
 def _eval_quadratic(obj: QuadraticObjective, blocks: Sequence[np.ndarray]):
-    total = np.asarray(obj.const, dtype=float)
-    for (j, k), A in obj.A.items():
-        uj = blocks[j - 1]
-        uk = blocks[k - 1]
-        total = total + np.einsum("...i,ij,...j->...", uj, A, uk)
-    for idx, lk in enumerate(obj.l):
-        if lk.size and np.any(lk):
-            total = total + np.einsum("...i,i->...", blocks[idx], lk)
-    return total
+    """``rowsum((X H/2 + l) * X) + const`` over bounded chunks of the stacked points X."""
+    widths = tuple(np.shape(b)[-1] for b in blocks)
+    if widths != obj.widths:
+        raise DimensionError("blocks of widths %s for an objective over widths %s"
+                             % (widths, obj.widths))
+    shape = np.shape(blocks[0])[:-1]
+    rows = [np.reshape(b, (-1, w)) for b, w in zip(blocks, widths)]
+    half = 0.5 * obj.H
+    out = np.empty(rows[0].shape[0])
+    step = max(1, _CHUNK // len(obj.l))
+    for at in range(0, out.size, step):
+        X = np.concatenate([r[at:at + step] for r in rows], axis=1)
+        Y = X @ half
+        Y += obj.l
+        Y *= X
+        Y.sum(axis=1, out=out[at:at + step])
+    out += obj.const
+    return out.reshape(shape)
 
 
 def evaluate_many(obj: Objective, blocks: Sequence[np.ndarray]):
@@ -648,37 +664,22 @@ def _is_pd(mat: np.ndarray) -> bool:
 
 
 def _validate_quadratic(report: ValidationReport, dims: Dims,
-                        obj: QuadraticObjective, where: str) -> None:
-    n = dims.levels
-    if len(obj.l) != n:
-        report.add("error", "expected %d linear vectors, got %d" % (n, len(obj.l)), where)
-    else:
-        for k, vec in enumerate(obj.l, start=1):
-            if vec.size != dims.m[k - 1]:
-                report.add(
-                    "error",
-                    "linear vector for level %d has length %d, expected %d"
-                    % (k, vec.size, dims.m[k - 1]),
-                    where,
-                )
+                        obj: QuadraticObjective, level: int, where: str) -> None:
+    if obj.widths != dims.m:
+        report.add("error", "objective has block widths %s, expected %s"
+                   % (obj.widths, dims.m), where)
+        return
     for (j, k), mat in sorted(obj.A.items()):
-        if k > n:
-            report.add("error", "block (%d,%d) refers to level beyond %d" % (j, k, n), where)
-            continue
-        want = (dims.m[j - 1], dims.m[k - 1])
-        if mat.shape != want:
+        if j == k and not _is_pd(mat):
+            report.add("info", "diagonal block (%d,%d) is not positive definite" % (j, k), where)
+        # Structured-game shape note: a cross block whose trailing index
+        # is the owner's own level is legal but worth surfacing.
+        if j != k and k == level and np.any(mat):
             report.add(
-                "error",
-                "block (%d,%d) has shape %s, expected %s" % (j, k, mat.shape, want),
+                "info",
+                "cross block (%d,%d) couples the owner's own block as trailing index" % (j, k),
                 where,
             )
-            continue
-        if j == k:
-            scale = 1.0 + float(np.abs(mat).max(initial=0.0))
-            if np.abs(mat - mat.T).max(initial=0.0) > SYMMETRY_TOL * scale:
-                report.add("error", "diagonal block (%d,%d) is not symmetric" % (j, k), where)
-            elif not _is_pd(mat):
-                report.add("info", "diagonal block (%d,%d) is not positive definite" % (j, k), where)
 
 
 def _validate_expr(report: ValidationReport, dims: Dims,
@@ -705,17 +706,7 @@ def validate(problem: GameProblem) -> ValidationReport:
     for i, obj in enumerate(problem.objectives, start=1):
         where = "objective %d" % i
         if isinstance(obj, QuadraticObjective):
-            _validate_quadratic(report, dims, obj, where)
-            # Structured-game shape note: a cross block whose trailing index
-            # is the owner's own level is legal but worth surfacing.
-            for (j, k) in sorted(obj.A):
-                if j != k and k == i and np.any(obj.A[(j, k)]):
-                    report.add(
-                        "info",
-                        "cross block (%d,%d) couples the owner's own block as trailing index"
-                        % (j, k),
-                        where,
-                    )
+            _validate_quadratic(report, dims, obj, i, where)
         elif isinstance(obj, ExprObjective):
             _validate_expr(report, dims, obj, where)
         else:
@@ -747,10 +738,10 @@ def validate(problem: GameProblem) -> ValidationReport:
 
 def quadratic_to_expr(obj: QuadraticObjective) -> ExprObjective:
     """The same cost as an expression: ``x'Hx/2 + l'x + const`` monomial by monomial."""
-    H, l = obj.flat()
-    keys = [(lev, i + 1) for lev, seg in enumerate(obj.l, start=1) for i in range(seg.size)]
+    H = obj.H
+    keys = [(lev, i + 1) for lev, w in enumerate(obj.widths, start=1) for i in range(w)]
     rows, cols = np.triu_indices(len(keys))
     eye = np.eye(len(keys), dtype=np.int64)
     E = np.vstack([eye[rows] + eye[cols], eye, np.zeros((1, len(keys)), dtype=np.int64)])
-    c = np.concatenate([np.where(rows == cols, 0.5, 1.0) * H[rows, cols], l, [obj.const]])
+    c = np.concatenate([np.where(rows == cols, 0.5, 1.0) * H[rows, cols], obj.l, [obj.const]])
     return ExprObjective.from_polynomial(Polynomial.from_terms(keys, E, c))

@@ -38,11 +38,8 @@ from .model import (
 
 __all__ = [
     "AffineStrategy",
-    "ReducedGradients",
     "StrategyFamily",
-    "reduced_gradients",
     "synthesize_single_leader",
-    "synthesize_single_middle",
     "synthesize_family_leader",
     "instantiate",
     "select_parameters",
@@ -179,35 +176,6 @@ class AffineStrategy:
         return lines
 
 
-@dataclass(frozen=True, eq=False)
-class ReducedGradients:
-    """Gradient blocks of the bottom objective after top-strategy substitution.
-
-    ``own`` is the block of the next announcing player (the middle), the
-    remaining lower blocks follow in ``lower``.
-    """
-
-    own: np.ndarray
-    lower: Tuple[np.ndarray, ...]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(np.concatenate((self.own,) + self.lower)))
-
-
-def reduced_gradients(problem: GameProblem, leader: AffineStrategy,
-                      d: DecisionPoint) -> ReducedGradients:
-    """Gradient of the third objective once the top strategy is substituted.
-
-    This is stage 2 of the cascade seen from the bottom objective: the
-    gradient of ``reduce_problem(problem, leader).objective(2)`` at the
-    tail of ``d``.
-    """
-    if problem.levels < 3:
-        raise DimensionError("reduced gradients need at least three levels")
-    g = gradient(reduce_problem(problem, leader).objective(2), d.tail(2))
-    return ReducedGradients(g.blocks[0], g.blocks[1:])
-
-
 def synthesize_single_leader(problem: GameProblem, d: DecisionPoint,
                              tol: Optional[float] = None) -> AffineStrategy:
     """Minimum-norm (rank-one) top-level strategy anchored at ``d``.
@@ -229,17 +197,6 @@ def synthesize_single_leader(problem: GameProblem, d: DecisionPoint,
         np.outer(g1, g.block(j)) / denom for j in range(2, problem.levels + 1)
     )
     return AffineStrategy(1, d, coeffs)
-
-
-def synthesize_single_middle(problem: GameProblem, leader: AffineStrategy,
-                             d: DecisionPoint,
-                             tol: Optional[float] = None) -> AffineStrategy:
-    """Rank-one middle strategy of a 3-level game: stage 2 of the cascade."""
-    if problem.levels != 3:
-        raise DimensionError(
-            "direct middle synthesis is for 3-level games; use synthesize_cascade"
-        )
-    return _stage_strategy(reduce_problem(problem, leader), d.tail(2), tol, 2)
 
 
 def _stage_strategy(stage: GameProblem, stage_d: DecisionPoint,
@@ -376,16 +333,15 @@ def select_parameters(family: StrategyFamily, criterion: str = "min-frobenius",
 def _substitute_quadratic(obj: QuadraticObjective, q: np.ndarray, P: np.ndarray,
                           widths: Sequence[int]) -> QuadraticObjective:
     """Congruence for x = q + P z: Hessian P'HP, linear P'(Hq + l), constant J(q)."""
-    H, l = obj.flat()
-    Hq = H @ q
-    return QuadraticObjective.from_flat(
-        P.T @ H @ P, P.T @ (Hq + l), 0.5 * (q @ Hq) + l @ q + obj.const, widths)
+    Hq = obj.H @ q
+    return QuadraticObjective(P.T @ obj.H @ P, P.T @ (Hq + obj.l),
+                              0.5 * (q @ Hq) + obj.l @ q + obj.const, widths)
 
 
 def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProblem:
     """Substitute the top strategy and drop the top level.
 
-    Quadratic objectives stay quadratic (one congruence of the flat view);
+    Quadratic objectives stay quadratic (one congruence of H);
     expression objectives substitute the rule into their polynomial and
     merge monomials; constraint rows absorb the substitution as well.  The
     result has n-1 levels with level indices shifted down by one.

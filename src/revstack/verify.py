@@ -60,6 +60,13 @@ class GridSpec:
     refine_floor: float = 1e-13
     bounds: Optional[Tuple[Tuple[float, float], ...]] = None
 
+    def __post_init__(self):
+        if self.points < 1:
+            raise DimensionError("oracle grid points must be >= 1, got %d" % self.points)
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise DimensionError("oracle grid radius must be finite and > 0, got %r"
+                                 % self.radius)
+
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:

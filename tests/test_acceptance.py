@@ -24,7 +24,6 @@ from revstack import (
     synthesize_cascade,
     synthesize_family_leader,
     synthesize_single_leader,
-    synthesize_single_middle,
     team_optimum_quadratic,
     verify_full,
 )
@@ -84,7 +83,7 @@ def test_criterion_1_scalar_trilevel_synthesis(c):
             "team optimum is not (2, 1, 3) to 1e-9")
 
     leader = synthesize_single_leader(tri, eq.point)
-    middle = synthesize_single_middle(tri, leader, eq.point)
+    middle = synthesize_cascade(tri, desired=eq.point)[1]
     c.check(abs(leader.coeffs[0][0, 0] - 1.0) <= 1e-9
             and abs(leader.coeffs[1][0, 0] - 3.0) <= 1e-9,
             "top-level gains are not (1, 3) to 1e-9")
@@ -154,8 +153,8 @@ def test_criterion_2_wide_strategy_family(c):
     c.check(worst_argmin <= 1e-4,
             "a member's induced argmin misses (-1/2, -1/2) by %.3g" % worst_argmin)
 
-    middle = synthesize_single_middle(wide, instantiate(
-        family, [np.zeros(s) for s in family.param_shapes]), d)
+    # stage 2 of the cascade under the rank-one (zero-parameter) member
+    middle = synthesize_cascade(wide, desired=d)[1]
     c.check(float(np.abs(middle([d.block(3)]) - d.block(2)).max()) <= 1e-9,
             "middle strategy does not realize the desired block")
 

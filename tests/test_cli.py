@@ -261,6 +261,25 @@ def test_unknown_flag_is_bad_input(tri_doc, capsys):
     assert main(["solve", tri_doc, "--threads", "4"]) == 4
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("solve", "--grid-points", "0"),
+    ("solve", "--grid-points", "-1"),
+    ("solve", "--grid-radius", "nan"),
+    ("solve", "--grid-radius", "inf"),
+    ("solve", "--grid-radius", "-5"),
+    ("solve", "--tol", "nan"),
+    ("solve", "--tol", "-1"),
+    ("family", "--samples", "-1"),
+    ("feasible", "--samples", "-1"),
+])
+def test_bad_grid_tolerance_and_sample_options_are_bad_input(
+        tri_doc, capsys, command, option, value):
+    assert main([command, tri_doc, option, value]) == 4
+    err = capsys.readouterr().err
+    assert option.split("-")[-1] in err
+    assert "Traceback" not in err
+
+
 def test_huge_exponent_chain_is_bad_input(tmp_path, capsys):
     doc = json.loads(TRI_PROBLEM)
     doc["objectives"][2]["formula"] = "u1^999^999999"

@@ -12,7 +12,6 @@ from revstack import (
     SublevelProbe,
     exposed_point_probe,
     leader_existence_check,
-    middle_existence_check,
     parse_formula,
     reduce_problem,
     supporting_hyperplane_at,
@@ -72,7 +71,7 @@ def test_middle_check_on_the_reduced_game(tri):
     eq = team_optimum_quadratic(tri)
     leader = synthesize_single_leader(tri, eq.point)
     reduced = reduce_problem(tri, leader)
-    v = middle_existence_check(reduced.objective(2), eq.point.tail(2))
+    v = leader_existence_check(reduced, eq.point.tail(2))
     assert v.passed
     assert v.block_norm == pytest.approx(6.0)
 

@@ -13,7 +13,10 @@ from revstack import (
     QuadraticObjective,
     evaluate,
     evaluate_many,
+    format_problem,
+    hessian,
     parse_formula,
+    parse_problem,
     quadratic_to_expr,
     validate,
 )
@@ -99,16 +102,18 @@ def test_expression_batch_memory_is_linear_in_the_batch():
     expr = quadratic_to_expr(quad)
     P = 100_000
     blocks = split_blocks((2, 2, 2), np.random.default_rng(4).uniform(-2, 2, (P, 6)))
-    tracemalloc.start()
-    try:
-        values = evaluate_many(expr, blocks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # a few length-P temporaries; a (P, M, V) array would be 27 * 6 of them
-    assert peak <= 6 * 8 * P
-    assert values.shape == (P,)
-    assert np.allclose(values, evaluate_many(quad, blocks), rtol=1e-12, atol=1e-9)
+    for obj, twin in ((expr, quad), (quad, expr)):
+        tracemalloc.start()
+        try:
+            values = evaluate_many(obj, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few length-P temporaries; a (P, M, V) array would be 27 * 6 of
+        # them, and an unchunked quadratic's X and X H 2 * 6
+        assert peak <= 6 * 8 * P
+        assert values.shape == (P,)
+        assert np.allclose(values, evaluate_many(twin, blocks), rtol=1e-12, atol=1e-9)
 
 
 def test_quadratic_expansion_to_expression_tree(wide):
@@ -123,7 +128,15 @@ def test_quadratic_expansion_to_expression_tree(wide):
 
 def test_lower_triangular_keys_rejected():
     with pytest.raises(DimensionError):
-        QuadraticObjective(A={(2, 1): np.eye(1)}, l=([0.0], [0.0]))
+        QuadraticObjective.build(Dims.of(1, 1), {(2, 1): np.eye(1)}, l=([0.0], [0.0]))
+
+
+def test_build_refuses_bad_linear_parts():
+    dims = Dims.of(1, 1)
+    with pytest.raises(DimensionError, match="level 2 has length 2"):
+        QuadraticObjective.build(dims, {}, l=[[0.0], [0.0, 1.0]])
+    with pytest.raises(DimensionError, match="outside the hierarchy"):
+        QuadraticObjective.build(dims, {}, l={0: [1.0]})
 
 
 def test_diagonal_blocks_are_symmetrized():
@@ -137,19 +150,23 @@ def test_diagonal_blocks_are_symmetrized():
     assert evaluate(obj, p) == pytest.approx(x @ skew @ x)
 
 
-def test_flat_view_round_trips_exactly(wide):
+def test_flat_form_round_trips_bitwise_through_documents(wide):
     for game in (wide, random_convex_game(5, (2, 1, 2))):
-        for q in game.objectives:
-            H, l = q.flat()
-            back = QuadraticObjective.from_flat(H, l, q.const, game.dims.m)
-            for key, block in q.A.items():
-                assert np.array_equal(back.A[key], block)
-            missing = set(back.A) - set(q.A)
-            assert all(not np.any(back.A[key]) for key in missing)
-            assert all(np.array_equal(a, b) for a, b in zip(back.l, q.l))
-            assert back.const == q.const
-            H2, l2 = back.flat()
-            assert np.array_equal(H2, H) and np.array_equal(l2, l)
+        back = parse_problem(format_problem(game))
+        for q, r in zip(game.objectives, back.objectives):
+            assert np.array_equal(r.H, q.H)
+            assert np.array_equal(r.l, q.l)
+            assert r.const == q.const
+
+
+def test_stored_arrays_refuse_writes(wide):
+    q = wide.objective(2)
+    with pytest.raises(ValueError):
+        hessian(q, DecisionPoint.of([0.0, 0.0], [0.0], [0.0]))[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        q.H[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        q.l[0] = 1.0
 
 
 def test_constant_term_survives():
@@ -174,11 +191,13 @@ def test_validate_accepts_the_fixture_games(tri, wide):
 
 def test_validate_flags_shape_problems():
     dims = Dims.of(1, 1)
-    bad_block = QuadraticObjective.build(dims, {(1, 1): np.eye(2)})
-    prob = GameProblem(dims, (bad_block, bad_block))
-    report = validate(prob)
+    with pytest.raises(DimensionError, match="shape"):
+        QuadraticObjective.build(dims, {(1, 1): np.eye(2)})
+    # an objective built for other widths is flagged by validate
+    other = QuadraticObjective.build(Dims.of(2, 1), {(1, 1): np.eye(2)})
+    report = validate(GameProblem(dims, (other, other)))
     assert not report.ok
-    assert any("shape" in d.message for d in report.errors)
+    assert any("widths" in d.message for d in report.errors)
 
 
 def test_validate_flags_variables_outside_the_hierarchy():

@@ -15,12 +15,10 @@ from revstack import (
     gradient,
     instantiate,
     reduce_problem,
-    reduced_gradients,
     select_parameters,
     synthesize_cascade,
     synthesize_family_leader,
     synthesize_single_leader,
-    synthesize_single_middle,
     team_optimum,
     team_optimum_quadratic,
 )
@@ -52,20 +50,20 @@ def test_leader_realizes_the_desired_point(tri):
 def test_reduced_gradients_chain_rule(tri):
     eq = team_optimum_quadratic(tri)
     leader = synthesize_single_leader(tri, eq.point)
-    rg = reduced_gradients(tri, leader, eq.point)
-    assert rg.own == pytest.approx(-6.0)
-    assert rg.lower[0] == pytest.approx(-6.0)
-    # the same numbers must appear as the raw gradient of the reduced cost
+    # the bottom cost once the top strategy is substituted (stage 2 of the cascade)
     reduced = reduce_problem(tri, leader)
     g = gradient(reduced.objective(2), eq.point.tail(2))
     assert g.block(1) == pytest.approx(-6.0)
     assert g.block(2) == pytest.approx(-6.0)
+    # chain rule through u1 = gamma(u2, u3): dJ/du_j - Q_j' dJ/du1
+    raw = gradient(tri.objective(3), eq.point)
+    for j, Q in enumerate(leader.coeffs, start=1):
+        assert g.block(j) == pytest.approx(raw.block(j + 1) - Q.T @ raw.block(1))
 
 
 def test_middle_strategy_on_the_scalar_trilevel(tri):
     eq = team_optimum_quadratic(tri)
-    leader = synthesize_single_leader(tri, eq.point)
-    mid = synthesize_single_middle(tri, leader, eq.point)
+    mid = synthesize_cascade(tri, desired=eq.point)[1]
     assert mid.level == 2
     assert np.allclose(mid.coeffs[0], [[1.0]], atol=1e-12)
     assert mid.describe() == ["u2 = 4 - u3"]
@@ -74,11 +72,12 @@ def test_middle_strategy_on_the_scalar_trilevel(tri):
 def test_cascade_equals_the_two_explicit_stages(tri):
     eq = team_optimum_quadratic(tri)
     leader = synthesize_single_leader(tri, eq.point)
-    mid = synthesize_single_middle(tri, leader, eq.point)
+    # stage 2 by hand: the rank-one top strategy of the reduced game
+    mid = synthesize_single_leader(reduce_problem(tri, leader), eq.point.tail(2))
     cascade = synthesize_cascade(tri, desired=eq.point)
     assert len(cascade) == 2
+    assert [s.level for s in cascade] == [1, 2]
     for a, b in zip(cascade, (leader, mid)):
-        assert a.level == b.level
         for qa, qb in zip(a.coeffs, b.coeffs):
             assert np.allclose(qa, qb, atol=1e-12)
 
@@ -100,11 +99,10 @@ def test_middle_existence_failure_raises(tri):
     prob = GameProblem(tri.dims, (tri.objective(1), tri.objective(2),
                                   tri.objective(2)))
     eq = team_optimum_quadratic(prob)
-    leader = synthesize_single_leader(prob, eq.point)
     with pytest.raises(ExistenceError) as info:
-        synthesize_single_middle(prob, leader, eq.point)
+        synthesize_cascade(prob, desired=eq.point)
     assert info.value.level == 2
-    # the same stage-2 refusal as the cascade's, naming the announcing level
+    # the refusal names the stage and its announcing level
     assert "stage 2 (announcing level 2)" in str(info.value)
     assert "cannot influence" in str(info.value)
     assert "top player" not in str(info.value)

@@ -18,7 +18,6 @@ from revstack import (
     parse_formula,
     synthesize_cascade,
     synthesize_single_leader,
-    synthesize_single_middle,
     sublevel_inequality_check,
     team_optimum_quadratic,
     verify_full,
