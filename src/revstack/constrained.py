@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError, RevstackError, UnboundedRegionError
-from .model import Dims, LinearConstraints, split_blocks
+from .model import Dims, LinearConstraints
 from .synthesis import AffineStrategy, StrategyFamily, instantiate
 
 __all__ = [
@@ -37,44 +37,35 @@ _ITER_CAP = 20000
 # dense two-phase simplex: maximize c@x subject to A x <= b, x free
 # ---------------------------------------------------------------------------
 
-def _pivot(T: np.ndarray, rhs: np.ndarray, basis: List[int], row: int, col: int) -> None:
+def _pivot(T: np.ndarray, rhs: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Make ``col`` basic in ``row``: scale the row, then one rank-one update."""
     piv = T[row, col]
     T[row] /= piv
     rhs[row] /= piv
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            f = T[r, col]
-            T[r] -= f * T[row]
-            rhs[r] -= f * rhs[row]
+    f = T[:, col].copy()
+    f[row] = 0.0
+    T -= np.outer(f, T[row])
+    rhs -= f * rhs[row]
     basis[row] = col
 
 
-def _optimize(T: np.ndarray, rhs: np.ndarray, basis: List[int],
-              cost: np.ndarray, tol: float) -> str:
+def _optimize(T: np.ndarray, rhs: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> str:
     """Run the simplex loop to optimality.  Bland's rule throughout."""
     for _ in range(_ITER_CAP):
-        reduced = cost - cost[basis] @ T
-        enter = -1
-        for j in range(T.shape[1]):
-            if reduced[j] > tol:
-                enter = j
-                break
-        if enter < 0:
+        entering = np.flatnonzero(cost - cost[basis] @ T > EPS)
+        if entering.size == 0:
             return "optimal"
-        leave = None  # (ratio, basic index, row)
-        for i in range(T.shape[0]):
-            if T[i, enter] > tol:
-                ratio = rhs[i] / T[i, enter]
-                if (leave is None or ratio < leave[0] - 1e-12
-                        or (abs(ratio - leave[0]) <= 1e-12 and basis[i] < leave[1])):
-                    leave = (ratio, basis[i], i)
-        if leave is None:
+        enter = entering[0]
+        rows = np.flatnonzero(T[:, enter] > EPS)
+        if rows.size == 0:
             return "unbounded"
-        _pivot(T, rhs, basis, leave[2], enter)
+        ratios = rhs[rows] / T[rows, enter]
+        ties = rows[ratios <= ratios.min() + 1e-12]
+        _pivot(T, rhs, basis, ties[np.argmin(basis[ties])], enter)
     raise RevstackError("simplex iteration cap exceeded")
 
 
-def simplex_maximize(c, A, b, tol: float = EPS):
+def simplex_maximize(c, A, b):
     """Maximize ``c @ x`` over ``{x : A x <= b}`` with free x.
 
     Returns ``(status, x, value)`` with status one of 'optimal',
@@ -87,7 +78,7 @@ def simplex_maximize(c, A, b, tol: float = EPS):
     c = np.asarray(c, dtype=float).ravel()
     k, v = A.shape if A.size else (0, c.size)
     if k == 0:
-        if np.abs(c).max(initial=0.0) <= tol:
+        if np.abs(c).max(initial=0.0) <= EPS:
             return "optimal", np.zeros(v), 0.0
         return "unbounded", None, None
     if A.shape[1] != v or c.size != v:
@@ -99,54 +90,36 @@ def simplex_maximize(c, A, b, tol: float = EPS):
     T[flip] *= -1.0
     rhs[flip] *= -1.0
     n_core = 2 * v + k
+    basis = np.arange(2 * v, n_core)
     art_rows = np.flatnonzero(flip)
     if art_rows.size:
-        art = np.zeros((k, art_rows.size))
-        for pos, r in enumerate(art_rows):
-            art[r, pos] = 1.0
-        T = np.hstack([T, art])
-    basis: List[int] = []
-    art_of_row = {int(r): n_core + pos for pos, r in enumerate(art_rows)}
-    for i in range(k):
-        basis.append(art_of_row.get(i, 2 * v + i))
-
-    if art_rows.size:
+        T = np.hstack([T, np.eye(k)[:, art_rows]])
+        basis[art_rows] = n_core + np.arange(art_rows.size)
         cost1 = np.zeros(T.shape[1])
         cost1[n_core:] = -1.0
-        status = _optimize(T, rhs, basis, cost1, tol)
+        status = _optimize(T, rhs, basis, cost1)
         if status != "optimal":  # phase 1 is always bounded below by -sum(rhs)
             return "infeasible", None, None
         if -(cost1[basis] @ rhs) > 1e-7 * (1.0 + np.abs(b).max(initial=0.0)):
             return "infeasible", None, None
         # drive any degenerate artificial out of the basis
-        drop_rows = []
-        for i in range(k):
-            if basis[i] >= n_core:
-                piv_col = -1
-                for j in range(n_core):
-                    if abs(T[i, j]) > tol:
-                        piv_col = j
-                        break
-                if piv_col >= 0:
-                    _pivot(T, rhs, basis, i, piv_col)
-                else:
-                    drop_rows.append(i)
-        if drop_rows:
-            keep = [i for i in range(k) if i not in drop_rows]
-            T = T[keep]
-            rhs = rhs[keep]
-            basis = [basis[i] for i in keep]
-        T = T[:, :n_core]
+        keep = np.ones(k, dtype=bool)
+        for i in np.flatnonzero(basis >= n_core):
+            cols = np.flatnonzero(np.abs(T[i, :n_core]) > EPS)
+            if cols.size:
+                _pivot(T, rhs, basis, i, cols[0])
+            else:
+                keep[i] = False
+        T, rhs, basis = T[keep, :n_core], rhs[keep], basis[keep]
 
     cost2 = np.zeros(n_core)
     cost2[:v] = c
     cost2[v : 2 * v] = -c
-    status = _optimize(T, rhs, basis, cost2, tol)
+    status = _optimize(T, rhs, basis, cost2)
     if status != "optimal":
         return "unbounded", None, None
     full = np.zeros(n_core)
-    for i, var in enumerate(basis):
-        full[var] = rhs[i]
+    full[basis] = rhs
     x = full[:v] - full[v : 2 * v]
     return "optimal", x, float(c @ x)
 
@@ -183,7 +156,7 @@ class FilterItem:
 
 
 def feasibility_check(strategy: AffineStrategy, constraints: LinearConstraints,
-                      dims: Dims, tol: float = EPS,
+                      dims: Dims,
                       bounds: Optional[Sequence[Tuple[float, float]]] = None,
                       ) -> FeasibilityVerdict:
     """Exact feasibility of one strategy against the joint constraint rows.
@@ -196,9 +169,10 @@ def feasibility_check(strategy: AffineStrategy, constraints: LinearConstraints,
     """
     n = dims.levels
     L = strategy.level
-    if len(constraints.A) != n:
-        raise DimensionError("constraints carry %d level blocks, expected %d"
-                             % (len(constraints.A), n))
+    widths = tuple(block.shape[1] for block in constraints.A)
+    if widths != dims.m:
+        raise DimensionError("constraint blocks have widths %s, expected %s"
+                             % (widths, dims.m))
     if len(strategy.coeffs) != n - L:
         raise DimensionError("strategy at level %d must map levels %d..%d"
                              % (L, L + 1, n))
@@ -210,41 +184,31 @@ def feasibility_check(strategy: AffineStrategy, constraints: LinearConstraints,
 
     A_joint = np.hstack(constraints.A)  # (k, N)
     b = constraints.b
-    lower_cols = np.arange(sum(dims.m[:L]), dims.total)  # columns of levels L+1..n
+    N = A_joint.shape[1]
+    own = slice(sum(dims.m[: L - 1]), sum(dims.m[:L]))
+    A_L = constraints.A[L - 1]
+    # row i of coef is row i with u^L = offset + sum_j C_j u^j substituted;
+    # the announcing level's own columns drop out.  The zero-width block
+    # keeps a bottom-level rule, which maps no lower level, well formed.
+    coef = A_joint.copy()
+    coef[:, own.stop :] += A_L @ np.hstack([np.zeros((A_L.shape[1], 0)), *C])
+    coef[:, own] = 0.0
+    kappa = A_L @ offset
 
-    A_lp = A_joint
-    b_lp = b
+    A_lp, b_lp = A_joint, b
     if bounds is not None:
-        if len(bounds) != lower_cols.size:
+        if len(bounds) != N - own.stop:
             raise DimensionError("need one (lo, hi) pair per lower coordinate")
-        extra = []
-        extra_b = []
-        for pos, col in enumerate(lower_cols):
-            lo, hi = bounds[pos]
-            row = np.zeros(A_joint.shape[1])
-            row[col] = 1.0
-            extra.append(row.copy())
-            extra_b.append(hi)
-            row2 = np.zeros(A_joint.shape[1])
-            row2[col] = -1.0
-            extra.append(row2)
-            extra_b.append(-lo)
-        A_lp = np.vstack([A_joint, np.array(extra)])
-        b_lp = np.concatenate([b, np.array(extra_b)])
+        box = np.asarray(bounds, dtype=float).reshape(N - own.stop, 2)
+        unit = np.eye(N)[own.stop :]
+        # rows u_j <= hi_j and -u_j <= -lo_j, interleaved per coordinate
+        A_lp = np.vstack([A_joint, np.stack([unit, -unit], axis=1).reshape(-1, N)])
+        b_lp = np.concatenate([b, np.column_stack([box[:, 1], -box[:, 0]]).ravel()])
 
-    margins: List[float] = []
-    witnesses: List[Optional[np.ndarray]] = []
+    values: List[float] = []
+    witnesses: List[np.ndarray] = []
     for i in range(k):
-        coef = np.zeros(A_joint.shape[1])
-        for lev, part in enumerate(split_blocks(dims.m, coef), start=1):
-            # the announcing level's own columns stay zero
-            if lev < L:
-                part[:] = constraints.A[lev - 1][i]
-            elif lev > L:
-                part[:] = (constraints.A[lev - 1][i]
-                           + constraints.A[L - 1][i] @ C[lev - L - 1])
-        kappa = float(constraints.A[L - 1][i] @ offset)
-        status, x, value = simplex_maximize(coef, A_lp, b_lp, tol=EPS)
+        status, x, value = simplex_maximize(coef[i], A_lp, b_lp)
         if status == "infeasible":
             return FeasibilityVerdict(True, None, float("-inf"), (), None,
                                       note="empty follower region")
@@ -255,12 +219,13 @@ def feasibility_check(strategy: AffineStrategy, constraints: LinearConstraints,
                 "that bound every lower-level variable, or feasibility_check(bounds=...)"
                 % i
             )
-        margins.append(kappa + value - float(b[i]))
+        values.append(value)
         witnesses.append(x)
 
+    margins = (kappa + np.array(values) - b).tolist()
     worst = int(np.argmax(margins))
     return FeasibilityVerdict(
-        feasible=margins[worst] <= tol,
+        feasible=margins[worst] <= EPS,
         worst_row=worst,
         worst_margin=margins[worst],
         margins=tuple(margins),
@@ -270,7 +235,6 @@ def feasibility_check(strategy: AffineStrategy, constraints: LinearConstraints,
 
 def filter_family(family: StrategyFamily, constraints: LinearConstraints,
                   dims: Dims, param_grid: Sequence[Sequence[np.ndarray]],
-                  tol: float = EPS,
                   bounds: Optional[Sequence[Tuple[float, float]]] = None,
                   ) -> List[FilterItem]:
     """Feasibility sweep over family members, in grid order.
@@ -283,7 +247,7 @@ def filter_family(family: StrategyFamily, constraints: LinearConstraints,
         frozen = tuple(np.asarray(T, dtype=float) for T in params)
         try:
             member = instantiate(family, params)
-            verdict = feasibility_check(member, constraints, dims, tol, bounds)
+            verdict = feasibility_check(member, constraints, dims, bounds=bounds)
             out.append(FilterItem(frozen, verdict))
         except RevstackError as err:
             out.append(FilterItem(frozen, None, error=str(err)))

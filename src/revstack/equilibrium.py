@@ -40,6 +40,7 @@ __all__ = [
 
 LINEAR_RESIDUAL_TOL = 1e-9
 ACTIVE_SET_MAX_CONSTRAINTS = 20
+KKT_TOL = 1e-9  # multiplier sign and row slack allowed in an active-set candidate
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,25 +160,25 @@ def team_optimum_descent(problem: GameProblem, starts: Sequence[DecisionPoint],
     return EquilibriumResult(DecisionPoint.from_concat(widths, x), f, "descent", gnorm)
 
 
-def team_optimum_constrained(problem: GameProblem, tol: float = 1e-9,
-                             max_constraints: int = ACTIVE_SET_MAX_CONSTRAINTS,
-                             ) -> EquilibriumResult:
+def team_optimum_constrained(problem: GameProblem) -> EquilibriumResult:
     """Exact constrained team optimum by active-set enumeration.
 
     Enumerates candidate active sets of the linear rows (cost 2^k, so the
-    row count is capped at ``max_constraints``), solves each equality KKT
-    system, and keeps the best KKT-consistent feasible candidate.  Ties on
-    the objective are broken by the lexicographically smallest active set.
+    row count is capped at ``ACTIVE_SET_MAX_CONSTRAINTS``), solves each
+    equality KKT system, and keeps the best KKT-consistent feasible
+    candidate.  Ties on the objective are broken by the lexicographically
+    smallest active set.
     """
     cons = problem.constraints
     if cons is None or cons.k == 0:
         raise EquilibriumError(
             "no constraint rows present; use team_optimum_quadratic"
         )
-    if cons.k > max_constraints:
+    if cons.k > ACTIVE_SET_MAX_CONSTRAINTS:
         raise EquilibriumError(
             "%d constraint rows exceed the enumeration cap %d; "
-            "use a descent/projection method instead" % (cons.k, max_constraints)
+            "use a descent/projection method instead"
+            % (cons.k, ACTIVE_SET_MAX_CONSTRAINTS)
         )
     obj, H, l = _quadratic_system(problem)
     try:
@@ -192,36 +193,27 @@ def team_optimum_constrained(problem: GameProblem, tol: float = 1e-9,
 
     best = None  # (value, active_set, u, stationarity_residual)
     for r in range(0, min(cons.k, N) + 1):
-        for subset in itertools.combinations(range(cons.k), r):
-            S = list(subset)
-            if S:
-                As = A[S, :]
-                M = np.block([[H, As.T], [As, np.zeros((r, r))]])
-                rhs = np.concatenate([-l, b[S]])
-                try:
-                    sol = np.linalg.solve(M, rhs)
-                except np.linalg.LinAlgError:
-                    continue
-                u, lam = sol[:N], sol[N:]
-                if np.any(lam < -tol):
-                    continue
-                stat = H @ u + l + As.T @ lam
-            else:
-                try:
-                    u = np.linalg.solve(H, -l)
-                except np.linalg.LinAlgError:
-                    continue
-                stat = H @ u + l
-            if np.any(A @ u - b > tol * (1.0 + np.abs(b))):
+        for S in itertools.combinations(range(cons.k), r):
+            As = A[list(S)]
+            # with no active row the block matrix is H itself
+            M = np.block([[H, As.T], [As, np.zeros((r, r))]])
+            try:
+                sol = np.linalg.solve(M, np.concatenate([-l, b[list(S)]]))
+            except np.linalg.LinAlgError:
+                continue
+            u, lam = sol[:N], sol[N:]
+            if np.any(lam < -KKT_TOL):
+                continue
+            if np.any(A @ u - b > KKT_TOL * (1.0 + np.abs(b))):
                 continue
             value = float(
                 evaluate(obj, DecisionPoint.from_concat(problem.dims.m, u))
             )
-            key = (value, tuple(S))
             if best is None or value < best[0] - 1e-12 or (
-                abs(value - best[0]) <= 1e-12 and tuple(S) < best[1]
+                abs(value - best[0]) <= 1e-12 and S < best[1]
             ):
-                best = (value, tuple(S), u, float(np.linalg.norm(stat)))
+                stat = float(np.linalg.norm(H @ u + l + As.T @ lam))
+                best = (value, S, u, stat)
     if best is None:
         raise InfeasibleError("constraint rows admit no feasible point")
     value, _, u, stat = best

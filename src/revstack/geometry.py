@@ -130,13 +130,17 @@ def leader_existence_check(problem: GameProblem, d: DecisionPoint,
     still only means the construction is plausible, not guaranteed.
     Cascade stage s runs this check on the reduced game, whose top player
     is the one at level s, so the reason speaks of the announcing player
-    and the cascade names its level.
+    and the cascade names its level.  A gradient that is not finite (an
+    overflowing objective) raises ExistenceError instead of a verdict.
     """
     if problem.levels < 2:
         raise DimensionError("need at least two levels")
     obj = problem.objective(2)
     g = gradient(obj, d)
-    threshold = grad_tol(g.norm(), tol)
+    full = g.norm()
+    if not np.isfinite(full):
+        raise ExistenceError("the follower's gradient is not finite at the anchor")
+    threshold = grad_tol(full, tol)
     block = g.block_norm(1)
     convexity = strict_convexity_probe(obj, d)
     reasons = []

@@ -17,7 +17,7 @@ import numpy as np
 
 from .calculus import gradient
 from .equilibrium import team_optimum
-from .errors import DimensionError
+from .errors import DimensionError, RevstackError
 from .geometry import SampleSpec, SublevelProbe, leader_existence_check
 from .model import (
     DecisionPoint,
@@ -41,6 +41,9 @@ __all__ = [
 
 ARGMIN_TOL = 1e-4      # componentwise distance for oracle argmin agreement
 ALGEBRAIC_TOL = 1e-9   # scale-normalized residuals (realization, membership)
+# The dense oracle grid holds points^D nodes.  41^4 is what the default grid
+# builds on a four-coordinate level; larger grids are refused, not allocated.
+MAX_GRID_NODES = 41 ** 4
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,12 @@ def oracle_best_response(problem: GameProblem,
     grid = grid or GridSpec()
     free_widths = problem.dims.m[level - 1 :]
     D = sum(free_widths)
+    if grid.points ** D > MAX_GRID_NODES:
+        raise RevstackError(
+            "level %d: the oracle grid would hold %d^%d = %d nodes, above the limit "
+            "of %d; lower --grid-points" % (level, grid.points, D, grid.points ** D,
+                                            MAX_GRID_NODES)
+        )
     if anchor is None:
         center = np.zeros(D)
     else:

@@ -287,6 +287,21 @@ def test_huge_exponent_chain_is_bad_input(tmp_path, capsys):
     assert "unreasonably large" in capsys.readouterr().err
 
 
+def test_oversized_oracle_grid_is_refused(tri_doc, capsys):
+    assert main(["solve", tri_doc, "--grid-points", "100000000"]) == 2
+    assert "--grid-points" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_follower_gradient_is_refused(tmp_path, capsys):
+    doc = json.loads(TRI_PROBLEM)
+    doc["objectives"][2]["formula"] = "u1^2 + (u2 - 2)^2 + u3^1000000"
+    assert main(["solve", _write(tmp_path, "overflow.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "not finite" in err
+    assert "cannot influence" not in err
+
+
 @pytest.mark.parametrize("formula", [
     "(u1 - 2)^1000000", "(u1 + u2 + u3)^1000", "(u1 + 1e200)^2"])
 def test_refused_expansion_is_bad_input(tmp_path, capsys, formula):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from revstack import (
     AffineStrategy,
     DecisionPoint,
     DimensionError,
+    GameProblem,
     LinearConstraints,
     UnboundedRegionError,
     feasibility_check,
@@ -14,8 +16,12 @@ from revstack import (
     simplex_maximize,
     synthesize_cascade,
     synthesize_family_leader,
+    team_optimum_constrained,
     team_optimum_quadratic,
 )
+from revstack.model import split_blocks
+
+from conftest import random_convex_game
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +76,106 @@ def test_simplex_with_no_rows():
 def test_simplex_rejects_mismatched_shapes():
     with pytest.raises(DimensionError):
         simplex_maximize([1.0, 2.0], [[1.0]], [1.0])
+
+
+def _vertex_maximum(c, A, b):
+    """Best vertex of {x : A x <= b} over every square subsystem; None if empty."""
+    best = None
+    for rows in itertools.combinations(range(A.shape[0]), A.shape[1]):
+        try:
+            x = np.linalg.solve(A[list(rows)], b[list(rows)])
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(A @ x - b <= 1e-9 * (1.0 + np.abs(b))):
+            best = float(c @ x) if best is None else max(best, float(c @ x))
+    return best
+
+
+def _random_box_lp(rng):
+    """A box around a random centre plus up to four cuts, rows shuffled.
+
+    Negative cut offsets can remove the centre and, often enough, the whole
+    box; a non-empty region is bounded, so its maximum sits at a vertex.
+    """
+    v = int(rng.integers(1, 4))
+    centre = rng.uniform(-2.0, 2.0, v)
+    half = rng.uniform(0.5, 2.0, v)
+    cuts = rng.standard_normal((int(rng.integers(0, 5)), v))
+    A = np.vstack([np.eye(v), -np.eye(v), cuts])
+    b = np.concatenate([centre + half, half - centre,
+                        cuts @ centre + rng.uniform(-1.5, 1.0, len(cuts))])
+    order = rng.permutation(len(b))
+    return rng.standard_normal(v), A[order], b[order]
+
+
+def test_simplex_matches_vertex_enumeration():
+    rng = np.random.default_rng(2024)
+    statuses = []
+    for _ in range(300):
+        c, A, b = _random_box_lp(rng)
+        status, x, value = simplex_maximize(c, A, b)
+        statuses.append(status)
+        best = _vertex_maximum(c, A, b)
+        if best is None:
+            assert status == "infeasible"
+            continue
+        assert status == "optimal"
+        assert value == pytest.approx(best, abs=1e-9 * (1.0 + abs(best)))
+        assert value == float(c @ x)
+        assert np.all(A @ x - b <= 1e-9 * (1.0 + np.abs(b)))
+    assert statuses.count("infeasible") >= 30
+    assert statuses.count("optimal") >= 150
+
+
+def test_bland_rule_terminates_on_beales_cycling_example():
+    # Beale (1955): the textbook largest-coefficient rule cycles here
+    A = np.vstack([[[0.25, -8.0, -1.0, 9.0],
+                    [0.5, -12.0, -0.5, 3.0],
+                    [0.0, 0.0, 1.0, 0.0]],
+                   -np.eye(4)])
+    b = [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    status, x, value = simplex_maximize([0.75, -20.0, 0.5, -6.0], A, b)
+    assert status == "optimal"
+    assert value == pytest.approx(1.25)
+    assert x == pytest.approx([1.0, 0.0, 1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# the active-set team optimum against the KKT conditions
+# ---------------------------------------------------------------------------
+
+KKT_TOL = 1e-7
+
+
+@pytest.mark.parametrize("seed,widths,cuts", [
+    (1, (1, 1, 1), 3), (2, (2, 1, 1, 1), 3), (3, (2, 1, 1, 1), 3), (4, (2, 2, 2), 4)])
+def test_constrained_optimum_satisfies_kkt(seed, widths, cuts):
+    # a narrow box around a random centre plus cuts that keep the centre
+    # inside, so the polytope is not empty and the optimum usually on its face
+    game = random_convex_game(seed, widths)
+    rng = np.random.default_rng(900 + seed)
+    N = sum(widths)
+    centre = rng.uniform(-1.0, 1.0, N)
+    half = rng.uniform(0.5, 1.5, N)
+    C = rng.standard_normal((cuts, N))
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    A = np.vstack([np.eye(N), -np.eye(N), C])
+    b = np.concatenate([centre + half, half - centre,
+                        C @ centre + rng.uniform(0.2, 0.8, cuts)])
+    prob = GameProblem(game.dims, game.objectives,
+                       LinearConstraints(tuple(split_blocks(widths, A)), b))
+
+    u = team_optimum_constrained(prob).point.concat()
+    H, l = prob.objective(1).H, prob.objective(1).l
+    slack = A @ u - b
+    scale = 1.0 + np.abs(b)
+    assert np.all(slack <= KKT_TOL * scale)
+    active = np.abs(slack) <= KKT_TOL * scale
+    grad = H @ u + l
+    lam, *_ = np.linalg.lstsq(A[active].T, -grad, rcond=None)
+    assert np.all(lam >= -KKT_TOL * (1.0 + np.abs(lam).max(initial=0.0)))
+    resid = grad + A[active].T @ lam
+    assert np.abs(resid).max() <= 1e-6 * (1.0 + np.abs(l).max())
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +269,14 @@ def test_bounds_argument_stands_in_for_box_rows(tri, gamma):
     assert verdict.worst_row == 0
     with pytest.raises(DimensionError):
         feasibility_check(gamma, rows, tri.dims, bounds=[(-1.0, 3.0)])
+
+
+def test_bottom_level_rule_is_a_fixed_block(tri):
+    # a rule announced by the last level maps no lower level: u3 = 4
+    rule = AffineStrategy(3, DecisionPoint.of([4.0]), ())
+    verdict = feasibility_check(rule, _row_system(*FEASIBLE_ROWS), tri.dims)
+    assert verdict.feasible
+    assert verdict.margins == pytest.approx([0.0, 0.0, 0.0, 0.0, -1.0, -3.0])
 
 
 def test_no_rows_means_nothing_to_check(tri, gamma):

@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from revstack import (
     GameProblem,
     GridSpec,
     QuadraticObjective,
+    RevstackError,
     SampleSpec,
     SublevelProbe,
     evaluate,
@@ -23,7 +26,7 @@ from revstack import (
     verify_full,
 )
 from revstack.model import ExprObjective
-from revstack.verify import ALGEBRAIC_TOL, ARGMIN_TOL
+from revstack.verify import ALGEBRAIC_TOL, ARGMIN_TOL, MAX_GRID_NODES
 
 from conftest import random_convex_game
 
@@ -81,6 +84,25 @@ def test_oracle_rejects_bad_levels_and_chains(tri):
         oracle_best_response(tri, chain, 4)
     with pytest.raises(DimensionError):
         oracle_best_response(tri, [], 2)
+
+
+def test_oracle_refuses_grids_above_the_node_limit():
+    # level 2 of a (1,2,2,2) game has six free coordinates: 41^6 nodes
+    prob = random_convex_game(3, (1, 2, 2, 2))
+    eq, chain = _chain(prob)
+    assert 41 ** 6 > MAX_GRID_NODES
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(RevstackError, match=r"level 2: .*41\^6.*--grid-points") as err:
+            verify_full(prob, chain, desired=eq.point)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not isinstance(err.value, DimensionError)  # a refusal, not bad input
+    assert elapsed < 1.0
+    assert peak < 5 * 2 ** 20
 
 
 @pytest.mark.parametrize("seed", range(20))
