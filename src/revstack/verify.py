@@ -1,9 +1,10 @@
 """Independent verification of announced strategies.
 
 Nothing here reuses the synthesis algebra: best responses are found by
-brute force (dense grid plus shrinking-step coordinate descent) on the
-substituted objectives, hyperplane membership and sublevel one-sidedness
-are checked by seeded sampling, and realization is evaluated directly.
+brute force (a dense grid, walked in bounded chunks, plus shrinking-step
+coordinate descent) on the substituted objectives, hyperplane membership
+and sublevel one-sidedness are checked by seeded sampling, and realization
+is evaluated directly.
 A strategy chain is 'verified' when every check lands inside its tolerance.
 """
 
@@ -42,8 +43,12 @@ __all__ = [
 ARGMIN_TOL = 1e-4      # componentwise distance for oracle argmin agreement
 ALGEBRAIC_TOL = 1e-9   # scale-normalized residuals (realization, membership)
 # The dense oracle grid holds points^D nodes.  41^4 is what the default grid
-# builds on a four-coordinate level; larger grids are refused, not allocated.
+# walks on a four-coordinate level; larger grids are refused, not walked, as
+# the walk's time grows with the node count.
 MAX_GRID_NODES = 41 ** 4
+# The grid is evaluated in chunks of at most this many nodes (or one axis, when
+# a single axis is longer), so the oracle's memory does not grow with points^D.
+GRID_CHUNK_NODES = 41 ** 3
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,8 @@ class GridSpec:
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise DimensionError("oracle grid radius must be finite and > 0, got %r"
                                  % self.radius)
+        if self.bounds is not None and not np.isfinite(np.asarray(self.bounds, float)).all():
+            raise DimensionError("oracle grid bounds must be finite, got %r" % (self.bounds,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +84,9 @@ class OracleResult:
     value: float
     grid_argmin: np.ndarray     # flat coordinates of the best grid node
     refinement_drift: float     # max |refined - grid best| per coordinate
+    # grid nodes plus the refinement trials a one-at-a-time sweep would make,
+    # up to and including each accepted one (batched trials past it are not
+    # counted)
     evaluations: int
 
 
@@ -129,9 +139,14 @@ def oracle_best_response(problem: GameProblem,
 
     Substitutes the announced upper strategies, then minimizes that player's
     cost over all free blocks (its own and everything below) on a dense
-    grid, refined by shrinking-step coordinate descent.  Grid ties go to the
-    lexicographically smallest node index; the whole procedure is
-    deterministic.
+    grid, refined by shrinking-step coordinate descent.  The grid is walked
+    in chunks of at most ``GRID_CHUNK_NODES`` nodes in node-index order, so
+    memory does not grow with ``points^D``; grid ties go to the
+    lexicographically smallest node index.  A refinement sweep evaluates the
+    trials of all remaining coordinates in one batch and takes the first
+    improving one, which is the trial a one-at-a-time sweep would accept.
+    A NaN cost at any node or trial is refused with a ``RevstackError``
+    naming the level and the point; the whole procedure is deterministic.
     """
     n = problem.levels
     if not 2 <= level <= n:
@@ -146,12 +161,24 @@ def oracle_best_response(problem: GameProblem,
             "of %d; lower --grid-points" % (level, grid.points, D, grid.points ** D,
                                             MAX_GRID_NODES)
         )
+    if grid.bounds is not None and len(grid.bounds) != D:
+        raise DimensionError("level %d: the oracle grid has %d bounds for %d free "
+                             "coordinates" % (level, len(grid.bounds), D))
     if anchor is None:
         center = np.zeros(D)
     else:
         if sum(anchor.widths) != D:
             raise DimensionError("anchor does not match the free blocks")
         center = anchor.concat()
+    objective = problem.objective(level)
+
+    def values_at(X: np.ndarray) -> np.ndarray:
+        blocks = _substitute_chain(problem, announced, level, split_blocks(free_widths, X))
+        values = np.asarray(evaluate_many(objective, blocks), dtype=float)
+        if np.isnan(values).any():
+            raise RevstackError("level %d: the oracle found a NaN cost at %s"
+                                % (level, X[int(np.argmax(np.isnan(values)))].tolist()))
+        return values
 
     axes = []
     for i in range(D):
@@ -160,38 +187,53 @@ def oracle_best_response(problem: GameProblem,
         else:
             lo, hi = center[i] - grid.radius, center[i] + grid.radius
         axes.append(np.linspace(lo, hi, grid.points))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
 
-    blocks = _substitute_chain(problem, announced, level, split_blocks(free_widths, pts))
-    values = np.asarray(evaluate_many(problem.objective(level), blocks), dtype=float)
-    evaluations = pts.shape[0]
-    i0 = int(np.argmin(values))
-    x0 = pts[i0].copy()
+    # the trailing r axes form one reusable chunk; the leading ones are walked.
+    # Column-major, each free block is one contiguous slab: the strategies'
+    # arithmetic on a row-strided block view took half the D=4 oracle's time.
+    r = 1
+    while r < D and grid.points ** (r + 1) <= GRID_CHUNK_NODES:
+        r += 1
+    lead = D - r
+    chunk = np.empty((grid.points ** r, D), order="F")
+    for j, m in enumerate(np.meshgrid(*axes[lead:], indexing="ij")):
+        chunk[:, lead + j] = m.ravel()
+    x0, fx = None, np.inf
+    for node in np.ndindex(*[grid.points] * lead):
+        for j, k in enumerate(node):
+            chunk[:, j] = axes[j][k]
+        values = values_at(chunk)
+        k = int(np.argmin(values))
+        if x0 is None or values[k] < fx:
+            x0, fx = chunk[k].copy(), float(values[k])
+    evaluations = grid.points ** D
 
-    def point_value(x: np.ndarray) -> float:
-        bl = _substitute_chain(problem, announced, level, split_blocks(free_widths, x[None, :]))
-        return float(np.asarray(evaluate_many(problem.objective(level), bl))[0])
-
-    x = x0.copy()
-    fx = float(values[i0])
     # one step size per coordinate, starting at the grid spacing
     steps = np.array([(axes[i][-1] - axes[i][0]) / (grid.points - 1) if grid.points > 1
                       else 1.0 for i in range(D)])
+    x = x0
     for _ in range(grid.refine_iters):
         if steps.max(initial=0.0) < grid.refine_floor:
             break
         improved = False
-        for i in range(D):
-            for delta in (steps[i], -steps[i]):
-                trial = x.copy()
-                trial[i] += delta
-                f_trial = point_value(trial)
-                evaluations += 1
-                if f_trial < fx:
-                    x, fx = trial, f_trial
-                    improved = True
-                    break
+        i = 0
+        while i < D:
+            # the trials coordinates i..D-1 would make one at a time, +step
+            # before -step, evaluated at once; the first improving one is taken
+            coords = np.repeat(np.arange(i, D), 2)
+            signs = np.tile([1.0, -1.0], D - i)
+            trials = np.repeat(x[None, :], coords.size, axis=0)
+            trials[np.arange(coords.size), coords] += signs * steps[coords]
+            values = values_at(trials)
+            better = np.flatnonzero(values < fx)
+            if better.size == 0:
+                evaluations += coords.size
+                break
+            k = int(better[0])
+            evaluations += k + 1
+            x, fx = trials[k], float(values[k])
+            improved = True
+            i = int(coords[k]) + 1
         if not improved:
             steps *= grid.refine_shrink
     drift = float(np.abs(x - x0).max(initial=0.0))

@@ -17,6 +17,7 @@ from revstack import (
     SampleSpec,
     SublevelProbe,
     evaluate,
+    evaluate_many,
     oracle_best_response,
     parse_formula,
     synthesize_cascade,
@@ -25,8 +26,8 @@ from revstack import (
     team_optimum_quadratic,
     verify_full,
 )
-from revstack.model import ExprObjective
-from revstack.verify import ALGEBRAIC_TOL, ARGMIN_TOL, MAX_GRID_NODES
+from revstack.model import ExprObjective, split_blocks
+from revstack.verify import ALGEBRAIC_TOL, ARGMIN_TOL, GRID_CHUNK_NODES, MAX_GRID_NODES
 
 from conftest import random_convex_game
 
@@ -74,6 +75,144 @@ def test_oracle_breaks_grid_ties_toward_the_smallest_node():
     # both wells (+1 and -1) are exact grid nodes with value 0
     assert res.argmin.concat() == pytest.approx([-1.0], abs=1e-9)
     assert res.value == pytest.approx(0.0, abs=1e-12)
+
+
+def _substituted_values(problem, chain, level, X):
+    blocks = split_blocks(problem.dims.m[level - 1:], X)
+    for strategy in reversed(chain[:level - 1]):
+        blocks = [strategy.batch(blocks)] + blocks
+    return evaluate_many(problem.objective(level), blocks)
+
+
+def _dense_grid_best(problem, chain, level, anchor, grid):
+    """The whole grid as one array, the smallest node index winning ties."""
+    axes = [np.linspace(c - grid.radius, c + grid.radius, grid.points)
+            for c in anchor.concat()]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    values = _substituted_values(problem, chain, level, pts)
+    best = int(np.argmin(values))
+    return pts[best], values[best]
+
+
+def _one_at_a_time_refinement(problem, chain, level, center, x, fx, grid):
+    """Compass search from the grid's best node, one trial per evaluation."""
+    steps = ((center + grid.radius) - (center - grid.radius)) / (grid.points - 1)
+    evaluations = 0
+    for _ in range(grid.refine_iters):
+        if steps.max() < grid.refine_floor:
+            break
+        improved = False
+        for i in range(x.size):
+            for delta in (steps[i], -steps[i]):
+                trial = x.copy()
+                trial[i] += delta
+                f = float(_substituted_values(problem, chain, level, trial[None, :])[0])
+                evaluations += 1
+                if f < fx:
+                    x, fx, improved = trial, f, True
+                    break
+        if not improved:
+            steps *= grid.refine_shrink
+    return x, fx, evaluations
+
+
+@pytest.mark.parametrize("name", ["tri", "wide", "r111", "r2111", "r122"])
+def test_chunked_grid_walk_matches_the_dense_grid(name, tri, wide):
+    # level 2 of (1,2,2) has four coordinates: 41 chunks of 41^3 nodes
+    problem = {"tri": tri, "wide": wide,
+               "r111": random_convex_game(11, (1, 1, 1)),
+               "r2111": random_convex_game(12, (2, 1, 1, 1)),
+               "r122": random_convex_game(13, (1, 2, 2))}[name]
+    eq, chain = _chain(problem)
+    grid = GridSpec(refine_iters=0)  # the result is then the grid's best node
+    for level in range(2, problem.levels + 1):
+        anchor = eq.point.tail(level)
+        node, value = _dense_grid_best(problem, chain, level, anchor, grid)
+        res = oracle_best_response(problem, chain, level, grid, anchor=anchor)
+        assert np.array_equal(res.grid_argmin, node)
+        assert res.value == value
+        assert res.evaluations == grid.points ** node.size
+
+
+@pytest.mark.parametrize("name", ["tri_expr", "tri", "r2111", "r122"])
+def test_batched_refinement_follows_the_one_at_a_time_sweep(name, tri, tri_expr):
+    problem = {"tri": tri, "tri_expr": tri_expr,
+               "r2111": random_convex_game(12, (2, 1, 1, 1)),
+               "r122": random_convex_game(13, (1, 2, 2))}[name]
+    eq, chain = _chain(tri if name == "tri_expr" else problem)  # the same game
+    grid = GridSpec()
+    for level in range(2, problem.levels + 1):
+        # centred off the desired blocks, so they are not a grid node
+        center = eq.point.tail(level).concat() + 0.123
+        anchor = DecisionPoint.from_concat(problem.dims.m[level - 1:], center)
+        node = oracle_best_response(problem, chain, level, GridSpec(refine_iters=0),
+                                    anchor=anchor)
+        x, fx, trials = _one_at_a_time_refinement(
+            problem, chain, level, center, node.grid_argmin, node.value, grid)
+        res = oracle_best_response(problem, chain, level, grid, anchor=anchor)
+        assert res.refinement_drift > 0.0
+        if name == "tri_expr":
+            # elementwise arithmetic: a batched row equals a one-row call,
+            # so the accepted path and its trial count are the same
+            assert np.array_equal(res.argmin.concat(), x)
+            assert res.value == fx
+            assert res.evaluations == node.evaluations + trials
+        else:
+            # a batched matrix product may differ from a one-row call in the
+            # last bit, which can move a trial's acceptance by one sweep
+            assert np.abs(res.argmin.concat() - x).max() <= 1e-7
+            assert res.value == pytest.approx(fx, rel=1e-12, abs=1e-12)
+
+
+def test_grid_ties_across_chunks_go_to_the_smallest_node():
+    # two exact wells at u2_1 = -1 and +1: different leading indices, so
+    # different chunks of the four-coordinate grid
+    dims = Dims.of(1, 4)
+    J1 = QuadraticObjective.build(dims, {(1, 1): np.eye(1), (2, 2): np.eye(4)})
+    J2 = ExprObjective(parse_formula(
+        "(u2_1^2 - 1)^2 + u2_2^2 + u2_3^2 + u2_4^2", dims))
+    prob = GameProblem(dims, (J1, J2))
+    gamma = AffineStrategy(1, DecisionPoint.of([0.0], [0.0] * 4), (np.zeros((1, 4)),))
+    assert 41 ** 4 > GRID_CHUNK_NODES
+    res = oracle_best_response(prob, [gamma], 2)
+    assert np.array_equal(res.grid_argmin, [-1.0, 0.0, 0.0, 0.0])
+    assert res.argmin.concat() == pytest.approx([-1.0, 0.0, 0.0, 0.0], abs=1e-9)
+    assert res.value == 0.0
+
+
+def test_oracle_memory_does_not_grow_with_the_grid():
+    prob = random_convex_game(5, (1, 2, 2))
+    eq, chain = _chain(prob)
+    tracemalloc.start()
+    try:
+        res = oracle_best_response(prob, chain, 2, anchor=eq.point.tail(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.evaluations > 41 ** 4
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_oracle_refuses_a_nan_cost_by_name(tri):
+    # u3^310 and u3^305 both overflow for u3 >= 10.5, and inf - inf is NaN;
+    # the first such node in index order is (-9, 10.5)
+    eq, chain = _chain(tri)
+    J2 = ExprObjective(parse_formula("(u2-1)^2 + (u3-3)^2 + u3^310 - u3^305", tri.dims))
+    prob = GameProblem(tri.dims, (tri.objective(1), J2, tri.objective(3)))
+    with pytest.raises(RevstackError, match=r"level 2: .*NaN.*\[-9\.0, 10\.5\]") as err:
+        oracle_best_response(prob, chain, 2, anchor=eq.point.tail(2))
+    assert not isinstance(err.value, DimensionError)
+
+
+def test_bad_grid_bounds_are_bad_input(tri):
+    eq, chain = _chain(tri)
+    with pytest.raises(DimensionError, match="finite"):
+        GridSpec(bounds=((np.nan, 4.0), (0.0, 1.0)))
+    with pytest.raises(DimensionError, match="finite"):
+        GridSpec(bounds=((0.0, np.inf),))
+    with pytest.raises(DimensionError, match=r"level 2: .*1 bounds for 2"):
+        oracle_best_response(tri, chain, 2, GridSpec(bounds=((0.0, 4.0),)))
 
 
 def test_oracle_rejects_bad_levels_and_chains(tri):
