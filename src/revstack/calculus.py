@@ -34,6 +34,8 @@ __all__ = [
 # Shift applied to the Hessian diagonal before the Cholesky attempt: the
 # probe certifies a minimum eigenvalue strictly above this.
 CONVEXITY_TOL = 1e-9
+# The finite-difference step at coordinate i is FD_STEP * (1 + |p_i|).
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,13 +83,13 @@ def gradient(obj: Objective, p: DecisionPoint) -> BlockGradient:
     raise TypeError("not an objective: %r" % (obj,))
 
 
-def fd_gradient(obj: Objective, p: DecisionPoint, h: float = 1e-6) -> BlockGradient:
-    """Central finite differences with per-coordinate step ``h * (1 + |p_i|)``."""
+def fd_gradient(obj: Objective, p: DecisionPoint) -> BlockGradient:
+    """Central finite differences with per-coordinate step ``FD_STEP * (1 + |p_i|)``."""
     flat = p.concat()
     widths = p.widths
     g = np.empty(flat.size)
     for i in range(flat.size):
-        step = h * (1.0 + abs(flat[i]))
+        step = FD_STEP * (1.0 + abs(flat[i]))
         fwd = flat.copy()
         bwd = flat.copy()
         fwd[i] += step
@@ -121,16 +123,15 @@ def hessian(obj: Objective, p: DecisionPoint) -> np.ndarray:
     raise TypeError("not an objective: %r" % (obj,))
 
 
-def strict_convexity_probe(obj: Objective, p: DecisionPoint,
-                           tol: float = CONVEXITY_TOL) -> str:
-    """'certified' iff the Hessian at ``p`` has minimum eigenvalue > tol.
+def strict_convexity_probe(obj: Objective, p: DecisionPoint) -> str:
+    """'certified' iff the Hessian at ``p`` has minimum eigenvalue > ``CONVEXITY_TOL``.
 
-    Implemented as an attempted Cholesky factorization of ``H - tol*I``;
+    Implemented as an attempted Cholesky factorization of ``H - CONVEXITY_TOL*I``;
     'not-certified' covers indefinite, semidefinite, and borderline cases.
     """
     H = hessian(obj, p)
     try:
-        np.linalg.cholesky(H - tol * np.eye(H.shape[0]))
+        np.linalg.cholesky(H - CONVEXITY_TOL * np.eye(H.shape[0]))
         return "certified"
     except np.linalg.LinAlgError:
         return "not-certified"

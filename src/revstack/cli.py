@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -147,7 +148,7 @@ def cmd_solve(args) -> int:
             "kkt_residual": eq.kkt_residual,
         },
         "strategies": strategies_to_document(strategies)["strategies"],
-        "verification": report.to_dict(),
+        "verification": asdict(report),
     }
     lines = _point_lines("desired decision", eq.point)
     lines += ["  value: %.10g  (method: %s)" % (eq.value, eq.method)]
@@ -175,6 +176,14 @@ def _parse_param_arg(text: str, family: StrategyFamily) -> List[np.ndarray]:
             arr = arr.reshape(shape)
         out.append(arr)
     return out
+
+
+def _sample_members(family: StrategyFamily, count: int,
+                    seed: int) -> List[AffineStrategy]:
+    """``count`` family members with standard-normal parameters drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return [instantiate(family, [rng.standard_normal(s) for s in family.param_shapes])
+            for _ in range(count)]
 
 
 def _check_member(problem: GameProblem, family: StrategyFamily,
@@ -226,11 +235,7 @@ def cmd_family(args) -> int:
     members: List[AffineStrategy] = []
     if args.params is not None:
         members.append(instantiate(family, _parse_param_arg(args.params, family)))
-    if args.samples:
-        rng = np.random.default_rng(args.seed)
-        for _ in range(args.samples):
-            draws = [rng.standard_normal(s) for s in family.param_shapes]
-            members.append(instantiate(family, draws))
+    members += _sample_members(family, args.samples, args.seed)
     for member in members:
         checks.append(_check_member(problem, family, member, args))
     if checks:
@@ -257,7 +262,7 @@ def cmd_verify(args) -> int:
         desired=eq.point, seed=args.seed)
     doc = {
         "command": "verify",
-        "verification": report.to_dict(),
+        "verification": asdict(report),
     }
     lines = _point_lines("desired decision", eq.point)
     lines += _strategy_lines(strategies)
@@ -277,12 +282,8 @@ def cmd_feasible(args) -> int:
         strategies = parse_strategies(_read(args.strategies), problem, eq.point)
         strategies.sort(key=lambda s: s.level)
     elif args.samples:
-        family = synthesize_family_leader(problem, eq.point)
-        rng = np.random.default_rng(args.seed)
-        strategies = []
-        for _ in range(args.samples):
-            draws = [rng.standard_normal(s) for s in family.param_shapes]
-            strategies.append(instantiate(family, draws))
+        strategies = _sample_members(
+            synthesize_family_leader(problem, eq.point), args.samples, args.seed)
     else:
         strategies = synthesize_cascade(problem, desired=eq.point)
 

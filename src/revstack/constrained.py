@@ -145,7 +145,6 @@ class FeasibilityVerdict:
     margins: Tuple[float, ...] = ()
     witness: Optional[np.ndarray] = None
     note: str = ""
-    method: str = "lp-exact"
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,6 +41,8 @@ __all__ = [
 LINEAR_RESIDUAL_TOL = 1e-9
 ACTIVE_SET_MAX_CONSTRAINTS = 20
 KKT_TOL = 1e-9  # multiplier sign and row slack allowed in an active-set candidate
+DESCENT_TOL = 1e-8  # a descent start converges at this gradient norm
+DESCENT_MAX_ITERS = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +94,7 @@ def team_optimum_quadratic(problem: GameProblem) -> EquilibriumResult:
     return EquilibriumResult(point, evaluate(obj, point), "linear-solve", residual)
 
 
-def _descend_once(obj, widths, start: np.ndarray, tol: float, max_iters: int):
+def _descend_once(obj, widths, start: np.ndarray):
     """Damped Newton from one start.  Returns (x, f, gnorm, ok).
 
     Cholesky steps on the exact Hessian, gradient steps where it is not
@@ -100,11 +102,11 @@ def _descend_once(obj, widths, start: np.ndarray, tol: float, max_iters: int):
     """
     x = start.astype(float).copy()
     f = evaluate(obj, DecisionPoint.from_concat(widths, x))
-    for _ in range(max_iters):
+    for _ in range(DESCENT_MAX_ITERS):
         point = DecisionPoint.from_concat(widths, x)
         g = gradient(obj, point).concat()
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= tol:
+        if gnorm <= DESCENT_TOL:
             return x, f, gnorm, True
         try:
             L = np.linalg.cholesky(hessian(obj, point))
@@ -122,18 +124,19 @@ def _descend_once(obj, widths, start: np.ndarray, tol: float, max_iters: int):
             t *= 0.5
         else:
             # no acceptable step: the decrease is below the roundoff of f
-            return x, f, gnorm, gnorm <= tol
+            return x, f, gnorm, gnorm <= DESCENT_TOL
     g = gradient(obj, DecisionPoint.from_concat(widths, x)).concat()
     gnorm = float(np.linalg.norm(g))
-    return x, f, gnorm, gnorm <= tol
+    return x, f, gnorm, gnorm <= DESCENT_TOL
 
 
-def team_optimum_descent(problem: GameProblem, starts: Sequence[DecisionPoint],
-                         tol: float = 1e-8, max_iters: int = 500) -> EquilibriumResult:
+def team_optimum_descent(problem: GameProblem,
+                         starts: Sequence[DecisionPoint]) -> EquilibriumResult:
     """Best local minimizer of the leader cost found from the given starts.
 
-    Convergence means gradient norm <= tol.  If no start converges, raises
-    ConvergenceError carrying the best iterate seen.
+    Convergence means gradient norm <= ``DESCENT_TOL`` within
+    ``DESCENT_MAX_ITERS`` Newton or gradient steps.  If no start converges,
+    raises ConvergenceError carrying the best iterate seen.
     """
     if not starts:
         raise EquilibriumError("team_optimum_descent needs at least one start")
@@ -142,7 +145,7 @@ def team_optimum_descent(problem: GameProblem, starts: Sequence[DecisionPoint],
     best = None       # best converged (f, x, gnorm)
     best_any = None   # best overall, for the failure path
     for s in starts:
-        x, f, gnorm, ok = _descend_once(obj, widths, s.concat(), tol, max_iters)
+        x, f, gnorm, ok = _descend_once(obj, widths, s.concat())
         if best_any is None or f < best_any[0]:
             best_any = (f, x, gnorm)
         if ok and (best is None or f < best[0]):
@@ -151,7 +154,7 @@ def team_optimum_descent(problem: GameProblem, starts: Sequence[DecisionPoint],
         f, x, gnorm = best_any
         raise ConvergenceError(
             "descent did not reach gradient norm %.1g within %d iterations "
-            "(best gradient norm %.3g)" % (tol, max_iters, gnorm),
+            "(best gradient norm %.3g)" % (DESCENT_TOL, DESCENT_MAX_ITERS, gnorm),
             best=DecisionPoint.from_concat(widths, x),
             value=f,
             grad_norm=gnorm,
@@ -221,13 +224,14 @@ def team_optimum_constrained(problem: GameProblem) -> EquilibriumResult:
     return EquilibriumResult(point, value, "active-set", stat)
 
 
-def team_optimum(problem: GameProblem,
-                 starts: Optional[Sequence[DecisionPoint]] = None) -> EquilibriumResult:
-    """Route to the appropriate solver for this problem's shape."""
+def team_optimum(problem: GameProblem) -> EquilibriumResult:
+    """Route to the appropriate solver for this problem's shape.
+
+    Expression costs descend from the origin.
+    """
     if problem.constraints is not None and problem.constraints.k > 0:
         return team_optimum_constrained(problem)
     if isinstance(problem.objective(1), QuadraticObjective):
         return team_optimum_quadratic(problem)
-    if starts is None:
-        starts = [DecisionPoint.from_concat(problem.dims.m, np.zeros(problem.dims.total))]
-    return team_optimum_descent(problem, starts)
+    origin = DecisionPoint.from_concat(problem.dims.m, np.zeros(problem.dims.total))
+    return team_optimum_descent(problem, [origin])

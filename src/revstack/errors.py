@@ -51,14 +51,6 @@ class ExistenceError(RevstackError):
         self.level = level
 
 
-class SynthesisError(RevstackError):
-    """Strategy construction broke down at some level of the hierarchy."""
-
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = level
-
-
 class UnboundedRegionError(RevstackError):
     """A feasibility LP is unbounded; explicit bounds are required."""
 

@@ -37,13 +37,11 @@ __all__ = [
     "exposed_point_probe",
 ]
 
-# Gradient-nonzero checks use tol = GRAD_TOL_FACTOR * (1 + full gradient norm)
-# unless an absolute tolerance is supplied.
+# Gradient-nonzero checks use tol = GRAD_TOL_FACTOR * (1 + full gradient norm).
 GRAD_TOL_FACTOR = 1e-8
-
-
-def grad_tol(full_norm: float, tol: Optional[float] = None) -> float:
-    return tol if tol is not None else GRAD_TOL_FACTOR * (1.0 + full_norm)
+# A sampled sublevel-set member refutes support when its hyperplane residual
+# exceeds this.
+SUPPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +101,7 @@ class ProbeResult:
     witness_residual: float = 0.0
 
 
-def supporting_hyperplane_at(obj: Objective, p: DecisionPoint,
-                             tol: Optional[float] = None) -> SupportingHyperplane:
+def supporting_hyperplane_at(obj: Objective, p: DecisionPoint) -> SupportingHyperplane:
     """Candidate supporting hyperplane of {J <= J(p)} at p, from the gradient.
 
     Raises ExistenceError when the gradient vanishes (no tangent direction
@@ -113,15 +110,14 @@ def supporting_hyperplane_at(obj: Objective, p: DecisionPoint,
     """
     g = gradient(obj, p)
     full = g.norm()
-    if full <= grad_tol(full, tol):
+    if full <= GRAD_TOL_FACTOR * (1.0 + full):
         raise ExistenceError(
             "gradient vanishes at the anchor; no supporting hyperplane there"
         )
     return SupportingHyperplane(p, g)
 
 
-def leader_existence_check(problem: GameProblem, d: DecisionPoint,
-                           tol: Optional[float] = None) -> ExistenceVerdict:
+def leader_existence_check(problem: GameProblem, d: DecisionPoint) -> ExistenceVerdict:
     """Can the top player steer the second-level objective at d?
 
     Passes iff the leader-block gradient of the second objective is nonzero
@@ -140,7 +136,7 @@ def leader_existence_check(problem: GameProblem, d: DecisionPoint,
     full = g.norm()
     if not np.isfinite(full):
         raise ExistenceError("the follower's gradient is not finite at the anchor")
-    threshold = grad_tol(full, tol)
+    threshold = GRAD_TOL_FACTOR * (1.0 + full)
     block = g.block_norm(1)
     convexity = strict_convexity_probe(obj, d)
     reasons = []
@@ -164,7 +160,7 @@ def leader_existence_check(problem: GameProblem, d: DecisionPoint,
 
 
 def exposed_point_probe(probe: SublevelProbe, plane: SupportingHyperplane,
-                        sampler: SampleSpec, tol: float = 1e-9) -> ProbeResult:
+                        sampler: SampleSpec) -> ProbeResult:
     """Monte-Carlo test that the anchor is exposed by ``plane``.
 
     Draws points uniformly in a ball around the anchor; every sampled
@@ -188,7 +184,7 @@ def exposed_point_probe(probe: SublevelProbe, plane: SupportingHyperplane,
     point_flat = plane.point.concat()
     residuals = (pts - point_flat) @ normal_flat
 
-    bad = members & (residuals > tol)
+    bad = members & (residuals > SUPPORT_TOL)
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
         return ProbeResult(

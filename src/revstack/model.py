@@ -152,13 +152,6 @@ class DecisionPoint:
         return "DecisionPoint(%s)" % inner
 
 
-def check_point(dims: Dims, point: DecisionPoint, what: str = "point") -> None:
-    if point.widths != dims.m:
-        raise DimensionError(
-            "%s has block widths %s, expected %s" % (what, point.widths, dims.m)
-        )
-
-
 # ---------------------------------------------------------------------------
 # expression trees
 # ---------------------------------------------------------------------------
@@ -628,7 +621,7 @@ class GameProblem:
 
 @dataclass
 class Diagnostic:
-    severity: str  # "error" | "warning" | "info"
+    severity: str  # "error" | "info"
     message: str
     where: str = ""
 
@@ -644,10 +637,6 @@ class ValidationReport:
     @property
     def errors(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == "error"]
-
-    @property
-    def warnings(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == "warning"]
 
     def add(self, severity: str, message: str, where: str = "") -> None:
         self.diagnostics.append(Diagnostic(severity, message, where))
@@ -698,7 +687,7 @@ def _validate_expr(report: ValidationReport, dims: Dims,
 def validate(problem: GameProblem) -> ValidationReport:
     """Shape-check a problem and report structural findings.
 
-    Errors mean the problem cannot be used; warnings/info are advisory
+    Errors mean the problem cannot be used; info diagnostics are advisory
     (definiteness of diagonal blocks, cross-term structure).  Never raises.
     """
     report = ValidationReport()

@@ -18,7 +18,6 @@ cascade.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -147,7 +146,7 @@ class AffineStrategy:
         anchor = DecisionPoint((own,) + anchor_lower.blocks)
         return cls(level, anchor, tuple(-M for M in C))
 
-    def describe(self, lower_widths: Optional[Sequence[int]] = None) -> List[str]:
+    def describe(self) -> List[str]:
         """Human-readable component lines, e.g. ``u1 = 12 - u2 - 3*u3``."""
         offset, linear = self.as_affine()
         widths = [d.size for d in self.anchor.blocks[1:]]
@@ -176,14 +175,13 @@ class AffineStrategy:
         return lines
 
 
-def synthesize_single_leader(problem: GameProblem, d: DecisionPoint,
-                             tol: Optional[float] = None) -> AffineStrategy:
+def synthesize_single_leader(problem: GameProblem, d: DecisionPoint) -> AffineStrategy:
     """Minimum-norm (rank-one) top-level strategy anchored at ``d``.
 
     Refuses with the failed verdict when the top player's gradient block of
     the second objective vanishes at the anchor.
     """
-    verdict = leader_existence_check(problem, d, tol)
+    verdict = leader_existence_check(problem, d)
     if not verdict.passed:
         raise ExistenceError(
             "; ".join(verdict.reasons) or "top-level existence condition failed",
@@ -197,20 +195,6 @@ def synthesize_single_leader(problem: GameProblem, d: DecisionPoint,
         np.outer(g1, g.block(j)) / denom for j in range(2, problem.levels + 1)
     )
     return AffineStrategy(1, d, coeffs)
-
-
-def _stage_strategy(stage: GameProblem, stage_d: DecisionPoint,
-                    tol: Optional[float], level: int) -> AffineStrategy:
-    """Top strategy of the reduced game ``stage``, labelled with its absolute level."""
-    try:
-        strategy = synthesize_single_leader(stage, stage_d, tol)
-    except ExistenceError as err:
-        raise ExistenceError(
-            "stage %d (announcing level %d): %s" % (level, level, err),
-            verdict=err.verdict,
-            level=level,
-        ) from None
-    return strategy if level == 1 else dataclasses.replace(strategy, level=level)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +246,14 @@ class StrategyFamily:
         return tuple(params), worst
 
 
-def synthesize_family_leader(problem: GameProblem, d: DecisionPoint,
-                             tol: Optional[float] = None) -> StrategyFamily:
+def synthesize_family_leader(problem: GameProblem, d: DecisionPoint) -> StrategyFamily:
     """Complete affine family of optimal top-level deviation gains.
 
     The particular member is the rank-one strategy; the homogeneous part is
     spanned by an orthonormal basis of the hyperplane orthogonal to the top
     gradient block, obtained from a Householder QR factorization.
     """
-    rank_one = synthesize_single_leader(problem, d, tol)
+    rank_one = synthesize_single_leader(problem, d)
     g = gradient(problem.objective(2), d)
     g1 = g.block(1)
     Q_full, _ = np.linalg.qr(g1.reshape(-1, 1), mode="complete")
@@ -341,14 +324,14 @@ def _substitute_quadratic(obj: QuadraticObjective, q: np.ndarray, P: np.ndarray,
 def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProblem:
     """Substitute the top strategy and drop the top level.
 
+    The strategy is the rule of the problem's top player, whatever absolute
+    level it is labelled with (a cascade stage's game is the original game
+    below that level); it must map every lower level of this problem.
     Quadratic objectives stay quadratic (one congruence of H);
     expression objectives substitute the rule into their polynomial and
     merge monomials; constraint rows absorb the substitution as well.  The
     result has n-1 levels with level indices shifted down by one.
     """
-    if strategy.level != 1:
-        raise DimensionError("reduction substitutes the top level; strategy has level %d"
-                             % strategy.level)
     if len(strategy.coeffs) != problem.levels - 1:
         raise DimensionError("strategy does not map all lower levels of this problem")
     if strategy.anchor.widths != problem.dims.m:
@@ -382,10 +365,7 @@ def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProble
 
 
 def synthesize_cascade(problem: GameProblem,
-                       desired: Optional[DecisionPoint] = None,
-                       tol: Optional[float] = None,
-                       starts: Optional[Sequence[DecisionPoint]] = None,
-                       ) -> List[AffineStrategy]:
+                       desired: Optional[DecisionPoint] = None) -> List[AffineStrategy]:
     """Top-to-bottom synthesis: one rank-one strategy per announcing level.
 
     Computes the desired equilibrium (unless supplied), synthesizes the top
@@ -393,13 +373,21 @@ def synthesize_cascade(problem: GameProblem,
     stage anchors at the corresponding tail of the original desired point.
     Existence failures carry the absolute level at which they occurred.
     """
-    d = desired if desired is not None else team_optimum(problem, starts).point
+    d = desired if desired is not None else team_optimum(problem).point
     strategies: List[AffineStrategy] = []
     stage = problem
     stage_d = d
     for s in range(1, problem.levels):
-        strategies.append(_stage_strategy(stage, stage_d, tol, s))
-        if s < problem.levels - 1:
-            stage = reduce_problem(stage, dataclasses.replace(strategies[-1], level=1))
+        if s > 1:
+            stage = reduce_problem(stage, strategies[-1])
             stage_d = stage_d.tail(2)
+        try:
+            top = synthesize_single_leader(stage, stage_d)
+        except ExistenceError as err:
+            raise ExistenceError(
+                "stage %d (announcing level %d): %s" % (s, s, err),
+                verdict=err.verdict,
+                level=s,
+            ) from None
+        strategies.append(AffineStrategy(s, top.anchor, top.coeffs))
     return strategies

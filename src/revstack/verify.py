@@ -1,16 +1,16 @@
-"""Independent verification of announced strategies.
+"""Verification of announced strategies.
 
-Nothing here reuses the synthesis algebra: best responses are found by
-brute force (a dense grid, walked in bounded chunks, plus shrinking-step
-coordinate descent) on the substituted objectives, hyperplane membership
-and sublevel one-sidedness are checked by seeded sampling, and realization
-is evaluated directly.
+Best responses are found by brute force (a dense grid, walked in bounded
+chunks, plus shrinking-step coordinate descent) on the objectives with the
+announced strategies substituted here, independently of synthesis.
+Hyperplane membership and sublevel one-sidedness are checked by seeded
+sampling, and realization is evaluated directly; for levels 2 and below
+these checks run on the stage game ``synthesis.reduce_problem`` builds.
 A strategy chain is 'verified' when every check lands inside its tolerance.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -49,6 +49,15 @@ MAX_GRID_NODES = 41 ** 4
 # The grid is evaluated in chunks of at most this many nodes (or one axis, when
 # a single axis is longer), so the oracle's memory does not grow with points^D.
 GRID_CHUNK_NODES = 41 ** 3
+# Refinement halves every step after a sweep without improvement and stops
+# once all steps are below the floor.
+REFINE_SHRINK = 0.5
+REFINE_FLOOR = 1e-13
+# Seeded samples per announcing level, drawn within SAMPLE_RADIUS of the
+# desired lower blocks, for the membership and sublevel checks.
+MEMBERSHIP_SAMPLES = 100
+INEQUALITY_SAMPLES = 2000
+SAMPLE_RADIUS = 5.0
 
 
 @dataclass(frozen=True)
@@ -64,8 +73,6 @@ class GridSpec:
     radius: float = 10.0
     points: int = 41
     refine_iters: int = 60
-    refine_shrink: float = 0.5
-    refine_floor: float = 1e-13
     bounds: Optional[Tuple[Tuple[float, float], ...]] = None
 
     def __post_init__(self):
@@ -213,7 +220,7 @@ def oracle_best_response(problem: GameProblem,
                       else 1.0 for i in range(D)])
     x = x0
     for _ in range(grid.refine_iters):
-        if steps.max(initial=0.0) < grid.refine_floor:
+        if steps.max(initial=0.0) < REFINE_FLOOR:
             break
         improved = False
         i = 0
@@ -235,21 +242,21 @@ def oracle_best_response(problem: GameProblem,
             improved = True
             i = int(coords[k]) + 1
         if not improved:
-            steps *= grid.refine_shrink
+            steps *= REFINE_SHRINK
     drift = float(np.abs(x - x0).max(initial=0.0))
     argmin = DecisionPoint.from_concat(free_widths, x)
     return OracleResult(argmin, fx, x0, drift, evaluations)
 
 
 def sublevel_inequality_check(probe: SublevelProbe, strategy: AffineStrategy,
-                              sampler: SampleSpec,
-                              tol: float = ALGEBRAIC_TOL) -> InequalityStats:
+                              sampler: SampleSpec) -> InequalityStats:
     """One-sidedness of the follower cost on the strategy's graph.
 
     Samples lower-level points around the anchor (the anchor itself is
     always sample 0), lifts them through the strategy, and counts values
-    below threshold - tol.  Zero violations is the expected outcome when
-    the strategy's graph sits on the supporting side of the sublevel set.
+    below threshold - ALGEBRAIC_TOL.  Zero violations is the expected
+    outcome when the strategy's graph sits on the supporting side of the
+    sublevel set.
     """
     lower_anchor = probe.anchor.blocks[1:]
     if len(lower_anchor) != len(strategy.coeffs):
@@ -261,7 +268,7 @@ def sublevel_inequality_check(probe: SublevelProbe, strategy: AffineStrategy,
     lower = split_blocks([b.size for b in lower_anchor], pts)
     own = strategy.batch(lower)
     values = np.asarray(evaluate_many(probe.objective, [own] + lower), dtype=float)
-    violations = int(np.count_nonzero(values < probe.threshold - tol))
+    violations = int(np.count_nonzero(values < probe.threshold - ALGEBRAIC_TOL))
     imin = int(np.argmin(values))
     return InequalityStats(
         samples=sampler.count,
@@ -290,19 +297,6 @@ class StrategyCheck:
     inequality_min: float
     passed: bool
 
-    def to_dict(self) -> Dict:
-        return {
-            "level": self.level,
-            "existence_passed": self.existence_passed,
-            "existence_norm": self.existence_norm,
-            "convexity": self.convexity,
-            "realization_residual": self.realization_residual,
-            "membership_residual": self.membership_residual,
-            "inequality_violations": self.inequality_violations,
-            "inequality_min": self.inequality_min,
-            "passed": self.passed,
-        }
-
 
 @dataclass
 class ResponseCheck:
@@ -316,17 +310,6 @@ class ResponseCheck:
     low_confidence: bool
     passed: bool
 
-    def to_dict(self) -> Dict:
-        return {
-            "level": self.level,
-            "argmin": self.argmin,
-            "distance": self.distance,
-            "value": self.value,
-            "refinement_drift": self.refinement_drift,
-            "low_confidence": self.low_confidence,
-            "passed": self.passed,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -338,21 +321,9 @@ class VerificationReport:
     response_checks: List[ResponseCheck]
     tolerances: Dict[str, float]
 
-    def to_dict(self) -> Dict:
-        return {
-            "verified": self.verified,
-            "verdict": self.verdict,
-            "reasons": list(self.reasons),
-            "desired": self.desired,
-            "strategy_checks": [c.to_dict() for c in self.strategy_checks],
-            "response_checks": [c.to_dict() for c in self.response_checks],
-            "tolerances": dict(self.tolerances),
-        }
-
 
 def _membership_residual(stage: GameProblem, stage_d: DecisionPoint,
-                         strategy: AffineStrategy, seed: int,
-                         count: int, radius: float) -> float:
+                         strategy: AffineStrategy, seed: int) -> float:
     """Max scale-normalized hyperplane residual of the strategy graph.
 
     Residual at x: <g_1, gamma(x) - d_1> + sum_j <g_j, x_j - d_j> where g
@@ -365,7 +336,7 @@ def _membership_residual(stage: GameProblem, stage_d: DecisionPoint,
     rng = np.random.default_rng(seed)
     lower_anchor = stage_d.blocks[1:]
     base = np.concatenate(lower_anchor)
-    pts = base + rng.uniform(-radius, radius, (count, base.size))
+    pts = base + rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (MEMBERSHIP_SAMPLES, base.size))
     lower = split_blocks([b.size for b in lower_anchor], pts)
     own = strategy.batch(lower)
     terms = [(own - stage_d.blocks[0]) @ g.blocks[0]]
@@ -380,10 +351,7 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
                 tol: float = ARGMIN_TOL,
                 grid: Optional[GridSpec] = None,
                 desired: Optional[DecisionPoint] = None,
-                seed: int = 0,
-                membership_samples: int = 100,
-                inequality_samples: int = 2000,
-                sample_radius: float = 5.0) -> VerificationReport:
+                seed: int = 0) -> VerificationReport:
     """Run every check against a full strategy chain (levels 1..n-1).
 
     In order: realization residuals, hyperplane membership, oracle best
@@ -415,14 +383,12 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
         realization_ok = realization <= ALGEBRAIC_TOL * (
             1.0 + float(np.linalg.norm(own_desired))
         )
-        membership = _membership_residual(
-            stage, stage_d, strategy, seed + 17 * lev, membership_samples, sample_radius
-        )
+        membership = _membership_residual(stage, stage_d, strategy, seed + 17 * lev)
         membership_ok = membership <= ALGEBRAIC_TOL
         probe = SublevelProbe.at(stage.objective(2), stage_d)
         stats = sublevel_inequality_check(
             probe, strategy,
-            SampleSpec(inequality_samples, sample_radius, seed + 31 * lev),
+            SampleSpec(INEQUALITY_SAMPLES, SAMPLE_RADIUS, seed + 31 * lev),
         )
         inequality_ok = stats.violations == 0
         passed = realization_ok and membership_ok and inequality_ok
@@ -451,7 +417,7 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
             passed=passed,
         ))
         if lev < n - 1:
-            stage = reduce_problem(stage, dataclasses.replace(strategy, level=1))
+            stage = reduce_problem(stage, strategy)
 
     response_checks: List[ResponseCheck] = []
     spacing = 2.0 * grid.radius / max(grid.points - 1, 1)

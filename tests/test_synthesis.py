@@ -14,6 +14,7 @@ from revstack import (
     evaluate,
     gradient,
     instantiate,
+    quadratic_to_expr,
     reduce_problem,
     select_parameters,
     synthesize_cascade,
@@ -285,6 +286,38 @@ def test_reduction_is_exact_on_a_random_game():
         prob = random_convex_game(17, widths)
         eq = team_optimum_quadratic(prob)
         _substitution_agrees(prob, synthesize_single_leader(prob, eq.point), 34)
+
+
+def test_reduction_ignores_the_rule_label():
+    # stage 2 of a four-level cascade, reduced by the level-2 rule as labelled
+    # and relabelled as the stage's top level, with an expression objective
+    # and constraint rows riding along
+    base = random_convex_game(9, (2, 1, 1, 1))
+    rng = np.random.default_rng(37)
+    rows = LinearConstraints(tuple(rng.standard_normal((3, w)) for w in base.dims.m),
+                             rng.standard_normal(3))
+    prob = GameProblem(base.dims, base.objectives[:2] + (quadratic_to_expr(base.objective(3)),)
+                       + base.objectives[3:], rows)
+    cascade = synthesize_cascade(prob, desired=team_optimum_quadratic(base).point)
+    stage = reduce_problem(prob, cascade[0])
+    rule = cascade[1]
+    assert rule.level == 2
+    a = reduce_problem(stage, rule)
+    b = reduce_problem(stage, AffineStrategy(1, rule.anchor, rule.coeffs))
+    assert a.dims.m == b.dims.m == (1, 1)
+    for oa, ob in zip(a.objectives, b.objectives):
+        if isinstance(oa, QuadraticObjective):
+            assert np.array_equal(oa.H, ob.H) and np.array_equal(oa.l, ob.l)
+            assert oa.const == ob.const and oa.widths == ob.widths
+        else:
+            assert oa.poly.keys == ob.poly.keys
+            assert np.array_equal(oa.poly.E, ob.poly.E) and np.array_equal(oa.poly.c, ob.poly.c)
+    assert all(np.array_equal(x, y) for x, y in zip(a.constraints.A, b.constraints.A))
+    assert np.array_equal(a.constraints.b, b.constraints.b)
+    # a rule mapping the wrong number of lower levels is still refused
+    for wrong in (cascade[0], cascade[2]):
+        with pytest.raises(DimensionError):
+            reduce_problem(stage, wrong)
 
 
 def test_reduced_scalar_trilevel_bottom_cost(tri):

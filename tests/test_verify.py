@@ -1,6 +1,9 @@
+import ast
 import json
+import pathlib
 import time
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -27,7 +30,14 @@ from revstack import (
     verify_full,
 )
 from revstack.model import ExprObjective, split_blocks
-from revstack.verify import ALGEBRAIC_TOL, ARGMIN_TOL, GRID_CHUNK_NODES, MAX_GRID_NODES
+from revstack.verify import (
+    ALGEBRAIC_TOL,
+    ARGMIN_TOL,
+    GRID_CHUNK_NODES,
+    MAX_GRID_NODES,
+    REFINE_FLOOR,
+    REFINE_SHRINK,
+)
 
 from conftest import random_convex_game
 
@@ -99,7 +109,7 @@ def _one_at_a_time_refinement(problem, chain, level, center, x, fx, grid):
     steps = ((center + grid.radius) - (center - grid.radius)) / (grid.points - 1)
     evaluations = 0
     for _ in range(grid.refine_iters):
-        if steps.max() < grid.refine_floor:
+        if steps.max() < REFINE_FLOOR:
             break
         improved = False
         for i in range(x.size):
@@ -112,7 +122,7 @@ def _one_at_a_time_refinement(problem, chain, level, center, x, fx, grid):
                     x, fx, improved = trial, f, True
                     break
         if not improved:
-            steps *= grid.refine_shrink
+            steps *= REFINE_SHRINK
     return x, fx, evaluations
 
 
@@ -367,8 +377,8 @@ def test_corrupted_top_strategy_is_rejected(tri):
 
 def test_report_is_deterministic_and_serializable(tri):
     eq, chain = _chain(tri)
-    a = verify_full(tri, chain, desired=eq.point, seed=3).to_dict()
-    b = verify_full(tri, chain, desired=eq.point, seed=3).to_dict()
+    a = asdict(verify_full(tri, chain, desired=eq.point, seed=3))
+    b = asdict(verify_full(tri, chain, desired=eq.point, seed=3))
     assert a == b
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert set(a["tolerances"]) == {"argmin", "algebraic",
@@ -408,3 +418,17 @@ def test_verification_soundness_on_random_games():
         eq, chain = _chain(prob)
         report = verify_full(prob, chain, desired=eq.point)
         assert report.verified, report.reasons
+
+
+def test_verifier_imports_only_the_strategy_type_and_the_reduction_from_synthesis():
+    # the oracle is independent of synthesis; the existence, membership and
+    # sublevel checks of levels >= 2 still run on the reduce_problem game
+    import revstack.verify
+    tree = ast.parse(pathlib.Path(revstack.verify.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("synthesis", "revstack.synthesis"):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name == "revstack.synthesis" for a in node.names)
+    assert imported <= {"AffineStrategy", "reduce_problem"}
