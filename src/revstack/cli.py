@@ -58,26 +58,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, "%s: error: %s\n" % (self.prog, message))
 
 
-def _plain(value: Any) -> Any:
-    """Recursively convert numpy containers/scalars to JSON-safe types."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _plain(value.tolist())
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
-
-
 def _emit(report: Dict[str, Any], args, text_lines: List[str]) -> None:
     if args.output == "json":
-        print(json.dumps(_plain(report), indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
@@ -349,7 +332,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="half-width of the oracle grid around the anchor")
     p.add_argument("--grid-points", type=int, default=41,
                    help="oracle grid nodes per axis (default 41)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_count, default=0,
                    help="seed for all sampling (default 0)")
     p.add_argument("--output", choices=("json", "text"), default="text",
                    help="report format (default text)")

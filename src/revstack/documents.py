@@ -32,6 +32,7 @@ from .errors import (
     DimensionError,
     DocumentError,
     DocumentSyntaxError,
+    RevstackError,
 )
 from .formula import parse_formula, print_formula
 from .model import (
@@ -43,7 +44,6 @@ from .model import (
     Objective,
     QuadraticObjective,
     split_blocks,
-    validate,
 )
 from .synthesis import AffineStrategy
 
@@ -144,6 +144,8 @@ def _parse_quadratic(raw: Dict[str, Any], dims: Dims, where: str) -> QuadraticOb
             dims, blocks, l=l_parts or None, const=float(const))
     except DimensionError as exc:
         raise DimensionError("problem document failed validation: %s: %s" % (where, exc))
+    except RevstackError as exc:  # a coefficient that is not finite
+        raise DocumentError(str(exc), where=where)
 
 
 def _parse_objective(raw: Any, dims: Dims, where: str) -> Objective:
@@ -167,7 +169,11 @@ def _parse_objective(raw: Any, dims: Dims, where: str) -> Objective:
 
 
 def parse_problem(text: str) -> GameProblem:
-    """Build a validated :class:`GameProblem` from JSON text."""
+    """Build a :class:`GameProblem` from JSON text.
+
+    Malformed documents raise DocumentError; a quadratic block of the wrong
+    shape raises DimensionError.
+    """
     doc = load_json(text)
     if not isinstance(doc, dict):
         raise DocumentError("top level must be an object")
@@ -213,11 +219,6 @@ def parse_problem(text: str) -> GameProblem:
         problem = GameProblem(dims, objectives, constraints)
     except DimensionError as exc:
         raise DocumentError(str(exc))
-    report = validate(problem)
-    if not report.ok:
-        raise DimensionError(
-            "problem document failed validation: "
-            + "; ".join("%s: %s" % (d.where, d.message) for d in report.errors))
     return problem
 
 

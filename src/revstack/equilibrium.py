@@ -61,8 +61,6 @@ def _quadratic_system(problem: GameProblem):
             "exact equilibrium solves need a quadratic top objective; "
             "for expression costs use team_optimum_descent (unconstrained only)"
         )
-    if obj.widths != problem.dims.m:
-        raise EquilibriumError("top objective block widths do not match the dims")
     return obj, obj.H, obj.l
 
 

@@ -12,7 +12,10 @@ in two flavours:
   sparse :class:`Polynomial` that evaluates and differentiates it.
 
 Evaluation works on single decision points and, for the brute-force checks
-elsewhere in the package, on stacked batches of points.
+elsewhere in the package, on stacked batches of points.  A
+:class:`GameProblem` refuses an objective or constraint block that does not
+fit its hierarchy when it is built, so code that takes a game need not
+check its shape again.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -47,10 +50,7 @@ __all__ = [
     "GameProblem",
     "evaluate",
     "evaluate_many",
-    "validate",
     "quadratic_to_expr",
-    "Diagnostic",
-    "ValidationReport",
 ]
 
 # ---------------------------------------------------------------------------
@@ -404,7 +404,9 @@ class QuadraticObjective:
     ``widths`` cuts x into level blocks.  ``H`` is symmetrized on
     construction, which leaves the form unchanged; ``H`` and ``l`` are
     read-only.  ``const`` does not affect gradients but keeps values exact
-    under affine substitution.  :meth:`build` takes the block form.
+    under affine substitution.  :meth:`build` takes the block form.  A
+    coefficient that is not finite, or overflows in the symmetrization,
+    raises RevstackError.
     """
 
     H: np.ndarray
@@ -419,7 +421,10 @@ class QuadraticObjective:
         if H.shape != (sum(widths),) * 2 or l.shape != (sum(widths),):
             raise DimensionError("H of shape %s and l of shape %s do not fit block widths %s"
                                  % (H.shape, l.shape, widths))
-        H = 0.5 * (H + H.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = 0.5 * (H + H.T)
+        if not (np.isfinite(H).all() and np.isfinite(l).all() and math.isfinite(self.const)):
+            raise RevstackError("quadratic coefficient is not finite")
         H.setflags(write=False)
         l.setflags(write=False)
         object.__setattr__(self, "H", H)
@@ -459,7 +464,8 @@ class QuadraticObjective:
                     "block (%d,%d) has shape %s, expected %s" % (j, k, mat.shape, want))
             rows, cols = slice(at[j - 1], at[j]), slice(at[k - 1], at[k])
             if j == k:
-                H[rows, rows] = mat + mat.T
+                with np.errstate(over="ignore", invalid="ignore"):  # refused in __post_init__
+                    H[rows, rows] = mat + mat.T
             else:
                 H[rows, cols] = mat
                 H[cols, rows] = mat.T
@@ -593,7 +599,12 @@ class LinearConstraints:
 
 @dataclass(frozen=True, eq=False)
 class GameProblem:
-    """An n-level game: shape, one objective per level, optional constraints."""
+    """An n-level game: shape, one objective per level, optional constraints.
+
+    Construction raises DimensionError for a quadratic over other block
+    widths, an expression variable outside the hierarchy, or a constraint
+    block not shaped ``(k, m_level)``; TypeError for a non-objective.
+    """
 
     dims: Dims
     objectives: Tuple[Objective, ...]
@@ -601,10 +612,30 @@ class GameProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "objectives", tuple(self.objectives))
-        if len(self.objectives) != self.dims.levels:
+        dims = self.dims
+        if len(self.objectives) != dims.levels:
             raise DimensionError(
-                "%d objectives for %d levels" % (len(self.objectives), self.dims.levels)
+                "%d objectives for %d levels" % (len(self.objectives), dims.levels)
             )
+        for i, obj in enumerate(self.objectives, start=1):
+            if isinstance(obj, QuadraticObjective):
+                if obj.widths != dims.m:
+                    raise DimensionError("objective %d has block widths %s, expected %s"
+                                         % (i, obj.widths, dims.m))
+            elif isinstance(obj, ExprObjective):
+                for lev, idx in obj.poly.keys:
+                    if not (1 <= lev <= dims.levels and 1 <= idx <= dims.m[lev - 1]):
+                        raise DimensionError("objective %d: variable u%d_%d is outside "
+                                             "the hierarchy %s" % (i, lev, idx, dims.m))
+            else:
+                raise TypeError("not an objective: %r" % (obj,))
+        cons = self.constraints
+        if cons is not None:
+            shapes = tuple(mat.shape for mat in cons.A)
+            want = tuple((cons.k, w) for w in dims.m)
+            if shapes != want:
+                raise DimensionError("constraint blocks have shapes %s, expected %s"
+                                     % (shapes, want))
 
     @property
     def levels(self) -> int:
@@ -613,112 +644,6 @@ class GameProblem:
     def objective(self, level: int) -> Objective:
         """1-based accessor; level 1 is the leader."""
         return self.objectives[level - 1]
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Diagnostic:
-    severity: str  # "error" | "info"
-    message: str
-    where: str = ""
-
-
-@dataclass
-class ValidationReport:
-    diagnostics: List[Diagnostic] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    @property
-    def errors(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.severity == "error"]
-
-    def add(self, severity: str, message: str, where: str = "") -> None:
-        self.diagnostics.append(Diagnostic(severity, message, where))
-
-
-def _is_pd(mat: np.ndarray) -> bool:
-    if mat.size == 0 or mat.shape[0] != mat.shape[1]:
-        return False
-    try:
-        np.linalg.cholesky(mat)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def _validate_quadratic(report: ValidationReport, dims: Dims,
-                        obj: QuadraticObjective, level: int, where: str) -> None:
-    if obj.widths != dims.m:
-        report.add("error", "objective has block widths %s, expected %s"
-                   % (obj.widths, dims.m), where)
-        return
-    for (j, k), mat in sorted(obj.A.items()):
-        if j == k and not _is_pd(mat):
-            report.add("info", "diagonal block (%d,%d) is not positive definite" % (j, k), where)
-        # Structured-game shape note: a cross block whose trailing index
-        # is the owner's own level is legal but worth surfacing.
-        if j != k and k == level and np.any(mat):
-            report.add(
-                "info",
-                "cross block (%d,%d) couples the owner's own block as trailing index" % (j, k),
-                where,
-            )
-
-
-def _validate_expr(report: ValidationReport, dims: Dims,
-                   obj: ExprObjective, where: str) -> None:
-    for lev, idx in obj.poly.keys:
-        if not 1 <= lev <= dims.levels:
-            report.add("error", "variable u%d_%d: no level %d" % (lev, idx, lev), where)
-        elif not 1 <= idx <= dims.m[lev - 1]:
-            report.add(
-                "error",
-                "variable u%d_%d: level %d has width %d" % (lev, idx, lev, dims.m[lev - 1]),
-                where,
-            )
-
-
-def validate(problem: GameProblem) -> ValidationReport:
-    """Shape-check a problem and report structural findings.
-
-    Errors mean the problem cannot be used; info diagnostics are advisory
-    (definiteness of diagonal blocks, cross-term structure).  Never raises.
-    """
-    report = ValidationReport()
-    dims = problem.dims
-    for i, obj in enumerate(problem.objectives, start=1):
-        where = "objective %d" % i
-        if isinstance(obj, QuadraticObjective):
-            _validate_quadratic(report, dims, obj, i, where)
-        elif isinstance(obj, ExprObjective):
-            _validate_expr(report, dims, obj, where)
-        else:
-            report.add("error", "unsupported objective type %r" % type(obj).__name__, where)
-    cons = problem.constraints
-    if cons is not None:
-        where = "constraints"
-        if len(cons.A) != dims.levels:
-            report.add(
-                "error",
-                "expected %d per-level matrices, got %d" % (dims.levels, len(cons.A)),
-                where,
-            )
-        else:
-            for lev, mat in enumerate(cons.A, start=1):
-                if mat.shape != (cons.k, dims.m[lev - 1]):
-                    report.add(
-                        "error",
-                        "level-%d matrix has shape %s, expected (%d, %d)"
-                        % (lev, mat.shape, cons.k, dims.m[lev - 1]),
-                        where,
-                    )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -315,10 +315,14 @@ def select_parameters(family: StrategyFamily, criterion: str = "min-frobenius",
 
 def _substitute_quadratic(obj: QuadraticObjective, q: np.ndarray, P: np.ndarray,
                           widths: Sequence[int]) -> QuadraticObjective:
-    """Congruence for x = q + P z: Hessian P'HP, linear P'(Hq + l), constant J(q)."""
-    Hq = obj.H @ q
-    return QuadraticObjective(P.T @ obj.H @ P, P.T @ (Hq + obj.l),
-                              0.5 * (q @ Hq) + obj.l @ q + obj.const, widths)
+    """Congruence for x = q + P z: Hessian P'HP, linear P'(Hq + l), constant J(q).
+
+    An overflow is refused by the constructor with RevstackError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        Hq = obj.H @ q
+        return QuadraticObjective(P.T @ obj.H @ P, P.T @ (Hq + obj.l),
+                                  0.5 * (q @ Hq) + obj.l @ q + obj.const, widths)
 
 
 def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProblem:
@@ -348,11 +352,9 @@ def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProble
     for obj in problem.objectives[1:]:
         if isinstance(obj, QuadraticObjective):
             new_objectives.append(_substitute_quadratic(obj, q, P, new_dims.m))
-        elif isinstance(obj, ExprObjective):
+        else:
             new_objectives.append(
                 ExprObjective.from_polynomial(obj.poly.substitute_top(offset, C)))
-        else:
-            raise TypeError("not an objective: %r" % (obj,))
     new_cons = None
     cons = problem.constraints
     if cons is not None:

@@ -271,6 +271,8 @@ def test_unknown_flag_is_bad_input(tri_doc, capsys):
     ("solve", "--tol", "-1"),
     ("family", "--samples", "-1"),
     ("feasible", "--samples", "-1"),
+    ("solve", "--seed", "-100"),
+    ("family", "--seed", "-1"),
 ])
 def test_bad_grid_tolerance_and_sample_options_are_bad_input(
         tri_doc, capsys, command, option, value):

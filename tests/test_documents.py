@@ -136,6 +136,11 @@ def test_json_syntax_errors_carry_line_and_column():
      "missing key"),
     (lambda d: d["objectives"][0]["l"].__setitem__(0, [float("nan")]), "NaN"),
     (lambda d: d["objectives"][0]["l"].__setitem__(0, [10 ** 400]), "overflows"),
+    # a double that the diagonal block doubles past the range
+    (lambda d: d["objectives"][0]["A"].__setitem__("1,1", [[1e308]]),
+     "quadratic coefficient is not finite"),
+    (lambda d: d.__setitem__("constraints", {"A": [[[1], [1]], [[1]], [[1]]], "b": [1]}),
+     "constraint blocks"),
 ])
 def test_malformed_documents_are_refused(mangle, needle):
     doc = json.loads(TRI_DOC)

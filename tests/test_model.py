@@ -11,6 +11,7 @@ from revstack import (
     GameProblem,
     LinearConstraints,
     QuadraticObjective,
+    RevstackError,
     evaluate,
     evaluate_many,
     format_problem,
@@ -18,7 +19,6 @@ from revstack import (
     parse_formula,
     parse_problem,
     quadratic_to_expr,
-    validate,
 )
 
 from revstack.model import split_blocks
@@ -184,46 +184,46 @@ def test_constraint_residual_sign():
     assert cons.residual(outside)[0] == pytest.approx(1.0)
 
 
-def test_validate_accepts_the_fixture_games(tri, wide):
-    assert validate(tri).ok
-    assert validate(wide).ok
-
-
-def test_validate_flags_shape_problems():
+def test_game_problem_refuses_misfits_when_built(tri, wide):
+    assert GameProblem(tri.dims, tri.objectives).objectives == tri.objectives
+    assert GameProblem(wide.dims, wide.objectives).objectives == wide.objectives
     dims = Dims.of(1, 1)
     with pytest.raises(DimensionError, match="shape"):
         QuadraticObjective.build(dims, {(1, 1): np.eye(2)})
-    # an objective built for other widths is flagged by validate
+    # a quadratic built for other widths
     other = QuadraticObjective.build(Dims.of(2, 1), {(1, 1): np.eye(2)})
-    report = validate(GameProblem(dims, (other, other)))
-    assert not report.ok
-    assert any("widths" in d.message for d in report.errors)
-
-
-def test_validate_flags_variables_outside_the_hierarchy():
-    dims = Dims.of(1, 1)
+    with pytest.raises(DimensionError, match="widths"):
+        GameProblem(dims, (other, other))
+    # a formula parsed against a wider shape
     ok = ExprObjective(parse_formula("u1^2 + u2^2", dims))
-    # Build a tree against a wider shape, then validate under the narrow one.
-    wide_dims = Dims.of(1, 1, 1)
-    stray = ExprObjective(parse_formula("u3^2", wide_dims))
-    report = validate(GameProblem(dims, (ok, stray)))
-    assert not report.ok
-    assert any("no level 3" in d.message for d in report.errors)
-
-
-def test_validate_notes_indefinite_diagonal_blocks():
-    dims = Dims.of(1, 1)
-    saddle = QuadraticObjective.build(dims, {(1, 1): -np.eye(1), (2, 2): np.eye(1)})
-    report = validate(GameProblem(dims, (saddle, saddle)))
-    assert report.ok  # advisory only
-    assert any("not positive definite" in d.message for d in report.diagnostics)
-
-
-def test_validate_flags_constraint_block_shapes(tri):
+    stray = ExprObjective(parse_formula("u3^2", Dims.of(1, 1, 1)))
+    with pytest.raises(DimensionError, match="u3_1 is outside the hierarchy"):
+        GameProblem(dims, (ok, stray))
+    wide_stray = ExprObjective(parse_formula("u2_2^2", Dims.of(1, 2)))
+    with pytest.raises(DimensionError, match="u2_2 is outside the hierarchy"):
+        GameProblem(dims, (ok, wide_stray))
+    # constraint blocks must be (k, m_level) for each level
     cons = LinearConstraints(
         (np.ones((2, 1)), np.ones((2, 1)), np.ones((1, 1))), np.zeros(2))
-    report = validate(GameProblem(tri.dims, tri.objectives, cons))
-    assert not report.ok
+    with pytest.raises(DimensionError, match="constraint blocks"):
+        GameProblem(tri.dims, tri.objectives, cons)
+    with pytest.raises(DimensionError, match="constraint blocks"):
+        GameProblem(tri.dims, tri.objectives, LinearConstraints(cons.A[:2], cons.b))
+    with pytest.raises(TypeError, match="not an objective"):
+        GameProblem(dims, (ok, "u1^2"))
+
+
+def test_quadratic_coefficients_must_be_finite():
+    dims = Dims.of(1, 1)
+    # 1e308 is a double, but the diagonal block doubles it to inf
+    with pytest.raises(RevstackError, match="quadratic coefficient is not finite"):
+        QuadraticObjective.build(dims, {(1, 1): [[1e308]]})
+    with pytest.raises(RevstackError, match="not finite"):
+        QuadraticObjective.build(dims, {(1, 2): [[np.inf]]})
+    with pytest.raises(RevstackError, match="not finite"):
+        QuadraticObjective.build(dims, {}, l=[[np.nan], [0.0]])
+    with pytest.raises(RevstackError, match="not finite"):
+        QuadraticObjective.build(dims, {}, const=np.inf)
 
 
 def test_objective_count_must_match_levels(tri):

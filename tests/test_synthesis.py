@@ -281,6 +281,15 @@ def test_reduction_refuses_a_non_finite_expansion(tri_expr):
     assert not isinstance(info.value, DocumentError)
 
 
+def test_reduction_refuses_a_non_finite_quadratic(tri):
+    # u1 = 1e200 puts (1e200)^2 / 2 into the constant of every reduced cost
+    rule = AffineStrategy.from_affine(
+        1, [1e200], [[[1.0]], [[0.0]]], DecisionPoint.of([0.0], [0.0]))
+    with pytest.raises(RevstackError, match="quadratic coefficient is not finite") as info:
+        reduce_problem(tri, rule)
+    assert not isinstance(info.value, (DocumentError, DimensionError))
+
+
 def test_reduction_is_exact_on_a_random_game():
     for widths in ((3, 2, 2), (2, 1, 1, 1), (1, 2, 2)):
         prob = random_convex_game(17, widths)
