@@ -184,9 +184,13 @@ def test_constraint_residual_sign():
     assert cons.residual(outside)[0] == pytest.approx(1.0)
 
 
-def test_game_problem_refuses_misfits_when_built(tri, wide):
+def test_validate_accepts_the_fixture_games(tri, wide):
+    # a game is validated once, when the GameProblem is built
     assert GameProblem(tri.dims, tri.objectives).objectives == tri.objectives
     assert GameProblem(wide.dims, wide.objectives).objectives == wide.objectives
+
+
+def test_validate_flags_shape_problems():
     dims = Dims.of(1, 1)
     with pytest.raises(DimensionError, match="shape"):
         QuadraticObjective.build(dims, {(1, 1): np.eye(2)})
@@ -194,14 +198,24 @@ def test_game_problem_refuses_misfits_when_built(tri, wide):
     other = QuadraticObjective.build(Dims.of(2, 1), {(1, 1): np.eye(2)})
     with pytest.raises(DimensionError, match="widths"):
         GameProblem(dims, (other, other))
-    # a formula parsed against a wider shape
     ok = ExprObjective(parse_formula("u1^2 + u2^2", dims))
+    with pytest.raises(TypeError, match="not an objective"):
+        GameProblem(dims, (ok, "u1^2"))
+
+
+def test_validate_flags_variables_outside_the_hierarchy():
+    dims = Dims.of(1, 1)
+    ok = ExprObjective(parse_formula("u1^2 + u2^2", dims))
+    # a formula parsed against a wider shape
     stray = ExprObjective(parse_formula("u3^2", Dims.of(1, 1, 1)))
     with pytest.raises(DimensionError, match="u3_1 is outside the hierarchy"):
         GameProblem(dims, (ok, stray))
     wide_stray = ExprObjective(parse_formula("u2_2^2", Dims.of(1, 2)))
     with pytest.raises(DimensionError, match="u2_2 is outside the hierarchy"):
         GameProblem(dims, (ok, wide_stray))
+
+
+def test_validate_flags_constraint_block_shapes(tri):
     # constraint blocks must be (k, m_level) for each level
     cons = LinearConstraints(
         (np.ones((2, 1)), np.ones((2, 1)), np.ones((1, 1))), np.zeros(2))
@@ -209,8 +223,6 @@ def test_game_problem_refuses_misfits_when_built(tri, wide):
         GameProblem(tri.dims, tri.objectives, cons)
     with pytest.raises(DimensionError, match="constraint blocks"):
         GameProblem(tri.dims, tri.objectives, LinearConstraints(cons.A[:2], cons.b))
-    with pytest.raises(TypeError, match="not an objective"):
-        GameProblem(dims, (ok, "u1^2"))
 
 
 def test_quadratic_coefficients_must_be_finite():
