@@ -142,9 +142,7 @@ def _parse_quadratic(raw: Dict[str, Any], dims: Dims, where: str) -> QuadraticOb
     try:
         return QuadraticObjective.build(
             dims, blocks, l=l_parts or None, const=float(const))
-    except DimensionError as exc:
-        raise DimensionError("problem document failed validation: %s: %s" % (where, exc))
-    except RevstackError as exc:  # a coefficient that is not finite
+    except RevstackError as exc:  # a block of the wrong shape, a coefficient that is not finite
         raise DocumentError(str(exc), where=where)
 
 
@@ -171,8 +169,8 @@ def _parse_objective(raw: Any, dims: Dims, where: str) -> Objective:
 def parse_problem(text: str) -> GameProblem:
     """Build a :class:`GameProblem` from JSON text.
 
-    Malformed documents raise DocumentError; a quadratic block of the wrong
-    shape raises DimensionError.
+    Malformed documents, a quadratic block of the wrong shape included,
+    raise DocumentError.
     """
     doc = load_json(text)
     if not isinstance(doc, dict):

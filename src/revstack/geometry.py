@@ -21,6 +21,8 @@ from .model import (
     DecisionPoint,
     GameProblem,
     Objective,
+    Polynomial,
+    QuadraticObjective,
     evaluate,
     evaluate_many,
     split_blocks,
@@ -37,7 +39,8 @@ __all__ = [
     "exposed_point_probe",
 ]
 
-# Gradient-nonzero checks use tol = GRAD_TOL_FACTOR * (1 + full gradient norm).
+# A gradient block counts as zero up to GRAD_TOL_FACTOR * (1 + the norm of
+# the absolute terms that sum to it); see _term_scale.
 GRAD_TOL_FACTOR = 1e-8
 # A sampled sublevel-set member refutes support when its hyperplane residual
 # exceeds this.
@@ -101,6 +104,28 @@ class ProbeResult:
     witness_residual: float = 0.0
 
 
+def _term_scale(obj: Objective, p: DecisionPoint, level: Optional[int] = None) -> float:
+    """Norm of the absolute terms that sum to the gradient at ``p``, over the
+    block of ``level`` (every block when None).
+
+    A gradient entry is a sum of terms that may cancel, and its rounding
+    error scales with their magnitudes, not with the other entries: for a
+    quadratic ``|H||p| + |l|``, for a polynomial each partial derivative
+    with absolute coefficients at ``|p|``.
+    """
+    if isinstance(obj, QuadraticObjective):
+        terms = np.abs(obj.H) @ np.abs(p.concat()) + np.abs(obj.l)
+        if level is not None:
+            terms = split_blocks(p.widths, terms)[level - 1]
+        return float(np.linalg.norm(terms))
+    at = [np.abs(b) for b in p.blocks]
+    with np.errstate(over="ignore"):  # an infinite scale counts every block as zero
+        terms = [Polynomial(d.keys, d.E, np.abs(d.c))(at)
+                 for (lev, _), d in zip(obj.poly.keys, obj.poly.derivatives[0])
+                 if level in (None, lev)]
+    return float(np.linalg.norm(terms))
+
+
 def supporting_hyperplane_at(obj: Objective, p: DecisionPoint) -> SupportingHyperplane:
     """Candidate supporting hyperplane of {J <= J(p)} at p, from the gradient.
 
@@ -109,8 +134,7 @@ def supporting_hyperplane_at(obj: Objective, p: DecisionPoint) -> SupportingHype
     separate question — certified for convex sets, probed otherwise.
     """
     g = gradient(obj, p)
-    full = g.norm()
-    if full <= GRAD_TOL_FACTOR * (1.0 + full):
+    if g.norm() <= GRAD_TOL_FACTOR * (1.0 + _term_scale(obj, p)):
         raise ExistenceError(
             "gradient vanishes at the anchor; no supporting hyperplane there"
         )
@@ -136,7 +160,7 @@ def leader_existence_check(problem: GameProblem, d: DecisionPoint) -> ExistenceV
     full = g.norm()
     if not np.isfinite(full):
         raise ExistenceError("the follower's gradient is not finite at the anchor")
-    threshold = GRAD_TOL_FACTOR * (1.0 + full)
+    threshold = GRAD_TOL_FACTOR * (1.0 + _term_scale(obj, d, 1))
     block = g.block_norm(1)
     convexity = strict_convexity_probe(obj, d)
     reasons = []

@@ -196,8 +196,10 @@ def oracle_best_response(problem: GameProblem,
         axes.append(np.linspace(lo, hi, grid.points))
 
     # the trailing r axes form one reusable chunk; the leading ones are walked.
-    # Column-major, each free block is one contiguous slab: the strategies'
-    # arithmetic on a row-strided block view took half the D=4 oracle's time.
+    # Column-major, each free block is one contiguous slab for the strategies'
+    # arithmetic (a row-strided view took half the D=4 oracle's time), and a
+    # quadratic cost reads its coordinates as the long rows it multiplies and
+    # sums (model._eval_quadratic).
     r = 1
     while r < D and grid.points ** (r + 1) <= GRID_CHUNK_NODES:
         r += 1

@@ -304,6 +304,20 @@ def test_overflowing_follower_gradient_is_refused(tmp_path, capsys):
     assert "cannot influence" not in err
 
 
+def test_steep_follower_coordinate_does_not_hide_the_leader(tmp_path, capsys):
+    # the u3 terms are ~1e148 at the anchor; the leader's block is 2*u1 - 2 = 2.
+    # The rank-one rule is announced and then fails verification (exit 3);
+    # the default window's u3 = 13 would overflow the cost, hence radius 1
+    doc = json.loads(TRI_PROBLEM)
+    doc["objectives"][1] = {
+        "type": "expr", "formula": "(u1-1)^2 + (u2-1)^2 + (u3-3)^2 + u3^310 - u3^305"}
+    path = _write(tmp_path, "steep.json", doc)
+    assert main(["solve", path, "--grid-radius", "1"]) == 3
+    captured = capsys.readouterr()
+    assert "cannot influence" not in captured.err
+    assert "announced strategies" in captured.out
+
+
 @pytest.mark.parametrize("formula", [
     "(u1 - 2)^1000000", "(u1 + u2 + u3)^1000", "(u1 + 1e200)^2"])
 def test_refused_expansion_is_bad_input(tmp_path, capsys, formula):

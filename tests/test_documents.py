@@ -5,7 +5,6 @@ import pytest
 
 from revstack import (
     DecisionPoint,
-    DimensionError,
     DocumentError,
     DocumentSyntaxError,
     ExprObjective,
@@ -161,8 +160,10 @@ def test_formula_errors_point_into_the_document():
 def test_shape_problems_surface_as_dimension_errors():
     doc = json.loads(TRI_DOC)
     doc["objectives"][0]["A"]["1,1"] = [[1, 0], [0, 1]]
-    with pytest.raises(DimensionError, match="validation"):
+    with pytest.raises(DocumentError,
+                       match=r"block \(1,1\) has shape \(2, 2\), expected \(1, 1\)") as info:
         parse_problem(json.dumps(doc))
+    assert info.value.where == "objectives[0]"
 
 
 # ---------------------------------------------------------------------------

@@ -110,3 +110,26 @@ def test_probe_determinism(tri):
     b = exposed_point_probe(probe, plane, spec)
     assert a.verdict == b.verdict
     assert a.samples_in_set == b.samples_in_set
+
+
+def test_a_steep_coordinate_does_not_hide_the_leader_block(tri):
+    # at u3 = 3 the u3 terms are ~1e148, but the u1 block only sums 2*u1 - 2
+    steep = ExprObjective(parse_formula(
+        "(u1-1)^2 + (u2-1)^2 + (u3-3)^2 + u3^310 - u3^305", tri.dims))
+    prob = GameProblem(tri.dims, (tri.objective(1), steep, tri.objective(3)))
+    v = leader_existence_check(prob, D_AT)
+    assert v.passed
+    assert v.block_norm == pytest.approx(2.0)
+    assert v.tol == pytest.approx(1e-8 * (1.0 + 6.0))   # |2*u1| + |-2| at u1 = 2
+
+
+def test_gradient_tolerance_scales_with_the_block_terms_of_a_quadratic():
+    # J = u1^2 - 2 u1 + 1e12 u2^2: a gradient of 2e12 in u2 leaves the
+    # tolerance of the u1 block at 1e-8 * (1 + |H11 u1| + |l1|)
+    dims = Dims.of(1, 1)
+    J = QuadraticObjective.build(dims, {(1, 1): np.eye(1), (2, 2): 1e12 * np.eye(1)},
+                                 l=[[-2.0], [0.0]])
+    v = leader_existence_check(GameProblem(dims, (J, J)), DecisionPoint.of([2.0], [1.0]))
+    assert v.passed
+    assert v.block_norm == pytest.approx(2.0)
+    assert v.tol == pytest.approx(1e-8 * (1.0 + 4.0 + 2.0))

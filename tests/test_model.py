@@ -21,6 +21,7 @@ from revstack import (
     quadratic_to_expr,
 )
 
+from revstack import model
 from revstack.model import split_blocks
 
 from conftest import random_convex_game, scalar_trilevel, wide_leader
@@ -95,6 +96,63 @@ def test_batched_evaluation_matches_pointwise(tri):
     for i in range(40):
         p = DecisionPoint.from_concat((1, 1, 1), pts[i])
         assert batched[i] == pytest.approx(evaluate(tri.objective(2), p))
+
+
+def _row_major_value(obj, blocks):
+    """The quadratic in numpy's own arithmetic on the row-stacked points.
+
+    The points are stacked in chunks of ``_CHUNK // width`` as the evaluation
+    stacks them: BLAS may round a one-row product differently from the same
+    row inside a larger one.
+    """
+    rows = [np.reshape(b, (-1, np.shape(b)[-1])) for b in blocks]
+    step = model._CHUNK // len(obj.l)
+    sums = []
+    for at in range(0, max(len(rows[0]), 1), step):
+        X = np.concatenate([r[at:at + step] for r in rows], axis=1)
+        sums.append(((X @ (obj.H / 2) + obj.l) * X).sum(axis=1))
+    return np.concatenate(sums) + obj.const
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("width", list(range(1, 25)) + [130])
+def test_quadratic_batch_is_bitwise_the_row_major_formula(width):
+    rng = np.random.default_rng(width)
+    # up to three blocks; magnitudes spread so that every rounding shows
+    cuts = sorted({0, width} | set(rng.integers(1, width, 2).tolist() if width > 1 else []))
+    widths = tuple(np.diff(cuts))
+    H = rng.standard_normal((width, width)) * 10.0 ** rng.integers(-3, 4, (width, width))
+    l = rng.standard_normal(width) * 10.0 ** rng.integers(-3, 4, width)
+    obj = QuadraticObjective(H, l, rng.standard_normal(), widths)
+    step = model._CHUNK // width
+    for P in (0, 1, 2, step, step + 1):
+        X = rng.standard_normal((P, width)) * 10.0 ** rng.integers(-2, 3, (P, width))
+        # row-major, column-major like the oracle's chunk, and a separate
+        # first block beside column-major slices like a substituted chain
+        for layout in (split_blocks(widths, X),
+                       split_blocks(widths, np.asfortranarray(X)),
+                       [X[:, :widths[0]].copy()]
+                       + split_blocks(widths[1:], np.asfortranarray(X[:, widths[0]:]))):
+            assert _same_bits(evaluate_many(obj, layout), _row_major_value(obj, layout))
+
+
+def test_quadratic_batch_keeps_leading_axes_and_the_sign_of_zero():
+    rng = np.random.default_rng(7)
+    obj = QuadraticObjective(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]), -np.arange(1.0, 6.0), -0.0,
+                             (1, 2, 2))
+    blocks = [rng.standard_normal((3, 4, w)) for w in (1, 2, 2)]
+    values = evaluate_many(obj, blocks)
+    assert values.shape == (3, 4)
+    assert _same_bits(values, _row_major_value(obj, blocks).reshape(3, 4))
+    # every term -0.0: numpy's row sum gives +0.0, and so must the evaluation,
+    # in the sequential order below 8 coordinates and the pairwise one above
+    for widths in ((1, 2, 2), (1, 4, 4)):
+        obj = QuadraticObjective(np.eye(sum(widths)), -np.ones(sum(widths)), -0.0, widths)
+        zero = evaluate_many(obj, [np.zeros((2, w)) for w in widths])
+        assert _same_bits(zero, np.zeros(2))
 
 
 def test_expression_batch_memory_is_linear_in_the_batch():
