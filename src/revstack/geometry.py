@@ -156,8 +156,9 @@ def leader_existence_check(problem: GameProblem, d: DecisionPoint) -> ExistenceV
     if problem.levels < 2:
         raise DimensionError("need at least two levels")
     obj = problem.objective(2)
-    g = gradient(obj, d)
-    full = g.norm()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        g = gradient(obj, d)
+        full = g.norm()
     if not np.isfinite(full):
         raise ExistenceError("the follower's gradient is not finite at the anchor")
     threshold = GRAD_TOL_FACTOR * (1.0 + _term_scale(obj, d, 1))

@@ -91,9 +91,9 @@ class OracleResult:
     value: float
     grid_argmin: np.ndarray     # flat coordinates of the best grid node
     refinement_drift: float     # max |refined - grid best| per coordinate
-    # grid nodes plus the refinement trials a one-at-a-time sweep would make,
-    # up to and including each accepted one (batched trials past it are not
-    # counted)
+    # grid nodes plus the refinement trials a one-at-a-time search would
+    # make, up to and including each accepted one (batched trials past it
+    # are not counted)
     evaluations: int
 
 
@@ -149,11 +149,16 @@ def oracle_best_response(problem: GameProblem,
     grid, refined by shrinking-step coordinate descent.  The grid is walked
     in chunks of at most ``GRID_CHUNK_NODES`` nodes in node-index order, so
     memory does not grow with ``points^D``; grid ties go to the
-    lexicographically smallest node index.  A refinement sweep evaluates the
-    trials of all remaining coordinates in one batch and takes the first
-    improving one, which is the trial a one-at-a-time sweep would accept.
-    A NaN cost at any node or trial is refused with a ``RevstackError``
-    naming the level and the point; the whole procedure is deterministic.
+    lexicographically smallest node index.  Refinement is compass search:
+    each sweep tries +step, then -step, coordinate by coordinate, moving to
+    the first trial that improves; a sweep without a move halves the steps.
+    Each batch holds every trial that search would still make if nothing
+    improved again (at most ``2 * D * refine_iters``), and the oracle moves
+    to the first improving one: the accepted path and ``evaluations`` are
+    those of the one-at-a-time search, at one call per accepted move plus
+    one.  A NaN cost at any node or trial of an evaluated batch is refused
+    with a ``RevstackError`` naming the level and the point; the whole
+    procedure is deterministic.
     """
     n = problem.levels
     if not 2 <= level <= n:
@@ -181,7 +186,8 @@ def oracle_best_response(problem: GameProblem,
 
     def values_at(X: np.ndarray) -> np.ndarray:
         blocks = _substitute_chain(problem, announced, level, split_blocks(free_widths, X))
-        values = np.asarray(evaluate_many(objective, blocks), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN is refused below
+            values = np.asarray(evaluate_many(objective, blocks), dtype=float)
         if np.isnan(values).any():
             raise RevstackError("level %d: the oracle found a NaN cost at %s"
                                 % (level, X[int(np.argmax(np.isnan(values)))].tolist()))
@@ -217,34 +223,44 @@ def oracle_best_response(problem: GameProblem,
             x0, fx = chunk[k].copy(), float(values[k])
     evaluations = grid.points ** D
 
-    # one step size per coordinate, starting at the grid spacing
+    # one step size per coordinate, starting at the grid spacing; the search
+    # is in sweep number `sweep` at coordinate `start`, and `improved` says
+    # whether that sweep has accepted a trial yet
     steps = np.array([(axes[i][-1] - axes[i][0]) / (grid.points - 1) if grid.points > 1
                       else 1.0 for i in range(D)])
-    x = x0
-    for _ in range(grid.refine_iters):
-        if steps.max(initial=0.0) < REFINE_FLOOR:
-            break
-        improved = False
-        i = 0
-        while i < D:
-            # the trials coordinates i..D-1 would make one at a time, +step
-            # before -step, evaluated at once; the first improving one is taken
-            coords = np.repeat(np.arange(i, D), 2)
-            signs = np.tile([1.0, -1.0], D - i)
-            trials = np.repeat(x[None, :], coords.size, axis=0)
-            trials[np.arange(coords.size), coords] += signs * steps[coords]
-            values = values_at(trials)
-            better = np.flatnonzero(values < fx)
-            if better.size == 0:
-                evaluations += coords.size
+    x, sweep, start, improved = x0, 0, 0, False
+    while True:
+        # the sweeps a one-at-a-time search would still make if nothing
+        # improved again: the rest of this one, a repeat at the same steps
+        # when it has improved, then one per halving, while the sweep count
+        # and the floor allow.  Halving is exact, so the scaled steps are
+        # bitwise those of repeated halving.
+        scales, scale, top = [], 1.0, float(steps.max())
+        for later in range(sweep, grid.refine_iters):
+            if top * scale < REFINE_FLOOR:
                 break
-            k = int(better[0])
-            evaluations += k + 1
-            x, fx = trials[k], float(values[k])
-            improved = True
-            i = int(coords[k]) + 1
-        if not improved:
-            steps *= REFINE_SHRINK
+            scales.append(scale)
+            if not (improved and later == sweep):
+                scale *= REFINE_SHRINK
+        # +step before -step, coordinate by coordinate, sweep by sweep
+        rows = np.arange(2 * start, 2 * D * len(scales))
+        if rows.size == 0:
+            break
+        of_sweep, within = np.divmod(rows, 2 * D)
+        coords, signs = within // 2, np.where(within % 2 == 0, 1.0, -1.0)
+        row_steps = steps[coords] * np.asarray(scales)[of_sweep]
+        trials = np.repeat(x[None, :], rows.size, axis=0)
+        trials[np.arange(rows.size), coords] += signs * row_steps
+        values = values_at(trials)
+        better = np.flatnonzero(values < fx)
+        if better.size == 0:
+            evaluations += rows.size
+            break
+        k = int(better[0])
+        evaluations += k + 1
+        x, fx = trials[k].copy(), float(values[k])
+        steps = steps * scales[of_sweep[k]]
+        sweep, start, improved = sweep + int(of_sweep[k]), int(coords[k]) + 1, True
     drift = float(np.abs(x - x0).max(initial=0.0))
     argmin = DecisionPoint.from_concat(free_widths, x)
     return OracleResult(argmin, fx, x0, drift, evaluations)

@@ -1,8 +1,12 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import revstack
 from revstack import format_problem
 from revstack.cli import main
 
@@ -294,7 +298,6 @@ def test_oversized_oracle_grid_is_refused(tri_doc, capsys):
     assert "--grid-points" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_follower_gradient_is_refused(tmp_path, capsys):
     doc = json.loads(TRI_PROBLEM)
     doc["objectives"][2]["formula"] = "u1^2 + (u2 - 2)^2 + u3^1000000"
@@ -316,6 +319,23 @@ def test_steep_follower_coordinate_does_not_hide_the_leader(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "cannot influence" not in captured.err
     assert "announced strategies" in captured.out
+
+
+def test_nan_oracle_cost_is_the_only_line_on_stderr(tmp_path):
+    # at the default window u3 reaches 10.5, where u3^310 and u3^305 both
+    # overflow and inf - inf is NaN; a separate process, so that a numpy
+    # warning would print to its stderr
+    doc = json.loads(TRI_PROBLEM)
+    doc["objectives"][1] = {
+        "type": "expr", "formula": "(u1-1)^2 + (u2-1)^2 + (u3-3)^2 + u3^310 - u3^305"}
+    path = _write(tmp_path, "nan.json", doc)
+    src = str(pathlib.Path(revstack.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "revstack.cli", "solve", path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: level 2: the oracle found a NaN cost at [-9.0, 10.5]\n"
 
 
 @pytest.mark.parametrize("formula", [

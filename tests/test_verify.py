@@ -3,6 +3,7 @@ import json
 import pathlib
 import time
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -174,6 +175,59 @@ def test_batched_refinement_follows_the_one_at_a_time_sweep(name, tri, tri_expr)
             assert res.value == pytest.approx(fx, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("refine_iters", [1, 2, 3, 5, 44, 60])
+def test_refinement_cap_and_floor_follow_the_one_at_a_time_sweep(
+        refine_iters, tri, tri_expr):
+    # a small cap ends the search inside a batch of several sweeps; at 44 and
+    # 60 the floor ends it.  Elementwise arithmetic, so bitwise equal
+    eq, chain = _chain(tri)
+    grid = GridSpec(refine_iters=refine_iters)
+    for level in (2, 3):
+        center = eq.point.tail(level).concat() + 0.123
+        anchor = DecisionPoint.from_concat(tri.dims.m[level - 1:], center)
+        node = oracle_best_response(tri_expr, chain, level, GridSpec(refine_iters=0),
+                                    anchor=anchor)
+        x, fx, trials = _one_at_a_time_refinement(
+            tri_expr, chain, level, center, node.grid_argmin, node.value, grid)
+        res = oracle_best_response(tri_expr, chain, level, grid, anchor=anchor)
+        assert np.array_equal(res.argmin.concat(), x)
+        assert res.value == fx
+        assert res.evaluations == node.evaluations + trials
+
+
+def _diagonal_122():
+    """A (1,2,2) game of identity Hessians; desired point (2, (1,-1), (3,0))."""
+    dims = Dims.of(1, 2, 2)
+    eye = {(1, 1): np.eye(1), (2, 2): np.eye(2), (3, 3): np.eye(2)}
+    return GameProblem(dims, tuple(QuadraticObjective.build(dims, eye, l=l) for l in (
+        [[-4], [-2, 2], [-6, 0]], [[-2], [0, 0], [0, 0]], [[0], [-4, 0], [0, 0]])))
+
+
+@pytest.mark.parametrize("name,level", [
+    ("tri", 2), ("tri", 3), ("wide", 2), ("wide", 3), ("diagonal_122", 2)])
+def test_refinement_on_the_desired_node_is_one_batch(name, level, tri, wide, monkeypatch):
+    # the desired blocks are exact grid nodes with no better neighbour at any
+    # step; level 2 of the (1,2,2) game walks its four-coordinate grid in 41 chunks
+    import revstack.verify as verify_module
+    problem = {"tri": tri, "wide": wide, "diagonal_122": _diagonal_122()}[name]
+    eq, chain = _chain(problem)
+    calls = []
+
+    def counting(obj, blocks):
+        calls.append(len(blocks[0]))
+        return evaluate_many(obj, blocks)
+
+    monkeypatch.setattr(verify_module, "evaluate_many", counting)
+    res = oracle_best_response(problem, chain, level, anchor=eq.point.tail(level))
+    D = res.grid_argmin.size
+    # no trial improves: the grid's chunks, then every sweep down to the
+    # floor (43 sweeps from the 0.5 spacing) in one call
+    assert np.array_equal(res.argmin.concat(), eq.point.tail(level).concat())
+    assert GRID_CHUNK_NODES == 41 ** 3
+    assert len(calls) == 41 ** max(D - 3, 0) + 1
+    assert calls[-1] == res.evaluations - 41 ** D == 2 * D * 43
+
+
 def test_grid_ties_across_chunks_go_to_the_smallest_node():
     # two exact wells at u2_1 = -1 and +1: different leading indices, so
     # different chunks of the four-coordinate grid
@@ -203,16 +257,19 @@ def test_oracle_memory_does_not_grow_with_the_grid():
     assert peak < 16 * 2 ** 20
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_oracle_refuses_a_nan_cost_by_name(tri):
     # u3^310 and u3^305 both overflow for u3 >= 10.5, and inf - inf is NaN;
-    # the first such node in index order is (-9, 10.5)
+    # the first such node in index order is (-9, 10.5).  The refusal is the
+    # only outcome: numpy warns of nothing
     eq, chain = _chain(tri)
     J2 = ExprObjective(parse_formula("(u2-1)^2 + (u3-3)^2 + u3^310 - u3^305", tri.dims))
     prob = GameProblem(tri.dims, (tri.objective(1), J2, tri.objective(3)))
-    with pytest.raises(RevstackError, match=r"level 2: .*NaN.*\[-9\.0, 10\.5\]") as err:
-        oracle_best_response(prob, chain, 2, anchor=eq.point.tail(2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RevstackError, match=r"level 2: .*NaN.*\[-9\.0, 10\.5\]") as err:
+            oracle_best_response(prob, chain, 2, anchor=eq.point.tail(2))
     assert not isinstance(err.value, DimensionError)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_bad_grid_bounds_are_bad_input(tri):
