@@ -42,7 +42,6 @@ from .model import (
     quadratic_to_expr,
 )
 from .calculus import (
-    BlockGradient,
     fd_gradient,
     gradient,
     hessian,
@@ -55,22 +54,12 @@ from .equilibrium import (
     team_optimum_descent,
     team_optimum_quadratic,
 )
-from .geometry import (
-    ExistenceVerdict,
-    ProbeResult,
-    SampleSpec,
-    SublevelProbe,
-    SupportingHyperplane,
-    exposed_point_probe,
-    leader_existence_check,
-    supporting_hyperplane_at,
-)
+from .geometry import ExistenceVerdict, leader_existence_check
 from .synthesis import (
     AffineStrategy,
     StrategyFamily,
     instantiate,
     reduce_problem,
-    select_parameters,
     synthesize_cascade,
     synthesize_family_leader,
     synthesize_single_leader,
@@ -104,7 +93,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineStrategy",
-    "BlockGradient",
     "Constant",
     "ConvergenceError",
     "DecisionPoint",
@@ -130,22 +118,17 @@ __all__ = [
     "NotMinimumError",
     "OracleResult",
     "Power",
-    "ProbeResult",
     "Product",
     "QuadraticObjective",
     "RevstackError",
-    "SampleSpec",
     "StrategyFamily",
-    "SublevelProbe",
     "Sum",
-    "SupportingHyperplane",
     "UnboundedRegionError",
     "UnknownVariableError",
     "Var",
     "VerificationReport",
     "evaluate",
     "evaluate_many",
-    "exposed_point_probe",
     "fd_gradient",
     "feasibility_check",
     "filter_family",
@@ -162,12 +145,10 @@ __all__ = [
     "problem_to_document",
     "quadratic_to_expr",
     "reduce_problem",
-    "select_parameters",
     "simplex_maximize",
     "strategies_to_document",
     "strict_convexity_probe",
     "sublevel_inequality_check",
-    "supporting_hyperplane_at",
     "synthesize_cascade",
     "synthesize_family_leader",
     "synthesize_single_leader",

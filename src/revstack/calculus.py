@@ -8,9 +8,6 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 import numpy as np
 
 from .errors import DimensionError
@@ -20,11 +17,9 @@ from .model import (
     Objective,
     QuadraticObjective,
     evaluate,
-    split_blocks,
 )
 
 __all__ = [
-    "BlockGradient",
     "gradient",
     "fd_gradient",
     "hessian",
@@ -38,52 +33,27 @@ CONVEXITY_TOL = 1e-9
 FD_STEP = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class BlockGradient:
-    """Per-level gradient blocks of a scalar objective."""
-
-    blocks: Tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "blocks", tuple(np.atleast_1d(np.asarray(b, dtype=float)) for b in self.blocks)
-        )
-
-    def block(self, level: int) -> np.ndarray:
-        """1-based accessor."""
-        return self.blocks[level - 1]
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate(self.blocks)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.concat()))
-
-    def block_norm(self, level: int) -> float:
-        return float(np.linalg.norm(self.blocks[level - 1]))
-
-
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
 
-def gradient(obj: Objective, p: DecisionPoint) -> BlockGradient:
+def gradient(obj: Objective, p: DecisionPoint) -> DecisionPoint:
     """Analytic gradient of an objective at ``p``, split into level blocks."""
     if isinstance(obj, QuadraticObjective):
         if obj.widths != p.widths:
             raise DimensionError(
                 "objective has block widths %s, point has %s" % (obj.widths, p.widths))
-        return BlockGradient(tuple(split_blocks(p.widths, obj.H @ p.concat() + obj.l)))
+        return DecisionPoint.from_concat(p.widths, obj.H @ p.concat() + obj.l)
     if isinstance(obj, ExprObjective):
         g = [np.zeros(b.size) for b in p.blocks]
         for (level, index), d in zip(obj.poly.keys, obj.poly.derivatives[0]):
             # evaluated first: a key outside p raises DimensionError
             g[level - 1][index - 1] = d(p.blocks)
-        return BlockGradient(tuple(g))
+        return DecisionPoint(tuple(g))
     raise TypeError("not an objective: %r" % (obj,))
 
 
-def fd_gradient(obj: Objective, p: DecisionPoint) -> BlockGradient:
+def fd_gradient(obj: Objective, p: DecisionPoint) -> DecisionPoint:
     """Central finite differences with per-coordinate step ``FD_STEP * (1 + |p_i|)``."""
     flat = p.concat()
     widths = p.widths
@@ -97,7 +67,7 @@ def fd_gradient(obj: Objective, p: DecisionPoint) -> BlockGradient:
         f1 = evaluate(obj, DecisionPoint.from_concat(widths, fwd))
         f0 = evaluate(obj, DecisionPoint.from_concat(widths, bwd))
         g[i] = (f1 - f0) / (2.0 * step)
-    return BlockGradient(tuple(DecisionPoint.from_concat(widths, g).blocks))
+    return DecisionPoint.from_concat(widths, g)
 
 
 # ---------------------------------------------------------------------------

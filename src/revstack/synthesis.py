@@ -19,13 +19,13 @@ cascade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .calculus import gradient
 from .equilibrium import team_optimum
-from .errors import DimensionError, ExistenceError
+from .errors import DimensionError, ExistenceError, RevstackError
 from .geometry import leader_existence_check
 from .model import (
     DecisionPoint,
@@ -41,7 +41,6 @@ __all__ = [
     "synthesize_single_leader",
     "synthesize_family_leader",
     "instantiate",
-    "select_parameters",
     "reduce_problem",
     "synthesize_cascade",
 ]
@@ -283,32 +282,6 @@ def instantiate(family: StrategyFamily,
     return AffineStrategy(family.level, family.anchor, tuple(coeffs))
 
 
-def select_parameters(family: StrategyFamily, criterion: str = "min-frobenius",
-                      score: Optional[Callable[[AffineStrategy], float]] = None,
-                      grid: Optional[Sequence[Sequence[np.ndarray]]] = None,
-                      ) -> Tuple[np.ndarray, ...]:
-    """Pick parameter matrices for a family member.
-
-    'min-frobenius' returns all-zero parameters (the rank-one member has
-    minimal Frobenius norm).  'custom' scans a caller-supplied grid of
-    parameter tuples and returns the first minimizer of ``score`` applied
-    to the instantiated member.
-    """
-    if criterion == "min-frobenius":
-        return tuple(np.zeros(s) for s in family.param_shapes)
-    if criterion == "custom":
-        if score is None or not grid:
-            raise ValueError("custom selection needs a score and a non-empty grid")
-        best = None
-        for params in grid:
-            member = instantiate(family, params)
-            val = float(score(member))
-            if best is None or val < best[0]:
-                best = (val, tuple(np.asarray(T, dtype=float) for T in params))
-        return best[1]
-    raise ValueError("unknown criterion %r" % (criterion,))
-
-
 # ---------------------------------------------------------------------------
 # reduction and the cascade
 # ---------------------------------------------------------------------------
@@ -373,7 +346,8 @@ def synthesize_cascade(problem: GameProblem,
     Computes the desired equilibrium (unless supplied), synthesizes the top
     strategy, substitutes it to get the one-smaller game, and repeats.  Each
     stage anchors at the corresponding tail of the original desired point.
-    Existence failures carry the absolute level at which they occurred.
+    Existence failures carry the absolute level at which they occurred, and
+    a reduction whose coefficients overflow is refused naming its stage.
     """
     d = desired if desired is not None else team_optimum(problem).point
     strategies: List[AffineStrategy] = []
@@ -381,7 +355,10 @@ def synthesize_cascade(problem: GameProblem,
     stage_d = d
     for s in range(1, problem.levels):
         if s > 1:
-            stage = reduce_problem(stage, strategies[-1])
+            try:
+                stage = reduce_problem(stage, strategies[-1])
+            except RevstackError as err:  # a substituted coefficient overflowed
+                raise RevstackError("stage %d (announcing level %d): %s" % (s, s, err)) from None
             stage_d = stage_d.tail(2)
         try:
             top = synthesize_single_leader(stage, stage_d)

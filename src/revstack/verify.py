@@ -19,10 +19,12 @@ import numpy as np
 from .calculus import gradient
 from .equilibrium import team_optimum
 from .errors import DimensionError, RevstackError
-from .geometry import SampleSpec, SublevelProbe, leader_existence_check
+from .geometry import leader_existence_check
 from .model import (
     DecisionPoint,
     GameProblem,
+    Objective,
+    evaluate,
     evaluate_many,
     split_blocks,
 )
@@ -266,34 +268,42 @@ def oracle_best_response(problem: GameProblem,
     return OracleResult(argmin, fx, x0, drift, evaluations)
 
 
-def sublevel_inequality_check(probe: SublevelProbe, strategy: AffineStrategy,
-                              sampler: SampleSpec) -> InequalityStats:
+def sublevel_inequality_check(objective: Objective, anchor: DecisionPoint,
+                              strategy: AffineStrategy, count: int,
+                              seed: int) -> InequalityStats:
     """One-sidedness of the follower cost on the strategy's graph.
 
-    Samples lower-level points around the anchor (the anchor itself is
-    always sample 0), lifts them through the strategy, and counts values
-    below threshold - ALGEBRAIC_TOL.  Zero violations is the expected
-    outcome when the strategy's graph sits on the supporting side of the
-    sublevel set.
+    Draws ``count`` lower-level points uniformly within ``SAMPLE_RADIUS`` of
+    the anchor's lower blocks from ``seed`` (the anchor itself is always
+    sample 0), lifts them through the strategy, and counts values below
+    the threshold J(anchor) - ALGEBRAIC_TOL.  Zero violations is the
+    expected outcome when the strategy's graph sits on the supporting side
+    of the sublevel set.  A NaN cost at a sample is refused with a
+    ``RevstackError`` naming the strategy's level and the lower-level point.
     """
-    lower_anchor = probe.anchor.blocks[1:]
+    lower_anchor = anchor.blocks[1:]
     if len(lower_anchor) != len(strategy.coeffs):
-        raise DimensionError("probe anchor and strategy disagree on lower levels")
+        raise DimensionError("anchor and strategy disagree on lower levels")
+    threshold = evaluate(objective, anchor)
     base = np.concatenate(lower_anchor)
-    rng = np.random.default_rng(sampler.seed)
-    pts = base + rng.uniform(-sampler.radius, sampler.radius, (sampler.count, base.size))
+    rng = np.random.default_rng(seed)
+    pts = base + rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (count, base.size))
     pts[0] = base
     lower = split_blocks([b.size for b in lower_anchor], pts)
     own = strategy.batch(lower)
-    values = np.asarray(evaluate_many(probe.objective, [own] + lower), dtype=float)
-    violations = int(np.count_nonzero(values < probe.threshold - ALGEBRAIC_TOL))
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN is refused below
+        values = np.asarray(evaluate_many(objective, [own] + lower), dtype=float)
+    if np.isnan(values).any():
+        raise RevstackError("level %d: the sublevel check found a NaN cost at %s"
+                            % (strategy.level, pts[int(np.argmax(np.isnan(values)))].tolist()))
+    violations = int(np.count_nonzero(values < threshold - ALGEBRAIC_TOL))
     imin = int(np.argmin(values))
     return InequalityStats(
-        samples=sampler.count,
+        samples=count,
         violations=violations,
         min_value=float(values[imin]),
         min_point=pts[imin].copy(),
-        threshold=probe.threshold,
+        threshold=threshold,
     )
 
 
@@ -349,7 +359,7 @@ def _membership_residual(stage: GameProblem, stage_d: DecisionPoint,
     gradient supports trivially (residual 0).
     """
     g = gradient(stage.objective(2), stage_d)
-    if g.norm() == 0.0:
+    if np.linalg.norm(g.concat()) == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)
     lower_anchor = stage_d.blocks[1:]
@@ -376,7 +386,9 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
     responses (each responding level must land on the desired blocks within
     ``tol`` componentwise), and sublevel one-sidedness sampling.  Existence
     verdicts are reported for context but do not gate the verdict — a
-    working strategy for a degenerate game is still verified.
+    working strategy for a degenerate game is still verified.  A residual
+    that overflows fails its check; a stage game whose reduction overflows
+    is refused naming the stage.
     """
     n = problem.levels
     if len(strategies) != n - 1:
@@ -393,21 +405,26 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
     stage = problem
     for lev in range(1, n):
         strategy = strategies[lev - 1]
+        if lev > 1:
+            try:
+                stage = reduce_problem(stage, strategies[lev - 2])
+            except RevstackError as err:  # a substituted coefficient overflowed
+                raise RevstackError(
+                    "stage %d (announcing level %d): %s" % (lev, lev, err)) from None
         stage_d = d.tail(lev)
         verdict = leader_existence_check(stage, stage_d)
         own_desired = d.block(lev)
-        realized = strategy(d.tail(lev + 1))
-        realization = float(np.linalg.norm(realized - own_desired))
-        realization_ok = realization <= ALGEBRAIC_TOL * (
-            1.0 + float(np.linalg.norm(own_desired))
-        )
-        membership = _membership_residual(stage, stage_d, strategy, seed + 17 * lev)
+        # an overflow makes a residual inf or NaN, which fails its check
+        with np.errstate(over="ignore", invalid="ignore"):
+            realized = strategy(d.tail(lev + 1))
+            realization = float(np.linalg.norm(realized - own_desired))
+            realization_ok = realization <= ALGEBRAIC_TOL * (
+                1.0 + float(np.linalg.norm(own_desired))
+            )
+            membership = _membership_residual(stage, stage_d, strategy, seed + 17 * lev)
         membership_ok = membership <= ALGEBRAIC_TOL
-        probe = SublevelProbe.at(stage.objective(2), stage_d)
         stats = sublevel_inequality_check(
-            probe, strategy,
-            SampleSpec(INEQUALITY_SAMPLES, SAMPLE_RADIUS, seed + 31 * lev),
-        )
+            stage.objective(2), stage_d, strategy, INEQUALITY_SAMPLES, seed + 31 * lev)
         inequality_ok = stats.violations == 0
         passed = realization_ok and membership_ok and inequality_ok
         if not realization_ok:
@@ -434,8 +451,6 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
             inequality_min=stats.min_value,
             passed=passed,
         ))
-        if lev < n - 1:
-            stage = reduce_problem(stage, strategy)
 
     response_checks: List[ResponseCheck] = []
     spacing = 2.0 * grid.radius / max(grid.points - 1, 1)

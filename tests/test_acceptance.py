@@ -13,8 +13,6 @@ from revstack import (
     AffineStrategy,
     DecisionPoint,
     LinearConstraints,
-    SampleSpec,
-    SublevelProbe,
     feasibility_check,
     fd_gradient,
     gradient,
@@ -27,6 +25,7 @@ from revstack import (
     team_optimum_quadratic,
     verify_full,
 )
+from revstack.verify import SAMPLE_RADIUS
 
 import conftest
 from conftest import random_convex_game, scalar_trilevel, scalar_trilevel_expr, wide_leader
@@ -212,9 +211,9 @@ def test_criterion_5_sublevel_sampling(c):
     tri = scalar_trilevel()
     eq = team_optimum_quadratic(tri)
     gamma = synthesize_single_leader(tri, eq.point)
-    probe = SublevelProbe.at(tri.objective(2), eq.point)
-    stats = sublevel_inequality_check(
-        probe, gamma, SampleSpec(count=10000, radius=5.0, seed=0))
+    # 10000 samples within radius 5 of the anchor, from seed 0
+    assert SAMPLE_RADIUS == 5.0
+    stats = sublevel_inequality_check(tri.objective(2), eq.point, gamma, 10000, 0)
     c.check(stats.samples == 10000, "sample count mismatch")
     c.check(stats.violations == 0,
             "%d of 10000 graph samples dip below the anchor value"

@@ -39,10 +39,13 @@ def test_expression_gradients_match_quadratic(tri, tri_expr):
 def test_block_gradient_accessors(wide):
     p = DecisionPoint.of([-2.5, -1.5], [-0.5], [-0.5])
     g = gradient(wide.objective(2), p)
+    assert isinstance(g, DecisionPoint)
+    assert g.widths == (2, 1, 1)
     assert np.allclose(g.block(1), [-5.0, -3.0])
-    assert g.block_norm(1) == pytest.approx(np.hypot(5, 3))
+    assert np.linalg.norm(g.block(1)) == pytest.approx(np.hypot(5, 3))
     assert g.concat().shape == (4,)
-    assert g.norm() == pytest.approx(np.linalg.norm(g.concat()))
+    f = fd_gradient(wide.objective(2), p)
+    assert isinstance(f, DecisionPoint) and f.widths == (2, 1, 1)
 
 
 def test_gradient_matches_finite_differences():

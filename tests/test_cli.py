@@ -321,21 +321,87 @@ def test_steep_follower_coordinate_does_not_hide_the_leader(tmp_path, capsys):
     assert "announced strategies" in captured.out
 
 
-def test_nan_oracle_cost_is_the_only_line_on_stderr(tmp_path):
-    # at the default window u3 reaches 10.5, where u3^310 and u3^305 both
-    # overflow and inf - inf is NaN; a separate process, so that a numpy
-    # warning would print to its stderr
-    doc = json.loads(TRI_PROBLEM)
-    doc["objectives"][1] = {
-        "type": "expr", "formula": "(u1-1)^2 + (u2-1)^2 + (u3-3)^2 + u3^310 - u3^305"}
-    path = _write(tmp_path, "nan.json", doc)
+def _run_cli(*args):
+    """``python -m revstack.cli`` in a separate process, so that a numpy
+    warning would print to its stderr."""
     src = str(pathlib.Path(revstack.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "revstack.cli", "solve", path],
+    return subprocess.run([sys.executable, "-m", "revstack.cli", *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_nan_oracle_cost_is_the_only_line_on_stderr(tmp_path):
+    # at the default window u3 reaches 10.5, where u3^310 and u3^305 both
+    # overflow and inf - inf is NaN
+    doc = json.loads(TRI_PROBLEM)
+    doc["objectives"][1] = {
+        "type": "expr", "formula": "(u1-1)^2 + (u2-1)^2 + (u3-3)^2 + u3^310 - u3^305"}
+    proc = _run_cli("solve", _write(tmp_path, "nan.json", doc))
     assert proc.returncode == 2
     assert proc.stderr == "error: level 2: the oracle found a NaN cost at [-9.0, 10.5]\n"
+
+
+def test_overflowing_stage_reduction_names_the_stage(tmp_path):
+    # the u3 entry of the follower gradient is ~1e193 and finite, so stage 1
+    # announces a rule; substituting it squares that gain past the double range
+    doc = json.loads(TRI_PROBLEM)
+    doc["objectives"][1] = {
+        "type": "expr", "formula": "(u1-1)^2 + (u2-1)^2 + (u3-3)^2 + u3^400 - u3^395"}
+    proc = _run_cli("solve", _write(tmp_path, "steep.json", doc))
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: stage 2 (announcing level 2): "
+                           "polynomial coefficient is not finite\n")
+
+
+def test_verifier_names_the_stage_whose_reduction_overflows(tri_doc, tmp_path):
+    # a level-1 offset of 1e200 squares past the double range in stage 2's
+    # cost; the realization residual and sampled costs overflow on the way
+    rules = json.loads(json.dumps(GOOD_STRATEGIES))
+    rules["strategies"][0]["offset"] = [1e200]
+    proc = _run_cli("verify", tri_doc, "--strategies",
+                    _write(tmp_path, "rules.json", rules))
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: stage 2 (announcing level 2): "
+                           "quadratic coefficient is not finite\n")
+
+
+NAN_SAMPLE_GAME = {"levels": 2, "dims": [1, 1], "objectives": [
+    {"type": "expr", "formula": "(u1-2)^2 + (u2-1)^2"},
+    {"type": "expr", "formula": "(u1-1)^2 + (u2-1)^2 + u2^400 - u2^399"}]}
+
+
+def test_nan_sampled_cost_is_refused_by_name(tmp_path):
+    # the graph samples reach u2 = 6, where u2^400 and u2^399 both overflow
+    proc = _run_cli("solve", _write(tmp_path, "nan.json", NAN_SAMPLE_GAME),
+                    "--grid-radius", "1")
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: level 1: the sublevel check found a NaN cost at "
+                           "[5.944089979869153]\n")
+
+
+def test_infinite_sampled_costs_verify_quietly(tmp_path):
+    # with u2^395 the overflowing samples are +inf, above the anchor value
+    doc = json.loads(json.dumps(NAN_SAMPLE_GAME))
+    doc["objectives"][1]["formula"] = "(u1-1)^2 + (u2-1)^2 + u2^400 - u2^395"
+    proc = _run_cli("solve", _write(tmp_path, "inf.json", doc), "--grid-radius", "1")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "  u1 = 4.5 - 2.5*u2\nverification: VERIFIED\n" in proc.stdout
+
+
+def test_nonconvex_follower_fails_rank_one_but_a_family_member_verifies(capsys):
+    # J2 = u1_1 + (|u1|^2 - u2^2)/2 curves downward along the rank-one graph
+    # u1 = 0; the member T = -1.1 tilts the graph to where it curves upward
+    path = str(DATA / "nonconvex_21.json")
+    assert main(["solve", path]) == 3
+    out = capsys.readouterr().out
+    assert "reason: level 1: 1999 sampled graph points dip below the anchor value" in out
+    assert "reason: level 2: oracle argmin is 40 away from the desired blocks" in out
+    assert main(["family", path, "--params", "[[-1.1]]"]) == 0
+    assert ("member 0: realization 0, family residual 0, response distance 0 [ok]"
+            in capsys.readouterr().out)
+    assert main(["family", path, "--params", "[[0.5]]"]) == 3
 
 
 @pytest.mark.parametrize("formula", [

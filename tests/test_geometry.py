@@ -8,13 +8,10 @@ from revstack import (
     ExprObjective,
     GameProblem,
     QuadraticObjective,
-    SampleSpec,
-    SublevelProbe,
-    exposed_point_probe,
+    gradient,
     leader_existence_check,
     parse_formula,
     reduce_problem,
-    supporting_hyperplane_at,
     synthesize_single_leader,
     team_optimum_quadratic,
 )
@@ -23,18 +20,26 @@ D_AT = DecisionPoint.of([2.0], [1.0], [3.0])
 
 
 def test_hyperplane_normal_and_orientation(tri):
-    plane = supporting_hyperplane_at(tri.objective(2), D_AT)
-    assert np.allclose(plane.normal.concat(), [2.0, 2.0, 6.0])
-    assert plane.residual(D_AT) == pytest.approx(0.0)
+    # the follower gradient at d is the hyperplane's normal
+    normal = gradient(tri.objective(2), D_AT).concat()
+    assert np.allclose(normal, [2.0, 2.0, 6.0])
     # the set {J2 <= 11} is a ball around (1,0,0); its center must sit on
     # the nonpositive side
-    assert plane.residual(DecisionPoint.of([1.0], [0.0], [0.0])) < 0
+    assert normal @ (np.array([1.0, 0.0, 0.0]) - D_AT.concat()) < 0
+    # and the rank-one rule's graph lies in the plane
+    leader = synthesize_single_leader(tri, D_AT)
+    for lower in ([0.0, 0.0], [-3.0, 2.5], [4.0, -1.0]):
+        on_graph = np.concatenate([leader(lower), lower])
+        assert normal @ (on_graph - D_AT.concat()) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_no_hyperplane_at_a_stationary_point(tri):
     center = DecisionPoint.of([1.0], [0.0], [0.0])  # gradient of J2 vanishes
+    v = leader_existence_check(tri, center)
+    assert not v.passed
+    assert v.block_norm == 0.0
     with pytest.raises(ExistenceError):
-        supporting_hyperplane_at(tri.objective(2), center)
+        synthesize_single_leader(tri, center)
 
 
 def test_leader_check_passes_on_the_scalar_trilevel(tri):
@@ -76,42 +81,6 @@ def test_middle_check_on_the_reduced_game(tri):
     assert v.block_norm == pytest.approx(6.0)
 
 
-def test_probe_is_consistent_for_a_convex_set(tri):
-    probe = SublevelProbe.at(tri.objective(2), D_AT)
-    plane = supporting_hyperplane_at(tri.objective(2), D_AT)
-    res = exposed_point_probe(probe, plane, SampleSpec(count=4000, radius=4.0, seed=3))
-    assert res.verdict == "consistent"
-    assert res.samples_in_set > 0
-    assert res.witness is None
-
-
-def test_probe_refutes_support_for_an_anti_ball():
-    # J = -(u1^2 + u2^2 + u3^2): the sublevel set at (1,0,0) is everything
-    # OUTSIDE the unit ball, which no hyperplane through (1,0,0) supports.
-    dims = Dims.of(1, 1, 1)
-    J = ExprObjective(parse_formula("-(u1^2 + u2^2 + u3^2)", dims))
-    anchor = DecisionPoint.of([1.0], [0.0], [0.0])
-    probe = SublevelProbe.at(J, anchor)
-    plane = supporting_hyperplane_at(J, anchor)
-    res = exposed_point_probe(probe, plane, SampleSpec(count=2000, radius=2.0, seed=1))
-    assert res.verdict == "refuted"
-    assert res.witness is not None
-    assert res.witness_residual > 1e-9
-    # the witness really is a set member on the wrong side
-    w = res.witness.concat()
-    assert w @ w >= 1.0 - 1e-9
-
-
-def test_probe_determinism(tri):
-    probe = SublevelProbe.at(tri.objective(2), D_AT)
-    plane = supporting_hyperplane_at(tri.objective(2), D_AT)
-    spec = SampleSpec(count=500, radius=3.0, seed=9)
-    a = exposed_point_probe(probe, plane, spec)
-    b = exposed_point_probe(probe, plane, spec)
-    assert a.verdict == b.verdict
-    assert a.samples_in_set == b.samples_in_set
-
-
 def test_a_steep_coordinate_does_not_hide_the_leader_block(tri):
     # at u3 = 3 the u3 terms are ~1e148, but the u1 block only sums 2*u1 - 2
     steep = ExprObjective(parse_formula(
@@ -133,3 +102,11 @@ def test_gradient_tolerance_scales_with_the_block_terms_of_a_quadratic():
     assert v.passed
     assert v.block_norm == pytest.approx(2.0)
     assert v.tol == pytest.approx(1e-8 * (1.0 + 4.0 + 2.0))
+
+
+def test_an_overflowing_leader_block_norm_is_refused_by_name():
+    # 400 * 3^399 ~ 1e193 is finite, but its square is not
+    dims = Dims.of(1, 1)
+    J = ExprObjective(parse_formula("u1^400 + u2^2", dims))
+    with pytest.raises(ExistenceError, match="overflows its norm"):
+        leader_existence_check(GameProblem(dims, (J, J)), DecisionPoint.of([3.0], [0.0]))

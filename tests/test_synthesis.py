@@ -16,7 +16,6 @@ from revstack import (
     instantiate,
     quadratic_to_expr,
     reduce_problem,
-    select_parameters,
     synthesize_cascade,
     synthesize_family_leader,
     synthesize_single_leader,
@@ -207,25 +206,6 @@ def test_scalar_top_level_family_is_a_single_point(tri):
     assert fam.param_shapes == ((0, 1), (0, 1))
     only = instantiate(fam, [np.zeros((0, 1)), np.zeros((0, 1))])
     assert np.allclose(only.coeffs[0], [[1.0]])
-
-
-def test_select_parameters_min_frobenius(wide):
-    _, fam = _wide_family(wide)
-    params = select_parameters(fam)
-    assert all(np.all(T == 0.0) for T in params)
-
-
-def test_select_parameters_custom_scan(wide):
-    _, fam = _wide_family(wide)
-    grid = [
-        (np.array([[t1]]), np.array([[t2]]))
-        for t1 in (-1.0, 0.0, 1.0) for t2 in (-1.0, 0.0, 1.0)
-    ]
-    score = lambda member: float(sum(np.abs(Q).sum() for Q in member.coeffs))
-    best = select_parameters(fam, criterion="custom", score=score, grid=grid)
-    expected = min(grid, key=lambda ps: score(instantiate(fam, ps)))
-    for a, b in zip(best, expected):
-        assert np.allclose(a, b)
 
 
 def test_instantiate_rejects_bad_shapes(wide):

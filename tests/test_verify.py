@@ -18,8 +18,6 @@ from revstack import (
     GridSpec,
     QuadraticObjective,
     RevstackError,
-    SampleSpec,
-    SublevelProbe,
     evaluate,
     evaluate_many,
     oracle_best_response,
@@ -351,9 +349,7 @@ def test_oracle_agrees_with_quadratic_identification(seed):
 
 def test_sublevel_check_accepts_the_synthesized_strategy(tri):
     eq, chain = _chain(tri)
-    probe = SublevelProbe.at(tri.objective(2), eq.point)
-    stats = sublevel_inequality_check(
-        probe, chain[0], SampleSpec(count=2000, radius=5.0, seed=5))
+    stats = sublevel_inequality_check(tri.objective(2), eq.point, chain[0], 2000, 5)
     assert stats.violations == 0
     assert stats.threshold == pytest.approx(11.0)
     # the anchor is sample 0 and, the objective being strictly convex, the
@@ -364,23 +360,31 @@ def test_sublevel_check_accepts_the_synthesized_strategy(tri):
 
 def test_sublevel_check_flags_a_constant_strategy(tri):
     eq = team_optimum_quadratic(tri)
-    probe = SublevelProbe.at(tri.objective(2), eq.point)
     flat = AffineStrategy.from_affine(
         1, [1.0], [np.zeros((1, 1)), np.zeros((1, 1))], eq.point.tail(2))
-    stats = sublevel_inequality_check(
-        probe, flat, SampleSpec(count=2000, radius=5.0, seed=5))
+    stats = sublevel_inequality_check(tri.objective(2), eq.point, flat, 2000, 5)
     assert stats.violations > 0
     assert stats.min_value < stats.threshold - ALGEBRAIC_TOL
 
 
 def test_sublevel_check_is_deterministic(tri):
     eq, chain = _chain(tri)
-    probe = SublevelProbe.at(tri.objective(2), eq.point)
-    spec = SampleSpec(count=500, radius=5.0, seed=11)
-    a = sublevel_inequality_check(probe, chain[0], spec)
-    b = sublevel_inequality_check(probe, chain[0], spec)
+    a = sublevel_inequality_check(tri.objective(2), eq.point, chain[0], 500, 11)
+    b = sublevel_inequality_check(tri.objective(2), eq.point, chain[0], 500, 11)
     assert a.min_value == b.min_value
     assert np.array_equal(a.min_point, b.min_point)
+
+
+def test_sublevel_check_refuses_a_nan_cost_by_name(tri):
+    # u3^400 and u3^399 both overflow from u3 ~ 5.9 on, and inf - inf is NaN;
+    # NaN < threshold is False, so counting it would hide the sample
+    eq, chain = _chain(tri)
+    J2 = ExprObjective(parse_formula("(u1-1)^2 + u2^2 + u3^2 + u3^400 - u3^399", tri.dims))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(RevstackError, match=r"level 1: the sublevel check found a NaN"):
+            sublevel_inequality_check(J2, eq.point, chain[0], 2000, 5)
+    assert [str(w.message) for w in caught] == []
 
 
 # ---------------------------------------------------------------------------
