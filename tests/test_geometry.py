@@ -8,10 +8,13 @@ from revstack import (
     ExprObjective,
     GameProblem,
     QuadraticObjective,
+    evaluate,
+    evaluate_many,
     gradient,
     leader_existence_check,
     parse_formula,
     reduce_problem,
+    sublevel_inequality_check,
     synthesize_single_leader,
     team_optimum_quadratic,
 )
@@ -79,6 +82,31 @@ def test_middle_check_on_the_reduced_game(tri):
     v = leader_existence_check(reduced, eq.point.tail(2))
     assert v.passed
     assert v.block_norm == pytest.approx(6.0)
+
+
+def test_probe_is_consistent_for_a_convex_set(tri):
+    # every sampled member of the convex set {J2 <= J2(d)} lies on the
+    # nonpositive side of the hyperplane through d with the gradient normal
+    J2 = tri.objective(2)
+    d = D_AT.concat()
+    normal = gradient(J2, D_AT).concat()
+    pts = d + np.random.default_rng(3).uniform(-4.0, 4.0, (4000, d.size))
+    values = evaluate_many(J2, [pts[:, i:i + 1] for i in range(d.size)])
+    members = pts[values <= evaluate(J2, D_AT)]
+    assert len(members) > 0
+    assert ((members - d) @ normal).max() <= 1e-9
+    # and the rank-one rule's graph stays out of the set's interior
+    stats = sublevel_inequality_check(J2, D_AT, synthesize_single_leader(tri, D_AT), 4000, 3)
+    assert stats.violations == 0
+
+
+def test_probe_determinism(tri):
+    leader = synthesize_single_leader(tri, D_AT)
+    a = sublevel_inequality_check(tri.objective(2), D_AT, leader, 500, 9)
+    b = sublevel_inequality_check(tri.objective(2), D_AT, leader, 500, 9)
+    assert a.violations == b.violations
+    assert a.min_value == b.min_value
+    assert np.array_equal(a.min_point, b.min_point)
 
 
 def test_a_steep_coordinate_does_not_hide_the_leader_block(tri):
