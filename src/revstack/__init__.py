@@ -75,9 +75,7 @@ from .verify import (
 )
 from .constrained import (
     FeasibilityVerdict,
-    FilterItem,
     feasibility_check,
-    filter_family,
     simplex_maximize,
 )
 from .formula import parse_formula, print_formula
@@ -106,7 +104,6 @@ __all__ = [
     "ExistenceVerdict",
     "ExprObjective",
     "FeasibilityVerdict",
-    "FilterItem",
     "FormulaError",
     "GameProblem",
     "GridSpec",
@@ -131,7 +128,6 @@ __all__ = [
     "evaluate_many",
     "fd_gradient",
     "feasibility_check",
-    "filter_family",
     "format_problem",
     "gradient",
     "hessian",

@@ -120,8 +120,8 @@ def cmd_solve(args) -> int:
     eq = team_optimum(problem)
     strategies = synthesize_cascade(problem, desired=eq.point)
     report = verify_full(
-        problem, strategies, tol=args.tol, grid=args.grid,
-        desired=eq.point, seed=args.seed)
+        problem, strategies, desired=eq.point, tol=args.tol, grid=args.grid,
+        seed=args.seed)
     doc = {
         "command": "solve",
         "equilibrium": {
@@ -241,8 +241,8 @@ def cmd_verify(args) -> int:
     strategies = parse_strategies(_read(args.strategies), problem, eq.point)
     strategies.sort(key=lambda s: s.level)
     report = verify_full(
-        problem, strategies, tol=args.tol, grid=args.grid,
-        desired=eq.point, seed=args.seed)
+        problem, strategies, desired=eq.point, tol=args.tol, grid=args.grid,
+        seed=args.seed)
     doc = {
         "command": "verify",
         "verification": asdict(report),
@@ -325,61 +325,46 @@ def _count(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_tolerance, default=1e-4,
-                   help="best-response agreement tolerance (default 1e-4)")
-    p.add_argument("--grid-radius", type=float, default=10.0,
-                   help="half-width of the oracle grid around the anchor")
-    p.add_argument("--grid-points", type=int, default=41,
-                   help="oracle grid nodes per axis (default 41)")
-    p.add_argument("--seed", type=_count, default=0,
-                   help="seed for all sampling (default 0)")
-    p.add_argument("--output", choices=("json", "text"), default="text",
-                   help="report format (default text)")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="revstack",
                      description="Affine strategy synthesis and verification "
                                  "for multilevel hierarchical games.")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, fn, text in (
+            ("solve", cmd_solve, "synthesize the strategy cascade and verify it"),
+            ("family", cmd_family, "describe the family of optimal top-level strategies"),
+            ("verify", cmd_verify, "verify strategies given in a document"),
+            ("feasible", cmd_feasible, "check strategies against the constraint rows")):
+        commands[name] = p = sub.add_parser(name, help=text)
+        p.add_argument("problem", help="problem document (JSON)")
+        p.set_defaults(fn=fn)
 
-    p_solve = sub.add_parser(
-        "solve", help="synthesize the strategy cascade and verify it")
-    p_solve.add_argument("problem", help="problem document (JSON)")
-    _add_common(p_solve)
-    p_solve.set_defaults(fn=cmd_solve)
-
-    p_family = sub.add_parser(
-        "family", help="describe the family of optimal top-level strategies")
-    p_family.add_argument("problem", help="problem document (JSON)")
-    p_family.add_argument("--params", metavar="T2;T3;...",
-                          help="';'-separated JSON parameter matrices; "
-                               "checks that member")
-    p_family.add_argument("--samples", type=_count, default=0,
-                          help="additionally check N random members")
-    _add_common(p_family)
-    p_family.set_defaults(fn=cmd_family)
-
-    p_verify = sub.add_parser(
-        "verify", help="verify strategies given in a document")
-    p_verify.add_argument("problem", help="problem document (JSON)")
-    p_verify.add_argument("--strategies", required=True,
-                          help="strategy document (JSON)")
-    _add_common(p_verify)
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_feas = sub.add_parser(
-        "feasible", help="check strategies against the constraint rows")
-    p_feas.add_argument("problem", help="problem document (JSON)")
-    p_feas.add_argument("--strategies",
-                        help="strategy document (JSON); default: the "
-                             "synthesized cascade")
-    p_feas.add_argument("--samples", type=_count, default=0,
-                        help="check N random family members instead")
-    _add_common(p_feas)
-    p_feas.set_defaults(fn=cmd_feasible)
-
+    commands["family"].add_argument("--params", metavar="T2;T3;...",
+                                    help="';'-separated JSON parameter matrices; "
+                                         "checks that member")
+    commands["family"].add_argument("--samples", type=_count, default=0,
+                                    help="additionally check N random members")
+    commands["verify"].add_argument("--strategies", required=True,
+                                    help="strategy document (JSON)")
+    commands["feasible"].add_argument("--strategies",
+                                      help="strategy document (JSON); default: the "
+                                           "synthesized cascade")
+    commands["feasible"].add_argument("--samples", type=_count, default=0,
+                                      help="check N random family members instead")
+    # the options after a subcommand's own: the oracle's, then the common ones
+    for name, p in commands.items():
+        if name != "feasible":  # feasible runs no oracle
+            p.add_argument("--tol", type=_tolerance, default=1e-4,
+                           help="best-response agreement tolerance (default 1e-4)")
+            p.add_argument("--grid-radius", type=float, default=10.0,
+                           help="half-width of the oracle grid around the anchor")
+            p.add_argument("--grid-points", type=int, default=41,
+                           help="oracle grid nodes per axis (default 41)")
+        p.add_argument("--seed", type=_count, default=0,
+                       help="seed for all sampling (default 0)")
+        p.add_argument("--output", choices=("json", "text"), default="text",
+                       help="report format (default text)")
     return parser
 
 
@@ -390,7 +375,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.grid = GridSpec(radius=args.grid_radius, points=args.grid_points)
+        if "grid_points" in args:
+            args.grid = GridSpec(radius=args.grid_radius, points=args.grid_points)
         return args.fn(args)
     except (DocumentError, DimensionError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -7,26 +7,25 @@ maximized exactly over the constraint polytope by a dense two-phase
 simplex (Bland's rule, so termination is guaranteed at desk scale).
 Maximizing a function of the lower variables over the full polytope equals
 maximizing it over the polytope's projection onto those variables, which
-is the follower region.
+is the follower region, so the document's own rows must bound every
+lower-level variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, RevstackError, UnboundedRegionError
 from .model import Dims, LinearConstraints
-from .synthesis import AffineStrategy, StrategyFamily, instantiate
+from .synthesis import AffineStrategy
 
 __all__ = [
     "FeasibilityVerdict",
-    "FilterItem",
     "simplex_maximize",
     "feasibility_check",
-    "filter_family",
 ]
 
 EPS = 1e-9
@@ -147,24 +146,15 @@ class FeasibilityVerdict:
     note: str = ""
 
 
-@dataclass(frozen=True, eq=False)
-class FilterItem:
-    params: Tuple[np.ndarray, ...]
-    verdict: Optional[FeasibilityVerdict]
-    error: Optional[str] = None
-
-
 def feasibility_check(strategy: AffineStrategy, constraints: LinearConstraints,
-                      dims: Dims,
-                      bounds: Optional[Sequence[Tuple[float, float]]] = None,
-                      ) -> FeasibilityVerdict:
+                      dims: Dims) -> FeasibilityVerdict:
     """Exact feasibility of one strategy against the joint constraint rows.
 
     Each row gets the strategy substituted for its level's block and is then
     maximized over the constraint polytope (equivalently over its projection
-    onto the other variables).  Optional ``bounds`` add box rows over the
-    lower-level coordinates, for regions the constraints leave unbounded.
-    An empty polytope makes every strategy vacuously feasible.
+    onto the other variables).  An empty polytope makes every strategy
+    vacuously feasible; a substituted row or offset that overflows is
+    refused naming the strategy's level.
     """
     n = dims.levels
     L = strategy.level
@@ -183,31 +173,24 @@ def feasibility_check(strategy: AffineStrategy, constraints: LinearConstraints,
 
     A_joint = np.hstack(constraints.A)  # (k, N)
     b = constraints.b
-    N = A_joint.shape[1]
     own = slice(sum(dims.m[: L - 1]), sum(dims.m[:L]))
     A_L = constraints.A[L - 1]
     # row i of coef is row i with u^L = offset + sum_j C_j u^j substituted;
     # the announcing level's own columns drop out.  The zero-width block
     # keeps a bottom-level rule, which maps no lower level, well formed.
     coef = A_joint.copy()
-    coef[:, own.stop :] += A_L @ np.hstack([np.zeros((A_L.shape[1], 0)), *C])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        coef[:, own.stop :] += A_L @ np.hstack([np.zeros((A_L.shape[1], 0)), *C])
+        kappa = A_L @ offset
     coef[:, own] = 0.0
-    kappa = A_L @ offset
-
-    A_lp, b_lp = A_joint, b
-    if bounds is not None:
-        if len(bounds) != N - own.stop:
-            raise DimensionError("need one (lo, hi) pair per lower coordinate")
-        box = np.asarray(bounds, dtype=float).reshape(N - own.stop, 2)
-        unit = np.eye(N)[own.stop :]
-        # rows u_j <= hi_j and -u_j <= -lo_j, interleaved per coordinate
-        A_lp = np.vstack([A_joint, np.stack([unit, -unit], axis=1).reshape(-1, N)])
-        b_lp = np.concatenate([b, np.column_stack([box[:, 1], -box[:, 0]]).ravel()])
+    if not (np.isfinite(coef).all() and np.isfinite(kappa).all()):
+        raise RevstackError("level %d: a constraint row with the strategy substituted "
+                            "is not finite" % L)
 
     values: List[float] = []
     witnesses: List[np.ndarray] = []
     for i in range(k):
-        status, x, value = simplex_maximize(coef[i], A_lp, b_lp)
+        status, x, value = simplex_maximize(coef[i], A_joint, b)
         if status == "infeasible":
             return FeasibilityVerdict(True, None, float("-inf"), (), None,
                                       note="empty follower region")
@@ -215,8 +198,7 @@ def feasibility_check(strategy: AffineStrategy, constraints: LinearConstraints,
             raise UnboundedRegionError(
                 "follower region is unbounded along constraint row %d; "
                 "supply explicit bounds: rows in the document's \"constraints\" "
-                "that bound every lower-level variable, or feasibility_check(bounds=...)"
-                % i
+                "that bound every lower-level variable" % i
             )
         values.append(value)
         witnesses.append(x)
@@ -230,24 +212,3 @@ def feasibility_check(strategy: AffineStrategy, constraints: LinearConstraints,
         margins=tuple(margins),
         witness=witnesses[worst],
     )
-
-
-def filter_family(family: StrategyFamily, constraints: LinearConstraints,
-                  dims: Dims, param_grid: Sequence[Sequence[np.ndarray]],
-                  bounds: Optional[Sequence[Tuple[float, float]]] = None,
-                  ) -> List[FilterItem]:
-    """Feasibility sweep over family members, in grid order.
-
-    Per-item failures (bad parameter shapes, unbounded regions) are captured
-    on the item instead of aborting the sweep.
-    """
-    out: List[FilterItem] = []
-    for params in param_grid:
-        frozen = tuple(np.asarray(T, dtype=float) for T in params)
-        try:
-            member = instantiate(family, params)
-            verdict = feasibility_check(member, constraints, dims, bounds=bounds)
-            out.append(FilterItem(frozen, verdict))
-        except RevstackError as err:
-            out.append(FilterItem(frozen, None, error=str(err)))
-    return out

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calculus import gradient, hessian
+from .calculus import CONVEXITY_TOL, gradient, hessian
 from .errors import (
     ConvergenceError,
     EquilibriumError,
@@ -133,8 +133,10 @@ def team_optimum_descent(problem: GameProblem,
     """Best local minimizer of the leader cost found from the given starts.
 
     Convergence means gradient norm <= ``DESCENT_TOL`` within
-    ``DESCENT_MAX_ITERS`` Newton or gradient steps.  If no start converges,
-    raises ConvergenceError carrying the best iterate seen.
+    ``DESCENT_MAX_ITERS`` Newton or gradient steps, at a point whose
+    Hessian has no eigenvalue below ``-CONVEXITY_TOL``.  If no start
+    converges, raises NotMinimumError naming the first saddle point a start
+    stopped at, or else ConvergenceError carrying the best iterate seen.
     """
     if not starts:
         raise EquilibriumError("team_optimum_descent needs at least one start")
@@ -142,12 +144,21 @@ def team_optimum_descent(problem: GameProblem,
     widths = problem.dims.m
     best = None       # best converged (f, x, gnorm)
     best_any = None   # best overall, for the failure path
+    saddle = None     # first stationary point with a direction of negative curvature
     for s in starts:
         x, f, gnorm, ok = _descend_once(obj, widths, s.concat())
+        if ok and np.linalg.eigvalsh(
+                hessian(obj, DecisionPoint.from_concat(widths, x)))[0] < -CONVEXITY_TOL:
+            ok = False
+            saddle = x if saddle is None else saddle
         if best_any is None or f < best_any[0]:
             best_any = (f, x, gnorm)
         if ok and (best is None or f < best[0]):
             best = (f, x, gnorm)
+    if best is None and saddle is not None:
+        raise NotMinimumError(
+            "descent stopped at %s, a stationary point that is not a minimum: "
+            "the leader Hessian has a negative eigenvalue there" % saddle.tolist())
     if best is None:
         f, x, gnorm = best_any
         raise ConvergenceError(
@@ -193,28 +204,35 @@ def team_optimum_constrained(problem: GameProblem) -> EquilibriumResult:
     N = H.shape[0]
 
     best = None  # (value, active_set, u, stationarity_residual)
-    for r in range(0, min(cons.k, N) + 1):
-        for S in itertools.combinations(range(cons.k), r):
-            As = A[list(S)]
-            # with no active row the block matrix is H itself
-            M = np.block([[H, As.T], [As, np.zeros((r, r))]])
-            try:
-                sol = np.linalg.solve(M, np.concatenate([-l, b[list(S)]]))
-            except np.linalg.LinAlgError:
-                continue
-            u, lam = sol[:N], sol[N:]
-            if np.any(lam < -KKT_TOL):
-                continue
-            if np.any(A @ u - b > KKT_TOL * (1.0 + np.abs(b))):
-                continue
-            value = float(
-                evaluate(obj, DecisionPoint.from_concat(problem.dims.m, u))
-            )
-            if best is None or value < best[0] - 1e-12 or (
-                abs(value - best[0]) <= 1e-12 and S < best[1]
-            ):
-                stat = float(np.linalg.norm(H @ u + l + As.T @ lam))
-                best = (value, S, u, stat)
+    # rows near the double range can overflow a candidate, which is then
+    # skipped: a NaN fails both sign tests, and the few candidates that pass
+    # them are tested for finiteness
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(0, min(cons.k, N) + 1):
+            for S in itertools.combinations(range(cons.k), r):
+                As = A[list(S)]
+                # with no active row the block matrix is H itself
+                M = np.block([[H, As.T], [As, np.zeros((r, r))]])
+                try:
+                    sol = np.linalg.solve(M, np.concatenate([-l, b[list(S)]]))
+                except np.linalg.LinAlgError:
+                    continue
+                u, lam = sol[:N], sol[N:]
+                if not (lam >= -KKT_TOL).all():
+                    continue
+                rows = A @ u - b
+                if not (rows <= KKT_TOL * (1.0 + np.abs(b))).all():
+                    continue
+                if not (np.isfinite(sol).all() and np.isfinite(rows).all()):
+                    continue
+                value = float(
+                    evaluate(obj, DecisionPoint.from_concat(problem.dims.m, u))
+                )
+                if best is None or value < best[0] - 1e-12 or (
+                    abs(value - best[0]) <= 1e-12 and S < best[1]
+                ):
+                    stat = float(np.linalg.norm(H @ u + l + As.T @ lam))
+                    best = (value, S, u, stat)
     if best is None:
         raise InfeasibleError("constraint rows admit no feasible point")
     value, _, u, stat = best

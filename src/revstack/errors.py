@@ -52,7 +52,7 @@ class ExistenceError(RevstackError):
 
 
 class UnboundedRegionError(RevstackError):
-    """A feasibility LP is unbounded; explicit bounds are required."""
+    """A feasibility LP is unbounded: the rows leave a lower-level variable free."""
 
 
 class DocumentError(RevstackError):

@@ -621,7 +621,10 @@ def evaluate(obj: Objective, point: DecisionPoint) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LinearConstraints:
-    """Joint rows ``sum_level A[level] @ u^level <= b`` (k rows)."""
+    """Joint rows ``sum_level A[level] @ u^level <= b`` (k rows).
+
+    An entry that is not finite raises RevstackError.
+    """
 
     A: Tuple[np.ndarray, ...]
     b: np.ndarray
@@ -629,6 +632,8 @@ class LinearConstraints:
     def __post_init__(self):
         mats = tuple(_as_matrix(m) for m in self.A)
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        if not (np.isfinite(b).all() and all(np.isfinite(m).all() for m in mats)):
+            raise RevstackError("constraint coefficient is not finite")
         object.__setattr__(self, "A", mats)
         object.__setattr__(self, "b", b)
 

@@ -19,12 +19,11 @@ cascade.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .calculus import gradient
-from .equilibrium import team_optimum
 from .errors import DimensionError, ExistenceError, RevstackError
 from .geometry import leader_existence_check
 from .model import (
@@ -307,7 +306,8 @@ def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProble
     Quadratic objectives stay quadratic (one congruence of H);
     expression objectives substitute the rule into their polynomial and
     merge monomials; constraint rows absorb the substitution as well.  The
-    result has n-1 levels with level indices shifted down by one.
+    result has n-1 levels with level indices shifted down by one.  A
+    substituted coefficient that overflows is refused with RevstackError.
     """
     if len(strategy.coeffs) != problem.levels - 1:
         raise DimensionError("strategy does not map all lower levels of this problem")
@@ -332,41 +332,36 @@ def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProble
     cons = problem.constraints
     if cons is not None:
         A_top = cons.A[0]
-        new_A = tuple(
-            cons.A[m - 1] + A_top @ C[m - 2] for m in range(2, problem.levels + 1)
-        )
-        new_cons = LinearConstraints(new_A, cons.b - A_top @ offset)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by the constructor
+            new_A = tuple(
+                cons.A[m - 1] + A_top @ C[m - 2] for m in range(2, problem.levels + 1)
+            )
+            new_cons = LinearConstraints(new_A, cons.b - A_top @ offset)
     return GameProblem(new_dims, tuple(new_objectives), new_cons)
 
 
 def synthesize_cascade(problem: GameProblem,
-                       desired: Optional[DecisionPoint] = None) -> List[AffineStrategy]:
+                       desired: DecisionPoint) -> List[AffineStrategy]:
     """Top-to-bottom synthesis: one rank-one strategy per announcing level.
 
-    Computes the desired equilibrium (unless supplied), synthesizes the top
-    strategy, substitutes it to get the one-smaller game, and repeats.  Each
-    stage anchors at the corresponding tail of the original desired point.
-    Existence failures carry the absolute level at which they occurred, and
-    a reduction whose coefficients overflow is refused naming its stage.
+    Synthesizes the top strategy anchored at ``desired``, substitutes it to
+    get the one-smaller game, and repeats.  Each stage anchors at the
+    corresponding tail of the desired point.  Existence failures carry the
+    absolute level at which they occurred, and a reduction whose
+    coefficients overflow is refused naming its stage.
     """
-    d = desired if desired is not None else team_optimum(problem).point
     strategies: List[AffineStrategy] = []
     stage = problem
-    stage_d = d
     for s in range(1, problem.levels):
+        where = "stage %d (announcing level %d): " % (s, s)
         if s > 1:
             try:
                 stage = reduce_problem(stage, strategies[-1])
             except RevstackError as err:  # a substituted coefficient overflowed
-                raise RevstackError("stage %d (announcing level %d): %s" % (s, s, err)) from None
-            stage_d = stage_d.tail(2)
+                raise RevstackError(where + str(err)) from None
         try:
-            top = synthesize_single_leader(stage, stage_d)
+            top = synthesize_single_leader(stage, desired.tail(s))
         except ExistenceError as err:
-            raise ExistenceError(
-                "stage %d (announcing level %d): %s" % (s, s, err),
-                verdict=err.verdict,
-                level=s,
-            ) from None
+            raise ExistenceError(where + str(err), verdict=err.verdict, level=s) from None
         strategies.append(AffineStrategy(s, top.anchor, top.coeffs))
     return strategies

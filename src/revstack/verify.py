@@ -12,13 +12,12 @@ A strategy chain is 'verified' when every check lands inside its tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .calculus import gradient
-from .equilibrium import team_optimum
-from .errors import DimensionError, RevstackError
+from .errors import DimensionError, ExistenceError, RevstackError
 from .geometry import leader_existence_check
 from .model import (
     DecisionPoint,
@@ -52,7 +51,8 @@ MAX_GRID_NODES = 41 ** 4
 # a single axis is longer), so the oracle's memory does not grow with points^D.
 GRID_CHUNK_NODES = 41 ** 3
 # Refinement halves every step after a sweep without improvement and stops
-# once all steps are below the floor.
+# after REFINE_ITERS sweeps or once all steps are below the floor.
+REFINE_ITERS = 60
 REFINE_SHRINK = 0.5
 REFINE_FLOOR = 1e-13
 # Seeded samples per announcing level, drawn within SAMPLE_RADIUS of the
@@ -66,16 +66,13 @@ SAMPLE_RADIUS = 5.0
 class GridSpec:
     """Search window for the brute-force oracle.
 
-    Axes default to anchor +- radius with ``points`` nodes each; explicit
-    per-coordinate ``bounds`` override that.  Refinement is coordinate
-    descent from the best node: steps start at the grid spacing and halve
-    after every sweep without improvement.
+    Axes are anchor +- radius with ``points`` nodes each.  Refinement is
+    coordinate descent from the best node: steps start at the grid spacing
+    and halve after every sweep without improvement.
     """
 
     radius: float = 10.0
     points: int = 41
-    refine_iters: int = 60
-    bounds: Optional[Tuple[Tuple[float, float], ...]] = None
 
     def __post_init__(self):
         if self.points < 1:
@@ -83,8 +80,6 @@ class GridSpec:
         if not (np.isfinite(self.radius) and self.radius > 0):
             raise DimensionError("oracle grid radius must be finite and > 0, got %r"
                                  % self.radius)
-        if self.bounds is not None and not np.isfinite(np.asarray(self.bounds, float)).all():
-            raise DimensionError("oracle grid bounds must be finite, got %r" % (self.bounds,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,19 +138,20 @@ def oracle_best_response(problem: GameProblem,
                          announced: Sequence[AffineStrategy],
                          level: int,
                          grid: Optional[GridSpec] = None,
-                         anchor: Optional[DecisionPoint] = None) -> OracleResult:
+                         *, anchor: DecisionPoint) -> OracleResult:
     """Brute-force best response of the player at ``level``.
 
     Substitutes the announced upper strategies, then minimizes that player's
     cost over all free blocks (its own and everything below) on a dense
-    grid, refined by shrinking-step coordinate descent.  The grid is walked
+    grid centred on ``anchor``, refined by shrinking-step coordinate
+    descent.  The grid is walked
     in chunks of at most ``GRID_CHUNK_NODES`` nodes in node-index order, so
     memory does not grow with ``points^D``; grid ties go to the
     lexicographically smallest node index.  Refinement is compass search:
     each sweep tries +step, then -step, coordinate by coordinate, moving to
     the first trial that improves; a sweep without a move halves the steps.
     Each batch holds every trial that search would still make if nothing
-    improved again (at most ``2 * D * refine_iters``), and the oracle moves
+    improved again (at most ``2 * D * REFINE_ITERS``), and the oracle moves
     to the first improving one: the accepted path and ``evaluations`` are
     those of the one-at-a-time search, at one call per accepted move plus
     one.  A NaN cost at any node or trial of an evaluated batch is refused
@@ -175,15 +171,9 @@ def oracle_best_response(problem: GameProblem,
             "of %d; lower --grid-points" % (level, grid.points, D, grid.points ** D,
                                             MAX_GRID_NODES)
         )
-    if grid.bounds is not None and len(grid.bounds) != D:
-        raise DimensionError("level %d: the oracle grid has %d bounds for %d free "
-                             "coordinates" % (level, len(grid.bounds), D))
-    if anchor is None:
-        center = np.zeros(D)
-    else:
-        if sum(anchor.widths) != D:
-            raise DimensionError("anchor does not match the free blocks")
-        center = anchor.concat()
+    if sum(anchor.widths) != D:
+        raise DimensionError("anchor does not match the free blocks")
+    center = anchor.concat()
     objective = problem.objective(level)
 
     def values_at(X: np.ndarray) -> np.ndarray:
@@ -195,13 +185,8 @@ def oracle_best_response(problem: GameProblem,
                                 % (level, X[int(np.argmax(np.isnan(values)))].tolist()))
         return values
 
-    axes = []
-    for i in range(D):
-        if grid.bounds is not None:
-            lo, hi = grid.bounds[i]
-        else:
-            lo, hi = center[i] - grid.radius, center[i] + grid.radius
-        axes.append(np.linspace(lo, hi, grid.points))
+    axes = [np.linspace(center[i] - grid.radius, center[i] + grid.radius, grid.points)
+            for i in range(D)]
 
     # the trailing r axes form one reusable chunk; the leading ones are walked.
     # Column-major, each free block is one contiguous slab for the strategies'
@@ -238,7 +223,7 @@ def oracle_best_response(problem: GameProblem,
         # and the floor allow.  Halving is exact, so the scaled steps are
         # bitwise those of repeated halving.
         scales, scale, top = [], 1.0, float(steps.max())
-        for later in range(sweep, grid.refine_iters):
+        for later in range(sweep, REFINE_ITERS):
             if top * scale < REFINE_FLOOR:
                 break
             scales.append(scale)
@@ -376,19 +361,20 @@ def _membership_residual(stage: GameProblem, stage_d: DecisionPoint,
 
 
 def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
+                desired: DecisionPoint,
                 tol: float = ARGMIN_TOL,
                 grid: Optional[GridSpec] = None,
-                desired: Optional[DecisionPoint] = None,
                 seed: int = 0) -> VerificationReport:
     """Run every check against a full strategy chain (levels 1..n-1).
 
-    In order: realization residuals, hyperplane membership, oracle best
-    responses (each responding level must land on the desired blocks within
-    ``tol`` componentwise), and sublevel one-sidedness sampling.  Existence
-    verdicts are reported for context but do not gate the verdict — a
-    working strategy for a degenerate game is still verified.  A residual
-    that overflows fails its check; a stage game whose reduction overflows
-    is refused naming the stage.
+    The chain is checked against the ``desired`` point.  In order:
+    realization residuals, hyperplane membership, oracle best responses
+    (each responding level must land on the desired blocks within ``tol``
+    componentwise), and sublevel one-sidedness sampling.  Existence verdicts
+    are reported for context but do not gate the verdict — a working
+    strategy for a degenerate game is still verified.  A residual that
+    overflows fails its check; a stage game whose reduction overflows, or
+    whose follower gradient is not finite, is refused naming the stage.
     """
     n = problem.levels
     if len(strategies) != n - 1:
@@ -398,25 +384,27 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
         )
     _check_chain(strategies, n - 1, n)
     grid = grid or GridSpec()
-    d = desired if desired is not None else team_optimum(problem).point
 
     reasons: List[str] = []
     strategy_checks: List[StrategyCheck] = []
     stage = problem
     for lev in range(1, n):
         strategy = strategies[lev - 1]
+        where = "stage %d (announcing level %d): " % (lev, lev)
         if lev > 1:
             try:
                 stage = reduce_problem(stage, strategies[lev - 2])
             except RevstackError as err:  # a substituted coefficient overflowed
-                raise RevstackError(
-                    "stage %d (announcing level %d): %s" % (lev, lev, err)) from None
-        stage_d = d.tail(lev)
-        verdict = leader_existence_check(stage, stage_d)
-        own_desired = d.block(lev)
+                raise RevstackError(where + str(err)) from None
+        stage_d = desired.tail(lev)
+        try:
+            verdict = leader_existence_check(stage, stage_d)
+        except ExistenceError as err:  # the follower's gradient is not finite
+            raise ExistenceError(where + str(err), verdict=err.verdict, level=lev) from None
+        own_desired = desired.block(lev)
         # an overflow makes a residual inf or NaN, which fails its check
         with np.errstate(over="ignore", invalid="ignore"):
-            realized = strategy(d.tail(lev + 1))
+            realized = strategy(desired.tail(lev + 1))
             realization = float(np.linalg.norm(realized - own_desired))
             realization_ok = realization <= ALGEBRAIC_TOL * (
                 1.0 + float(np.linalg.norm(own_desired))
@@ -455,7 +443,7 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
     response_checks: List[ResponseCheck] = []
     spacing = 2.0 * grid.radius / max(grid.points - 1, 1)
     for lev in range(2, n + 1):
-        target = d.tail(lev)
+        target = desired.tail(lev)
         oracle = oracle_best_response(problem, strategies, lev, grid, anchor=target)
         distance = float(
             np.abs(oracle.argmin.concat() - target.concat()).max(initial=0.0)
@@ -484,7 +472,7 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
         verified=verified,
         verdict="verified" if verified else "failed",
         reasons=reasons,
-        desired=[list(map(float, b)) for b in d.blocks],
+        desired=[list(map(float, b)) for b in desired.blocks],
         strategy_checks=strategy_checks,
         response_checks=response_checks,
         tolerances={

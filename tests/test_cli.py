@@ -254,6 +254,17 @@ def test_feasible_supplied_strategies(tmp_path, capsys):
     assert main(["feasible", path, "--strategies", spath]) == 0
 
 
+@pytest.mark.parametrize("option", ["--tol", "--grid-radius", "--grid-points"])
+def test_feasible_takes_no_oracle_options(tmp_path, capsys, option):
+    # feasible runs no best-response oracle
+    path = _constrained_doc(tmp_path, ceiling=18)
+    assert main(["feasible", path, option, "1"]) == 4
+    assert "unrecognized arguments: %s 1" % option in capsys.readouterr().err
+    assert main(["feasible", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--samples" in out and option not in out
+
+
 # ---------------------------------------------------------------------------
 # bad input handling
 # ---------------------------------------------------------------------------
@@ -364,6 +375,70 @@ def test_verifier_names_the_stage_whose_reduction_overflows(tri_doc, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == ("error: stage 2 (announcing level 2): "
                            "quadratic coefficient is not finite\n")
+
+
+def test_verifier_names_the_stage_whose_follower_gradient_is_not_finite(tmp_path):
+    # u3^1000000 overflows at the anchor u3 = 3; solve names the stage too
+    doc = json.loads(TRI_PROBLEM)
+    doc["objectives"][2]["formula"] = "u1^2 + (u2 - 2)^2 + u3^1000000"
+    path = _write(tmp_path, "overflow.json", doc)
+    message = ("error: stage 2 (announcing level 2): "
+               "the follower's gradient is not finite at the anchor\n")
+    proc = _run_cli("verify", path, "--strategies",
+                    _write(tmp_path, "rules.json", GOOD_STRATEGIES))
+    assert (proc.returncode, proc.stderr) == (2, message)
+    proc = _run_cli("solve", path)
+    assert (proc.returncode, proc.stderr) == (2, message)
+
+
+def test_saddle_point_of_the_leader_cost_is_not_the_team_optimum(tmp_path):
+    # descent starts at the origin, where the gradient vanishes but the
+    # leader Hessian is diag(-4, 2); the minima are (+-1, 0)
+    doc = {"levels": 2, "dims": [1, 1], "objectives": [
+        {"type": "expr", "formula": "(u1^2 - 1)^2 + u2^2"},
+        {"type": "expr", "formula": "(u1 - 1)^2 + (u2 - 1)^2"}]}
+    proc = _run_cli("solve", _write(tmp_path, "saddle.json", doc))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: descent stopped at [0.0, 0.0], a stationary point "
+                           "that is not a minimum: the leader Hessian has a negative "
+                           "eigenvalue there\n")
+
+
+# the README game in the box |u1| <= 100, |u2| <= 5, |u3| <= 5 plus the row
+# 1e308*u1 + 1e308*u2 <= 1e308, at the edge of the double range
+HUGE_ROW_CONSTRAINTS = {
+    "A": [[[1], [-1], [0], [0], [0], [0], [1e308]],
+          [[0], [0], [1], [-1], [0], [0], [1e308]],
+          [[0], [0], [0], [0], [1], [-1], [0]]],
+    "b": [100, 100, 5, 5, 5, 5, 1e308],
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve"], "stage 2 (announcing level 2): constraint coefficient is not finite"),
+    (["feasible"], "stage 2 (announcing level 2): constraint coefficient is not finite"),
+    (["feasible", "--samples", "2"],
+     "level 1: a constraint row with the strategy substituted is not finite"),
+], ids=["solve", "feasible", "feasible-samples"])
+def test_constraint_rows_near_the_double_range_are_refused(tmp_path, argv, message):
+    # substituting a rule into the huge row overflows; no numpy warning
+    # reaches stderr on the way
+    doc = json.loads(TRI_PROBLEM)
+    doc["constraints"] = HUGE_ROW_CONSTRAINTS
+    path = _write(tmp_path, "huge.json", doc)
+    proc = _run_cli(argv[0], path, *argv[1:])
+    assert (proc.returncode, proc.stderr) == (2, "error: %s\n" % message)
+
+
+def test_huge_constraint_rows_leave_family_checks_quiet(tmp_path):
+    doc = json.loads(TRI_PROBLEM)
+    doc["constraints"] = HUGE_ROW_CONSTRAINTS
+    proc = _run_cli("family", _write(tmp_path, "huge.json", doc), "--samples", "1")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith(
+        "  u1 = -10 + u2 + 3*u3\nfamily is a single point (top level is scalar)\n"
+        "member 0: realization 0, family residual 0, response distance 0 [ok]\n")
 
 
 NAN_SAMPLE_GAME = {"levels": 2, "dims": [1, 1], "objectives": [

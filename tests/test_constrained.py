@@ -10,12 +10,11 @@ from revstack import (
     DimensionError,
     GameProblem,
     LinearConstraints,
+    RevstackError,
     UnboundedRegionError,
     feasibility_check,
-    filter_family,
     simplex_maximize,
     synthesize_cascade,
-    synthesize_family_leader,
     team_optimum_constrained,
     team_optimum_quadratic,
 )
@@ -259,15 +258,15 @@ def test_unbounded_region_is_refused(tri, gamma):
         feasibility_check(gamma, rows, tri.dims)
 
 
-def test_bounds_argument_stands_in_for_box_rows(tri, gamma):
-    rows = _row_system((1, 0, 0, 18.0), (-1, 0, 0, 28.0))
-    verdict = feasibility_check(gamma, rows, tri.dims,
-                                bounds=[(-1.0, 3.0), (1.0, 5.0)])
-    assert verdict.feasible
-    assert verdict.margins == pytest.approx([-8.0, -22.0])
-    assert verdict.worst_row == 0
-    with pytest.raises(DimensionError):
-        feasibility_check(gamma, rows, tri.dims, bounds=[(-1.0, 3.0)])
+def test_overflowing_substituted_row_is_refused_by_level(tri, gamma):
+    # gamma is u1 = 12 - u2 - 3*u3: the row 1e308*u1 + 1e308*u3 <= 0 becomes
+    # -1e308*u2 - 2e308*u3 + 1.2e309, past the double range.  The refusal is
+    # the only outcome: numpy warns of nothing (the suite makes that an error)
+    rows = _row_system((1e308, 0, 1e308, 0.0), (0, 1, 0, 3.0), (0, -1, 0, 1.0),
+                       (0, 0, 1, 5.0), (0, 0, -1, -1.0))
+    with pytest.raises(RevstackError, match="level 1: a constraint row .* not finite") as err:
+        feasibility_check(gamma, rows, tri.dims)
+    assert not isinstance(err.value, DimensionError)
 
 
 def test_bottom_level_rule_is_a_fixed_block(tri):
@@ -330,31 +329,3 @@ def test_lp_margins_match_interval_arithmetic(tri, seed):
     ]
     assert verdict.margins == pytest.approx(expected, abs=1e-7)
     assert verdict.feasible == (max(expected) <= 1e-9)
-
-
-# ---------------------------------------------------------------------------
-# family filtering
-# ---------------------------------------------------------------------------
-
-def test_filter_family_preserves_order_and_captures_errors(wide):
-    eq = team_optimum_quadratic(wide)
-    family = synthesize_family_leader(wide, eq.point)
-    rows = LinearConstraints(
-        (np.array([[1.0, 0.0], [0.0, 1.0]] + [[0, 0]] * 4, float),
-         np.array([[0.0], [0.0], [1.0], [-1.0], [0.0], [0.0]], float),
-         np.array([[0.0], [0.0], [0.0], [0.0], [1.0], [-1.0]], float)),
-        np.array([2.0, 2.0, 1.0, 2.0, 1.0, 2.0], float))
-    grid = [
-        (np.zeros((1, 1)), np.zeros((1, 1))),       # rank-one member: fits
-        (np.full((1, 1), 10.0), np.full((1, 1), 10.0)),  # huge gains: exits
-        (np.zeros((3, 1)), np.zeros((1, 1))),       # wrong parameter shape
-    ]
-    items = filter_family(family, rows, wide.dims, grid)
-    assert len(items) == 3
-    for item, params in zip(items, grid):
-        for got, want in zip(item.params, params):
-            assert np.array_equal(got, np.asarray(want, float))
-    assert items[0].error is None and items[0].verdict.feasible
-    assert items[1].error is None and not items[1].verdict.feasible
-    assert items[2].verdict is None
-    assert "shape" in items[2].error

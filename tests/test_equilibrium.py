@@ -69,6 +69,32 @@ def test_descent_handles_two_basins():
     assert eq.value == pytest.approx(0.0, abs=1e-10)
 
 
+def test_descent_does_not_report_a_saddle_as_the_optimum():
+    # the gradient vanishes at the origin start, where the Hessian is
+    # diag(-4, 2); the minima are (+-1, 0)
+    dims = Dims.of(1, 1)
+    J1 = ExprObjective(parse_formula("(u1^2 - 1)^2 + u2^2", dims))
+    J2 = ExprObjective(parse_formula("(u1 - 1)^2 + (u2 - 1)^2", dims))
+    prob = GameProblem(dims, (J1, J2))
+    with pytest.raises(NotMinimumError, match=r"stopped at \[0\.0, 0\.0\]"):
+        team_optimum(prob)
+    # a start that reaches a minimum still wins
+    origin = DecisionPoint.of([0.0], [0.0])
+    eq = team_optimum_descent(prob, [origin, DecisionPoint.of([2.0], [0.5])])
+    assert eq.point.concat() == pytest.approx([1.0, 0.0], abs=1e-6)
+
+
+def test_descent_accepts_a_semidefinite_minimum():
+    # u1^4 has a zero second derivative at its minimum
+    dims = Dims.of(1, 1)
+    J1 = ExprObjective(parse_formula("u1^4 + u2^2", dims))
+    prob = GameProblem(dims, (J1, J1))
+    eq = team_optimum(prob)
+    assert eq.method == "descent"
+    assert eq.point.concat().tolist() == [0.0, 0.0]
+    assert eq.value == 0.0
+
+
 def test_descent_requires_starts(tri_expr):
     with pytest.raises(EquilibriumError):
         team_optimum_descent(tri_expr, [])
@@ -131,6 +157,21 @@ def test_row_count_cap(tri):
                       np.arange(k) + 100.0)
     with pytest.raises(EquilibriumError, match="cap"):
         team_optimum_constrained(prob)
+
+
+def test_overflowing_candidates_are_skipped_quietly(tri):
+    # the last row is u1 + u2 <= 1 scaled to the edge of the double range:
+    # its candidates overflow, and the search keeps a finite feasible point
+    # without numpy warnings (the suite turns them into errors)
+    prob = _with_rows(
+        tri,
+        ([[1], [-1], [0], [0], [0], [0], [1e308]],
+         [[0], [0], [1], [-1], [0], [0], [1e308]],
+         [[0], [0], [0], [0], [1], [-1], [0]]),
+        [100, 100, 5, 5, 5, 5, 1e308])
+    eq = team_optimum_constrained(prob)
+    assert np.isfinite(eq.point.concat()).all()
+    assert (prob.constraints.residual(eq.point) <= 0).all()
 
 
 def test_two_active_rows(tri):

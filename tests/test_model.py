@@ -296,6 +296,14 @@ def test_quadratic_coefficients_must_be_finite():
         QuadraticObjective.build(dims, {}, const=np.inf)
 
 
+def test_constraint_entries_must_be_finite():
+    with pytest.raises(RevstackError, match="constraint coefficient is not finite") as err:
+        LinearConstraints((np.array([[np.inf]]), np.zeros((1, 1))), np.ones(1))
+    assert not isinstance(err.value, DimensionError)
+    with pytest.raises(RevstackError, match="not finite"):
+        LinearConstraints((np.ones((1, 1)), np.zeros((1, 1))), [np.nan])
+
+
 def test_objective_count_must_match_levels(tri):
     with pytest.raises(DimensionError):
         GameProblem(tri.dims, tri.objectives[:2])

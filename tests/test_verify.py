@@ -38,6 +38,7 @@ from revstack.verify import (
     REFINE_SHRINK,
 )
 
+import revstack.verify as verify_module
 from conftest import random_convex_game
 
 
@@ -65,22 +66,13 @@ def test_oracle_level_three_recovers_the_bottom_block(tri):
     assert res.value == pytest.approx(14.0, abs=1e-6)
 
 
-def test_oracle_respects_explicit_bounds(tri):
-    eq, chain = _chain(tri)
-    res = oracle_best_response(
-        tri, chain, 3, GridSpec(bounds=((0.0, 4.0),)), anchor=eq.point.tail(3))
-    assert res.argmin.concat() == pytest.approx([3.0], abs=ARGMIN_TOL)
-    assert res.grid_argmin == pytest.approx([3.0])  # 3.0 is a grid node here
-    assert res.refinement_drift <= 1e-6
-
-
 def test_oracle_breaks_grid_ties_toward_the_smallest_node():
     dims = Dims.of(1, 1)
     J1 = QuadraticObjective.build(dims, {(1, 1): np.eye(1), (2, 2): np.eye(1)})
     J2 = ExprObjective(parse_formula("(u2^2 - 1)^2", dims))
     prob = GameProblem(dims, (J1, J2))
     gamma = AffineStrategy(1, DecisionPoint.of([0.0], [0.0]), (np.zeros((1, 1)),))
-    res = oracle_best_response(prob, [gamma], 2)
+    res = oracle_best_response(prob, [gamma], 2, anchor=DecisionPoint.of([0.0]))
     # both wells (+1 and -1) are exact grid nodes with value 0
     assert res.argmin.concat() == pytest.approx([-1.0], abs=1e-9)
     assert res.value == pytest.approx(0.0, abs=1e-12)
@@ -107,7 +99,7 @@ def _one_at_a_time_refinement(problem, chain, level, center, x, fx, grid):
     """Compass search from the grid's best node, one trial per evaluation."""
     steps = ((center + grid.radius) - (center - grid.radius)) / (grid.points - 1)
     evaluations = 0
-    for _ in range(grid.refine_iters):
+    for _ in range(verify_module.REFINE_ITERS):
         if steps.max() < REFINE_FLOOR:
             break
         improved = False
@@ -126,14 +118,15 @@ def _one_at_a_time_refinement(problem, chain, level, center, x, fx, grid):
 
 
 @pytest.mark.parametrize("name", ["tri", "wide", "r111", "r2111", "r122"])
-def test_chunked_grid_walk_matches_the_dense_grid(name, tri, wide):
+def test_chunked_grid_walk_matches_the_dense_grid(name, tri, wide, monkeypatch):
     # level 2 of (1,2,2) has four coordinates: 41 chunks of 41^3 nodes
     problem = {"tri": tri, "wide": wide,
                "r111": random_convex_game(11, (1, 1, 1)),
                "r2111": random_convex_game(12, (2, 1, 1, 1)),
                "r122": random_convex_game(13, (1, 2, 2))}[name]
     eq, chain = _chain(problem)
-    grid = GridSpec(refine_iters=0)  # the result is then the grid's best node
+    grid = GridSpec()
+    monkeypatch.setattr(verify_module, "REFINE_ITERS", 0)  # the grid's best node
     for level in range(2, problem.levels + 1):
         anchor = eq.point.tail(level)
         node, value = _dense_grid_best(problem, chain, level, anchor, grid)
@@ -144,7 +137,8 @@ def test_chunked_grid_walk_matches_the_dense_grid(name, tri, wide):
 
 
 @pytest.mark.parametrize("name", ["tri_expr", "tri", "r2111", "r122"])
-def test_batched_refinement_follows_the_one_at_a_time_sweep(name, tri, tri_expr):
+def test_batched_refinement_follows_the_one_at_a_time_sweep(name, tri, tri_expr,
+                                                            monkeypatch):
     problem = {"tri": tri, "tri_expr": tri_expr,
                "r2111": random_convex_game(12, (2, 1, 1, 1)),
                "r122": random_convex_game(13, (1, 2, 2))}[name]
@@ -154,8 +148,9 @@ def test_batched_refinement_follows_the_one_at_a_time_sweep(name, tri, tri_expr)
         # centred off the desired blocks, so they are not a grid node
         center = eq.point.tail(level).concat() + 0.123
         anchor = DecisionPoint.from_concat(problem.dims.m[level - 1:], center)
-        node = oracle_best_response(problem, chain, level, GridSpec(refine_iters=0),
-                                    anchor=anchor)
+        with monkeypatch.context() as m:
+            m.setattr(verify_module, "REFINE_ITERS", 0)  # the grid's best node
+            node = oracle_best_response(problem, chain, level, grid, anchor=anchor)
         x, fx, trials = _one_at_a_time_refinement(
             problem, chain, level, center, node.grid_argmin, node.value, grid)
         res = oracle_best_response(problem, chain, level, grid, anchor=anchor)
@@ -175,16 +170,18 @@ def test_batched_refinement_follows_the_one_at_a_time_sweep(name, tri, tri_expr)
 
 @pytest.mark.parametrize("refine_iters", [1, 2, 3, 5, 44, 60])
 def test_refinement_cap_and_floor_follow_the_one_at_a_time_sweep(
-        refine_iters, tri, tri_expr):
+        refine_iters, tri, tri_expr, monkeypatch):
     # a small cap ends the search inside a batch of several sweeps; at 44 and
     # 60 the floor ends it.  Elementwise arithmetic, so bitwise equal
     eq, chain = _chain(tri)
-    grid = GridSpec(refine_iters=refine_iters)
+    grid = GridSpec()
+    monkeypatch.setattr(verify_module, "REFINE_ITERS", refine_iters)
     for level in (2, 3):
         center = eq.point.tail(level).concat() + 0.123
         anchor = DecisionPoint.from_concat(tri.dims.m[level - 1:], center)
-        node = oracle_best_response(tri_expr, chain, level, GridSpec(refine_iters=0),
-                                    anchor=anchor)
+        with monkeypatch.context() as m:
+            m.setattr(verify_module, "REFINE_ITERS", 0)  # the grid's best node
+            node = oracle_best_response(tri_expr, chain, level, grid, anchor=anchor)
         x, fx, trials = _one_at_a_time_refinement(
             tri_expr, chain, level, center, node.grid_argmin, node.value, grid)
         res = oracle_best_response(tri_expr, chain, level, grid, anchor=anchor)
@@ -206,7 +203,6 @@ def _diagonal_122():
 def test_refinement_on_the_desired_node_is_one_batch(name, level, tri, wide, monkeypatch):
     # the desired blocks are exact grid nodes with no better neighbour at any
     # step; level 2 of the (1,2,2) game walks its four-coordinate grid in 41 chunks
-    import revstack.verify as verify_module
     problem = {"tri": tri, "wide": wide, "diagonal_122": _diagonal_122()}[name]
     eq, chain = _chain(problem)
     calls = []
@@ -236,7 +232,7 @@ def test_grid_ties_across_chunks_go_to_the_smallest_node():
     prob = GameProblem(dims, (J1, J2))
     gamma = AffineStrategy(1, DecisionPoint.of([0.0], [0.0] * 4), (np.zeros((1, 4)),))
     assert 41 ** 4 > GRID_CHUNK_NODES
-    res = oracle_best_response(prob, [gamma], 2)
+    res = oracle_best_response(prob, [gamma], 2, anchor=DecisionPoint.of([0.0] * 4))
     assert np.array_equal(res.grid_argmin, [-1.0, 0.0, 0.0, 0.0])
     assert res.argmin.concat() == pytest.approx([-1.0, 0.0, 0.0, 0.0], abs=1e-9)
     assert res.value == 0.0
@@ -270,24 +266,16 @@ def test_oracle_refuses_a_nan_cost_by_name(tri):
     assert [str(w.message) for w in caught] == []
 
 
-def test_bad_grid_bounds_are_bad_input(tri):
-    eq, chain = _chain(tri)
-    with pytest.raises(DimensionError, match="finite"):
-        GridSpec(bounds=((np.nan, 4.0), (0.0, 1.0)))
-    with pytest.raises(DimensionError, match="finite"):
-        GridSpec(bounds=((0.0, np.inf),))
-    with pytest.raises(DimensionError, match=r"level 2: .*1 bounds for 2"):
-        oracle_best_response(tri, chain, 2, GridSpec(bounds=((0.0, 4.0),)))
-
-
 def test_oracle_rejects_bad_levels_and_chains(tri):
     eq, chain = _chain(tri)
     with pytest.raises(DimensionError):
-        oracle_best_response(tri, chain, 1)
+        oracle_best_response(tri, chain, 1, anchor=eq.point)
     with pytest.raises(DimensionError):
-        oracle_best_response(tri, chain, 4)
+        oracle_best_response(tri, chain, 4, anchor=eq.point.tail(3))
     with pytest.raises(DimensionError):
-        oracle_best_response(tri, [], 2)
+        oracle_best_response(tri, [], 2, anchor=eq.point.tail(2))
+    with pytest.raises(DimensionError, match="anchor"):
+        oracle_best_response(tri, chain, 2, anchor=eq.point.tail(3))
 
 
 def test_oracle_refuses_grids_above_the_node_limit():
@@ -412,13 +400,6 @@ def test_full_verification_passes_on_the_wide_game(wide):
     assert report.strategy_checks[0].membership_residual <= ALGEBRAIC_TOL
 
 
-def test_full_verification_computes_the_optimum_when_not_given(tri):
-    _, chain = _chain(tri)
-    report = verify_full(tri, chain)
-    assert report.verified
-    assert report.desired == [[2.0], [1.0], [3.0]]
-
-
 def test_corrupted_top_strategy_is_rejected(tri):
     eq, chain = _chain(tri)
     bad = AffineStrategy.from_affine(
@@ -447,11 +428,11 @@ def test_report_is_deterministic_and_serializable(tri):
 
 
 def test_wrong_chain_length_is_rejected(tri):
-    _, chain = _chain(tri)
+    eq, chain = _chain(tri)
     with pytest.raises(DimensionError):
-        verify_full(tri, chain[:1])
+        verify_full(tri, chain[:1], desired=eq.point)
     with pytest.raises(DimensionError):
-        verify_full(tri, list(chain) + list(chain))
+        verify_full(tri, list(chain) + list(chain), desired=eq.point)
 
 
 def test_degenerate_bilevel_verifies_with_informational_existence():
@@ -493,3 +474,20 @@ def test_verifier_imports_only_the_strategy_type_and_the_reduction_from_synthesi
         elif isinstance(node, ast.Import):
             assert not any(a.name == "revstack.synthesis" for a in node.names)
     assert imported <= {"AffineStrategy", "reduce_problem"}
+
+
+def test_synthesis_and_the_verifier_take_the_desired_point_from_their_caller():
+    # neither computes the team optimum itself, and feasibility needs only
+    # the strategy type
+    import revstack.constrained
+    import revstack.synthesis
+
+    def imports(module):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        return {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    for module in (revstack.synthesis, verify_module):
+        assert not any(m == "equilibrium" for m, _ in imports(module))
+    assert {n for m, n in imports(revstack.constrained) if m == "synthesis"} == {
+        "AffineStrategy"}
