@@ -21,6 +21,7 @@ check its shape again.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -218,6 +219,70 @@ class Negate(Node):
 # Monomials that one product or sum may build before like terms are merged.
 _MAX_MONOMIALS = 100_000
 _TOO_LARGE = "polynomial expansion exceeds %d monomials" % _MAX_MONOMIALS
+# Exponents are stored as int64; plain ints do not wrap, so a sum past this is refused.
+_MAX_EXPONENT = 2 ** 63 - 1
+
+# A polynomial as plain Python: sorted keys, exponent rows as tuples of ints,
+# float coefficients.  Arithmetic works on this form, so a formula tree or a
+# substitution builds numpy arrays once, for its result.
+_Terms = Tuple[Tuple[Tuple[int, int], ...], Sequence[Tuple[int, ...]], Sequence[float]]
+
+_ONE: _Terms = ((), ((),), (1.0,))
+
+
+def _merged(keys, rows: Sequence[Tuple[int, ...]], coefs: Sequence[float]) -> _Terms:
+    """The terms ``coefs[m] * x ** rows[m]``, like rows summed in order of
+    appearance from 0.0, zero sums dropped and rows sorted."""
+    if len(coefs) > _MAX_MONOMIALS:
+        raise RevstackError(_TOO_LARGE)
+    merged: Dict[Tuple[int, ...], float] = {}
+    for row, coef in zip(rows, coefs):
+        merged[row] = merged.get(row, 0.0) + coef
+    if not all(map(math.isfinite, merged.values())):
+        raise RevstackError("polynomial coefficient is not finite")
+    order = sorted(row for row, coef in merged.items() if coef != 0.0)
+    return keys, order, [merged[row] for row in order]
+
+
+def _on_keys(rows: Sequence[Tuple[int, ...]], keys, wider) -> Sequence[Tuple[int, ...]]:
+    """Rows over ``keys`` rewritten over the sorted superset ``wider``."""
+    if keys == wider:
+        return rows
+    # a key the rows lack reads the 0 padded after their last column
+    pick = [keys.index(key) if key in keys else len(keys) for key in wider]
+    return [tuple(map((row + (0,)).__getitem__, pick)) for row in rows]
+
+
+def _sum(parts: Sequence[_Terms]) -> _Terms:
+    """The terms of every part in turn, over the union of their keys, merged."""
+    keys = tuple(sorted(set().union(*(p[0] for p in parts))))
+    return _merged(keys, [row for k, rows, _ in parts for row in _on_keys(rows, k, keys)],
+                   [coef for _, _, coefs in parts for coef in coefs])
+
+
+def _product(a: _Terms, b: _Terms) -> _Terms:
+    """Every term of ``a`` times every term of ``b``, ``a``'s terms outermost."""
+    (ka, ra, ca), (kb, rb, cb) = a, b
+    if len(ca) * len(cb) > _MAX_MONOMIALS:
+        raise RevstackError(_TOO_LARGE)
+    keys = tuple(sorted(set(ka) | set(kb)))
+    ra, rb = _on_keys(ra, ka, keys), _on_keys(rb, kb, keys)
+    rows = [tuple(map(operator.add, x, y)) for x in ra for y in rb]
+    if max(itertools.chain.from_iterable(rows), default=0) > _MAX_EXPONENT:
+        raise RevstackError("polynomial exponent overflows")
+    return _merged(keys, rows, [x * y for x in ca for y in cb])
+
+
+def _power(a: _Terms, k: int) -> _Terms:
+    """``a ** k`` for an integer k >= 0, by repeated squaring."""
+    result, base = _ONE, a
+    while k:
+        if k & 1:
+            result = _product(result, base)
+        k >>= 1
+        if k:
+            base = _product(base, base)
+    return result
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,9 +291,10 @@ class Polynomial:
 
     Column v of the integer exponent matrix ``E`` (M, V) is the scalar
     ``keys[v] = (level, index)``.  Keys are sorted, rows distinct and sorted,
-    coefficients nonzero and finite.  Arithmetic raises RevstackError on a
-    non-finite coefficient, an exponent past int64, or a step building more
-    than ``_MAX_MONOMIALS`` monomials.
+    coefficients nonzero and finite.  Arithmetic works on plain Python rows
+    and coefficients and builds ``E`` and ``c`` once per result.  It raises
+    RevstackError on a non-finite coefficient, an exponent past int64, or a
+    step building more than ``_MAX_MONOMIALS`` monomials.
     """
 
     keys: Tuple[Tuple[int, int], ...]
@@ -236,61 +302,36 @@ class Polynomial:
     c: np.ndarray
 
     @classmethod
+    def _of(cls, terms: _Terms) -> "Polynomial":
+        keys, rows, coefs = terms
+        return cls(keys, np.array(rows, dtype=np.int64).reshape(len(rows), len(keys)),
+                   np.array(coefs, dtype=float))
+
+    @cached_property
+    def _plain(self) -> _Terms:
+        return self.keys, list(map(tuple, self.E.tolist())), self.c.tolist()
+
+    @classmethod
     def from_terms(cls, keys, E, c) -> "Polynomial":
         """Sum of the terms ``c[m] * x ** E[m]`` over sorted ``keys``, like monomials merged."""
-        if len(c) > _MAX_MONOMIALS:
-            raise RevstackError(_TOO_LARGE)
-        merged: Dict[Tuple[int, ...], float] = {}
         rows = np.asarray(E, dtype=np.int64).reshape(len(c), len(keys)).tolist()
-        for row, coef in zip(map(tuple, rows), np.asarray(c, dtype=float).tolist()):
-            merged[row] = merged.get(row, 0.0) + coef
-        if not all(map(math.isfinite, merged.values())):
-            raise RevstackError("polynomial coefficient is not finite")
-        order = sorted(row for row, coef in merged.items() if coef != 0.0)
-        return cls(tuple(keys), np.array(order, dtype=np.int64).reshape(len(order), len(keys)),
-                   np.array([merged[row] for row in order], dtype=float))
+        return cls._of(_merged(tuple(keys), list(map(tuple, rows)),
+                               np.asarray(c, dtype=float).tolist()))
 
     @classmethod
     def constant(cls, value: float) -> "Polynomial":
-        return cls.from_terms((), np.zeros((1, 0)), [value])
+        return cls._of(_merged((), [()], [float(value)]))
 
     @staticmethod
     def total(polys: Sequence["Polynomial"]) -> "Polynomial":
-        keys = tuple(sorted(set().union(*(p.keys for p in polys))))
-        return Polynomial.from_terms(keys, np.vstack([p._widened(keys) for p in polys]),
-                                     np.concatenate([p.c for p in polys]))
-
-    def _widened(self, keys: Tuple[Tuple[int, int], ...]) -> np.ndarray:
-        """``E`` with one column per key of the sorted superset ``keys``."""
-        if keys == self.keys:
-            return self.E
-        at = {key: v for v, key in enumerate(keys)}
-        out = np.zeros((self.E.shape[0], len(keys)), dtype=np.int64)
-        out[:, [at[key] for key in self.keys]] = self.E
-        return out
+        return Polynomial._of(_sum([p._plain for p in polys]))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.c.size * other.c.size > _MAX_MONOMIALS:
-            raise RevstackError(_TOO_LARGE)
-        keys = tuple(sorted(set(self.keys) | set(other.keys)))
-        E = (self._widened(keys)[:, None, :] + other._widened(keys)[None, :, :]
-             ).reshape(self.c.size * other.c.size, len(keys))
-        if (E < 0).any():  # a sum of exponents wrapped past int64
-            raise RevstackError("polynomial exponent overflows")
-        with np.errstate(over="ignore"):
-            c = np.outer(self.c, other.c).ravel()
-        return Polynomial.from_terms(keys, E, c)
+        return Polynomial._of(_product(self._plain, other._plain))
 
     def __pow__(self, k: int) -> "Polynomial":
         """``self ** k`` for an integer k >= 0, by repeated squaring."""
-        result, base = Polynomial.constant(1.0), self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return Polynomial._of(_power(self._plain, k))
 
     @cached_property
     def _terms(self) -> List[Tuple[float, Tuple[Tuple[int, int], ...]]]:
@@ -322,11 +363,11 @@ class Polynomial:
 
     def derivative(self, v: int) -> "Polynomial":
         """Partial derivative along column ``v``, by exponent shifting."""
-        e = self.E[:, v]
-        E = self.E[e > 0]
-        E[:, v] -= 1
-        with np.errstate(over="ignore"):
-            return Polynomial.from_terms(self.keys, E, self.c[e > 0] * e[e > 0])
+        keys, rows, coefs = self._plain
+        hit = [(row, coef) for row, coef in zip(rows, coefs) if row[v]]
+        return Polynomial._of(_merged(keys, [row[:v] + (row[v] - 1,) + row[v + 1:]
+                                             for row, _ in hit],
+                                      [coef * row[v] for row, coef in hit]))
 
     @cached_property
     def derivatives(self) -> Tuple[List["Polynomial"], Dict[Tuple[int, int], "Polynomial"]]:
@@ -338,22 +379,25 @@ class Polynomial:
     def substitute_top(self, offset: np.ndarray, C: Sequence[np.ndarray]) -> "Polynomial":
         """Put ``offset[i] + sum_j C[j][i] @ u^(j+2)`` for each level-1 scalar i,
         then renumber every level down by one."""
-        lower = [(j + 1, col + 1) for j, M in enumerate(C) for col in range(M.shape[1])]
-        rule_E = np.vstack([np.zeros((1, len(lower))), np.eye(len(lower))])
+        lower = tuple((j + 1, col + 1) for j, M in enumerate(C) for col in range(M.shape[1]))
+        rule_rows = [(0,) * len(lower)] + [tuple(int(a == b) for b in range(len(lower)))
+                                           for a in range(len(lower))]
         # level 1 is level 0 until it is substituted; the key order is kept
-        poly = Polynomial(tuple((lev - 1, idx) for lev, idx in self.keys), self.E, self.c)
+        _, rows, coefs = self._plain
+        poly: _Terms = (tuple((lev - 1, idx) for lev, idx in self.keys), rows, coefs)
         for i in range(offset.size):
-            if (0, i + 1) in poly.keys:
-                rule = Polynomial.from_terms(
-                    lower, rule_E, np.concatenate([[offset[i]]] + [M[i] for M in C]))
+            keys, rows, coefs = poly
+            if (0, i + 1) in keys:
+                rule = _merged(lower, rule_rows,
+                               np.concatenate([[offset[i]]] + [M[i] for M in C]).tolist())
                 # split by the power k of the substituted scalar: sum_k rest_k * rule^k
-                v = poly.keys.index((0, i + 1))
-                e, rest = poly.E[:, v], np.delete(poly.E, v, 1)
-                keys = poly.keys[:v] + poly.keys[v + 1:]
-                poly = Polynomial.total([
-                    Polynomial.from_terms(keys, rest[e == k], poly.c[e == k]) * rule ** k
-                    for k in sorted(set(e.tolist()))])
-        return poly
+                v = keys.index((0, i + 1))
+                rest = keys[:v] + keys[v + 1:]
+                poly = _sum([_product(
+                    _merged(rest, [row[:v] + row[v + 1:] for row in rows if row[v] == k],
+                            [coef for row, coef in zip(rows, coefs) if row[v] == k]),
+                    _power(rule, k)) for k in sorted({row[v] for row in rows})])
+        return Polynomial._of(poly)
 
     def to_node(self) -> Node:
         """A formula tree of this polynomial: one signed monomial per term."""
@@ -367,23 +411,26 @@ class Polynomial:
         return Sum(tuple(terms)) if len(terms) > 1 else (terms or [Constant(0.0)])[0]
 
 
+def _expand(node: Node) -> _Terms:
+    if isinstance(node, Constant):
+        return _merged((), [()], [node.value])
+    if isinstance(node, Var):
+        return ((node.level, node.index),), [(1,)], [1.0]
+    if isinstance(node, Sum):
+        return _sum([_expand(t) for t in node.terms])
+    if isinstance(node, Product):
+        return functools.reduce(_product, [_expand(f) for f in node.factors])
+    if isinstance(node, Power):
+        return _power(_expand(node.base), node.exponent)
+    if isinstance(node, Negate):
+        keys, rows, coefs = _expand(node.child)
+        return keys, rows, [-coef for coef in coefs]
+    raise TypeError("not an expression node: %r" % (node,))
+
+
 def _compile(node: Node) -> Polynomial:
     """Expand a formula tree into its polynomial."""
-    if isinstance(node, Constant):
-        return Polynomial.constant(node.value)
-    if isinstance(node, Var):
-        return Polynomial(((node.level, node.index),), np.ones((1, 1), dtype=np.int64),
-                          np.ones(1))
-    if isinstance(node, Sum):
-        return Polynomial.total([_compile(t) for t in node.terms])
-    if isinstance(node, Product):
-        return functools.reduce(operator.mul, [_compile(f) for f in node.factors])
-    if isinstance(node, Power):
-        return _compile(node.base) ** node.exponent
-    if isinstance(node, Negate):
-        child = _compile(node.child)
-        return Polynomial(child.keys, child.E, -child.c)
-    raise TypeError("not an expression node: %r" % (node,))
+    return Polynomial._of(_expand(node))
 
 
 # ---------------------------------------------------------------------------

@@ -363,5 +363,7 @@ def synthesize_cascade(problem: GameProblem,
             top = synthesize_single_leader(stage, desired.tail(s))
         except ExistenceError as err:
             raise ExistenceError(where + str(err), verdict=err.verdict, level=s) from None
+        except RevstackError as err:  # a follower's derivative overflowed
+            raise RevstackError(where + str(err)) from None
         strategies.append(AffineStrategy(s, top.anchor, top.coeffs))
     return strategies

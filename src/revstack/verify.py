@@ -401,6 +401,8 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
             verdict = leader_existence_check(stage, stage_d)
         except ExistenceError as err:  # the follower's gradient is not finite
             raise ExistenceError(where + str(err), verdict=err.verdict, level=lev) from None
+        except RevstackError as err:  # a follower's derivative overflowed
+            raise RevstackError(where + str(err)) from None
         own_desired = desired.block(lev)
         # an overflow makes a residual inf or NaN, which fails its check
         with np.errstate(over="ignore", invalid="ignore"):

@@ -391,6 +391,34 @@ def test_verifier_names_the_stage_whose_follower_gradient_is_not_finite(tmp_path
     assert (proc.returncode, proc.stderr) == (2, message)
 
 
+def test_overflowing_follower_derivative_names_the_stage(tmp_path):
+    # the formula loads, but its derivative 3e308*u3^2, built for stage 1's
+    # existence check, overflows
+    doc = json.loads(TRI_PROBLEM)
+    doc["objectives"][1] = {"type": "expr", "formula": "(u1-1)^2 + u2^2 + 1e308*u3^3"}
+    path = _write(tmp_path, "steep.json", doc)
+    message = "error: stage 1 (announcing level 1): polynomial coefficient is not finite\n"
+    proc = _run_cli("solve", path)
+    assert (proc.returncode, proc.stderr) == (2, message)
+    proc = _run_cli("verify", path, "--strategies",
+                    _write(tmp_path, "rules.json", GOOD_STRATEGIES))
+    assert (proc.returncode, proc.stderr) == (2, message)
+
+
+def test_a_cost_whose_terms_cancel_reduces_to_zero(tmp_path):
+    # level 3's cost names u1 but has no monomial left; substituting level 1
+    # into it gives the zero polynomial, which stage 2's leader cannot steer
+    doc = json.loads(TRI_PROBLEM)
+    for lev, formula in enumerate(["(u1-2)^2 + (u2-1)^2 + (u3-3)^2",
+                                   "(u1-1)^2 + u2^2 + u3^2", "u1 - u1 + u2 - u2"]):
+        doc["objectives"][lev] = {"type": "expr", "formula": formula}
+    proc = _run_cli("solve", _write(tmp_path, "zero.json", doc))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: stage 2 (announcing level 2): the announcing "
+                                  "player cannot influence this objective at the anchor")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_saddle_point_of_the_leader_cost_is_not_the_team_optimum(tmp_path):
     # descent starts at the origin, where the gradient vanishes but the
     # leader Hessian is diag(-4, 2); the minima are (+-1, 0)

@@ -184,6 +184,29 @@ def test_quadratic_expansion_to_expression_tree(wide):
                 evaluate(wide.objective(lev), p), rel=1e-12, abs=1e-12)
 
 
+def test_compiling_a_flat_formula_builds_one_polynomial(monkeypatch):
+    # a quadratic written out monomial by monomial, as documents state one:
+    # 36 squares and products of 8 scalars, then 8 linear terms, signs mixed
+    names = ["u%d_%d" % (lev, i) for lev in (1, 2, 3, 4) for i in (1, 2)]
+    monomials = [a + "^2" if a == b else a + "*" + b
+                 for k, a in enumerate(names) for b in names[k:]] + names
+    text = "0.75*" + monomials[0] + "".join(
+        " %s %r*%s" % ("-+"[k % 2], 0.25 + k / 8, mono)
+        for k, mono in enumerate(monomials[1:], start=1))
+    tree = parse_formula(text, Dims.of(2, 2, 2, 2))
+    built = []
+    init = model.Polynomial.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(model.Polynomial, "__init__", counted)
+    obj = ExprObjective(tree)
+    assert len(built) == 1
+    assert obj.poly.c.size == 44
+
+
 def test_lower_triangular_keys_rejected():
     with pytest.raises(DimensionError):
         QuadraticObjective.build(Dims.of(1, 1), {(2, 1): np.eye(1)}, l=([0.0], [0.0]))

@@ -1,10 +1,14 @@
-"""Property tests: round trips, strategy forms and the verifier's soundness.
+"""Property tests: round trips, polynomial arithmetic, strategy forms and the
+verifier's soundness.
 
 Hypothesis draws the cases deterministically (``derandomize=True``), so a
 run is repeatable and needs no example database.
 """
 
+import functools
 import json
+import math
+import operator
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from revstack import (  # noqa: E402
     DecisionPoint,
     Dims,
     ExprObjective,
+    FormulaError,
     GameProblem,
     LinearConstraints,
     Negate,
@@ -35,6 +40,8 @@ from revstack import (  # noqa: E402
     team_optimum_quadratic,
     verify_full,
 )
+
+from revstack import model  # noqa: E402
 
 from conftest import random_convex_game  # noqa: E402
 
@@ -110,6 +117,211 @@ def test_document_round_trip(problem):
     text = format_problem(problem)
     assert format_problem(parse_problem(text)) == text
     json.loads(text)  # plain JSON: every number finite
+
+
+# ---------------------------------------------------------------------------
+# polynomial arithmetic against numpy array arithmetic
+# ---------------------------------------------------------------------------
+
+_MAX = model._MAX_MONOMIALS
+_TOO_LARGE = "polynomial expansion exceeds %d monomials" % _MAX
+
+
+class RefPoly:
+    """The polynomial algebra on numpy arrays: int64 exponent rows widened to
+    a common key set, outer products i-major, like rows merged in order of
+    appearance from 0.0.  The package works on plain Python terms instead;
+    every result must carry the same bits."""
+
+    def __init__(self, keys, E, c):
+        self.keys, self.E, self.c = keys, E, c
+
+    @classmethod
+    def from_terms(cls, keys, E, c):
+        if len(c) > _MAX:
+            raise RevstackError(_TOO_LARGE)
+        merged = {}
+        rows = np.asarray(E, dtype=np.int64).reshape(len(c), len(keys)).tolist()
+        for row, coef in zip(map(tuple, rows), np.asarray(c, dtype=float).tolist()):
+            merged[row] = merged.get(row, 0.0) + coef
+        if not all(map(math.isfinite, merged.values())):
+            raise RevstackError("polynomial coefficient is not finite")
+        order = sorted(row for row, coef in merged.items() if coef != 0.0)
+        return cls(tuple(keys), np.array(order, dtype=np.int64).reshape(len(order), len(keys)),
+                   np.array([merged[row] for row in order], dtype=float))
+
+    @classmethod
+    def constant(cls, value):
+        return cls.from_terms((), np.zeros((1, 0)), [value])
+
+    @staticmethod
+    def total(polys):
+        keys = tuple(sorted(set().union(*(p.keys for p in polys))))
+        return RefPoly.from_terms(keys, np.vstack([p.widened(keys) for p in polys]),
+                                  np.concatenate([p.c for p in polys]))
+
+    def widened(self, keys):
+        at = {key: v for v, key in enumerate(keys)}
+        out = np.zeros((self.E.shape[0], len(keys)), dtype=np.int64)
+        out[:, [at[key] for key in self.keys]] = self.E
+        return out
+
+    def __mul__(self, other):
+        if self.c.size * other.c.size > _MAX:
+            raise RevstackError(_TOO_LARGE)
+        keys = tuple(sorted(set(self.keys) | set(other.keys)))
+        E = (self.widened(keys)[:, None, :] + other.widened(keys)[None, :, :]
+             ).reshape(self.c.size * other.c.size, len(keys))
+        if (E < 0).any():  # a sum of exponents wrapped past int64
+            raise RevstackError("polynomial exponent overflows")
+        with np.errstate(over="ignore"):
+            c = np.outer(self.c, other.c).ravel()
+        return RefPoly.from_terms(keys, E, c)
+
+    def __pow__(self, k):
+        result, base = RefPoly.constant(1.0), self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
+    def derivative(self, v):
+        e = self.E[:, v]
+        E = self.E[e > 0]
+        E[:, v] -= 1
+        with np.errstate(over="ignore"):
+            return RefPoly.from_terms(self.keys, E, self.c[e > 0] * e[e > 0])
+
+    def substitute_top(self, offset, C):
+        lower = [(j + 1, col + 1) for j, M in enumerate(C) for col in range(M.shape[1])]
+        rule_E = np.vstack([np.zeros((1, len(lower))), np.eye(len(lower))])
+        poly = RefPoly(tuple((lev - 1, idx) for lev, idx in self.keys), self.E, self.c)
+        for i in range(offset.size):
+            if (0, i + 1) in poly.keys:
+                rule = RefPoly.from_terms(
+                    lower, rule_E, np.concatenate([[offset[i]]] + [M[i] for M in C]))
+                v = poly.keys.index((0, i + 1))
+                e, rest = poly.E[:, v], np.delete(poly.E, v, 1)
+                keys = poly.keys[:v] + poly.keys[v + 1:]
+                poly = RefPoly.total([
+                    RefPoly.from_terms(keys, rest[e == k], poly.c[e == k]) * rule ** k
+                    for k in sorted(set(e.tolist()))])
+        return poly
+
+    @classmethod
+    def compile(cls, node):
+        if isinstance(node, Constant):
+            return cls.constant(node.value)
+        if isinstance(node, Var):
+            return cls(((node.level, node.index),), np.ones((1, 1), dtype=np.int64), np.ones(1))
+        if isinstance(node, Sum):
+            return cls.total([cls.compile(t) for t in node.terms])
+        if isinstance(node, Product):
+            return functools.reduce(operator.mul, [cls.compile(f) for f in node.factors])
+        if isinstance(node, Power):
+            return cls.compile(node.base) ** node.exponent
+        child = cls.compile(node.child)
+        return cls(child.keys, child.E, -child.c)
+
+
+def _by_operators(node):
+    """The polynomial of ``node`` from its children's, by the public operators."""
+    Polynomial = model.Polynomial
+    if isinstance(node, Constant):
+        return Polynomial.constant(node.value)
+    if isinstance(node, Sum):
+        return Polynomial.total([model._compile(t) for t in node.terms])
+    if isinstance(node, Product):
+        return functools.reduce(operator.mul, [model._compile(f) for f in node.factors])
+    if isinstance(node, Power):
+        return model._compile(node.base) ** node.exponent
+    return model._compile(node)
+
+
+def _outcome(build):
+    """The bits of the polynomial ``build()`` returns, or the message it raises."""
+    try:
+        p = build()
+    except RevstackError as err:
+        return str(err)
+    return (p.keys, p.E.dtype, p.E.shape, p.E.tobytes(), p.c.dtype, p.c.shape, p.c.tobytes())
+
+
+ARITHMETIC = settings(SETTINGS, max_examples=150)
+
+# Sums whose like terms merge three or more at a time, and their powers:
+# there the order in which coefficients are added shows in the last bit.
+LIKE_TERMS = st.lists(
+    st.builds(lambda coef, mono: Product((Constant(coef), mono)), st.floats(0.01, 100.0),
+              st.sampled_from([Var(1, 1), Power(Var(2), 2), Product((Var(1, 2), Var(3, 1)))])),
+    min_size=3, max_size=8).map(lambda terms: Sum(tuple(terms)))
+LIKE_TERMS = st.one_of(LIKE_TERMS, st.builds(Power, LIKE_TERMS, st.integers(2, 4)))
+
+
+# small and huge exponents, and huge powers of whole trees, which end in
+# refusals as well as in polynomials
+@ARITHMETIC
+@given(st.one_of(formula_trees(WIDE, 4, 12), formula_trees(WIDE, 2 ** 62, 12), LIKE_TERMS,
+                 st.builds(Power, formula_trees(WIDE, 2 ** 62, 6), st.integers(2 ** 31, 2 ** 62))))
+def test_compiled_polynomials_match_the_array_arithmetic(tree):
+    got = _outcome(lambda: model._compile(tree))
+    assert got == _outcome(lambda: RefPoly.compile(tree))
+    assert _outcome(lambda: _by_operators(tree)) == got
+    if not isinstance(got, str):
+        poly, ref = model._compile(tree), RefPoly.compile(tree)
+        for v in range(len(poly.keys)):
+            assert _outcome(lambda: poly.derivative(v)) == _outcome(lambda: ref.derivative(v))
+
+
+@ARITHMETIC
+@given(st.one_of(formula_trees(WIDE, 4, 8), LIKE_TERMS),
+       st.lists(st.one_of(st.integers(-3, 3).map(float), MODEST, FINITE),
+                min_size=8, max_size=8))
+def test_substitution_matches_the_array_arithmetic(tree, entries):
+    try:
+        poly, ref = model._compile(tree), RefPoly.compile(tree)
+    except RevstackError:
+        reject()
+    offset = np.array(entries[:2])
+    C = [np.array(entries[2:4]).reshape(2, 1), np.array(entries[2:8]).reshape(2, 3)]
+    try:
+        want = _outcome(lambda: ref.substitute_top(offset, C))
+    except ValueError:
+        # the arrays cannot stack zero parts: a level-1 key with no monomial left
+        # substitutes to the zero polynomial
+        assert _outcome(lambda: poly.substitute_top(offset, C)) == _outcome(
+            lambda: model.Polynomial.from_terms((), np.zeros((0, 0)), []))
+        return
+    assert _outcome(lambda: poly.substitute_top(offset, C)) == want
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(u1_1 + u1_2 + u2 + u3_1 + u3_2 + u3_3)^40", _TOO_LARGE),
+    ("1e308*u2^2 + 1e308*u2^2", "polynomial coefficient is not finite"),
+    ("(2*u2)^1100", "polynomial coefficient is not finite"),
+])
+def test_refused_expansions_keep_their_messages(text, message):
+    with pytest.raises(FormulaError) as err:
+        ExprObjective(parse_formula(text, WIDE))
+    assert str(err.value) == message
+    with pytest.raises(RevstackError) as ref_err:
+        RefPoly.compile(parse_formula(text, WIDE))
+    assert str(ref_err.value) == message
+
+
+def test_an_exponent_past_int64_is_refused():
+    tree = Power(Power(Var(2), 2 ** 62), 2)
+    with pytest.raises(FormulaError) as err:
+        ExprObjective(tree)
+    assert str(err.value) == "polynomial exponent overflows"
+    with pytest.raises(RevstackError, match="^polynomial exponent overflows$"):
+        RefPoly.compile(tree)
+    # 2^63 - 1 itself is stored
+    top = ExprObjective(Product((Power(Var(2), 2 ** 62), Power(Var(2), 2 ** 62 - 1))))
+    assert top.poly.E.tolist() == [[2 ** 63 - 1]]
 
 
 # ---------------------------------------------------------------------------
