@@ -7,6 +7,8 @@ genuine bugs.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class RevstackError(Exception):
     """Base class for all structured errors raised by this package."""
@@ -49,6 +51,21 @@ class ExistenceError(RevstackError):
         super().__init__(message)
         self.verdict = verdict
         self.level = level
+
+
+@contextmanager
+def stage_errors(s: int):
+    """Prefix a RevstackError raised while cascade stage ``s`` is built or checked.
+
+    An ExistenceError stays one, with its verdict and ``level = s``.
+    """
+    where = "stage %d (announcing level %d): " % (s, s)
+    try:
+        yield
+    except ExistenceError as err:
+        raise ExistenceError(where + str(err), verdict=err.verdict, level=s) from None
+    except RevstackError as err:
+        raise RevstackError(where + str(err)) from None
 
 
 class UnboundedRegionError(RevstackError):

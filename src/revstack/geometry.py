@@ -73,11 +73,12 @@ def leader_existence_check(problem: GameProblem, d: DecisionPoint) -> ExistenceV
     at the desired point.  The convexity field is advisory: when the
     second objective is not certified strictly convex, a passing check
     still only means the construction is plausible, not guaranteed.
-    Cascade stage s runs this check on the reduced game, whose top player
-    is the one at level s, so the reason speaks of the announcing player
-    and the cascade names its level.  A gradient entry that is not finite
-    (an overflowing objective), or a leader block whose norm overflows,
-    raises ExistenceError instead of a verdict.
+    The stage primitive ``synthesis._stage_family`` and ``verify_full`` run
+    it on stage s's reduced game, whose top player is the one at level s, so
+    the reason speaks of the announcing player and the stage wrapper
+    ``errors.stage_errors`` names the level.  A gradient entry that is not
+    finite (an overflowing objective), or a leader block whose norm
+    overflows, raises ExistenceError instead of a verdict.
     """
     if problem.levels < 2:
         raise DimensionError("need at least two levels")

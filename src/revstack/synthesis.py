@@ -11,9 +11,12 @@ gradient at d: the rank-one choice Q_j = g_1 g_j^T / <g_1, g_1> places the
 whole graph of the strategy inside the follower's supporting hyperplane,
 and the full solution set is the rank-one particular solution plus an
 orthonormal null-space basis of the leading gradient block times free
-parameter matrices.  Substituting the top strategy into the remaining
-objectives yields a game with one level fewer; iterating gives the n-level
-cascade.
+parameter matrices.  ``_stage_family`` builds that family for cascade
+stage s, on the game left once the rules above level s are substituted
+(each substitution drops one level).  The cascade announces each stage's
+particular member; the single-leader rule and the top-level family are the
+stage-1 case.  ``errors.stage_errors``, the one stage wrapper, shared with
+the verifier, names the stage in a refusal.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .calculus import gradient
-from .errors import DimensionError, ExistenceError, RevstackError
+from .errors import DimensionError, ExistenceError, stage_errors
 from .geometry import leader_existence_check
 from .model import (
     DecisionPoint,
@@ -173,28 +176,6 @@ class AffineStrategy:
         return lines
 
 
-def synthesize_single_leader(problem: GameProblem, d: DecisionPoint) -> AffineStrategy:
-    """Minimum-norm (rank-one) top-level strategy anchored at ``d``.
-
-    Refuses with the failed verdict when the top player's gradient block of
-    the second objective vanishes at the anchor.
-    """
-    verdict = leader_existence_check(problem, d)
-    if not verdict.passed:
-        raise ExistenceError(
-            "; ".join(verdict.reasons) or "top-level existence condition failed",
-            verdict=verdict,
-            level=1,
-        )
-    g = gradient(problem.objective(2), d)
-    g1 = g.block(1)
-    denom = float(g1 @ g1)
-    coeffs = tuple(
-        np.outer(g1, g.block(j)) / denom for j in range(2, problem.levels + 1)
-    )
-    return AffineStrategy(1, d, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # strategy families
 # ---------------------------------------------------------------------------
@@ -244,19 +225,33 @@ class StrategyFamily:
         return tuple(params), worst
 
 
-def synthesize_family_leader(problem: GameProblem, d: DecisionPoint) -> StrategyFamily:
-    """Complete affine family of optimal top-level deviation gains.
+def _stage_family(stage: GameProblem, d: DecisionPoint, s: int) -> StrategyFamily:
+    """Family of optimal gains of cascade stage ``s`` at ``d``, labelled with level s.
 
-    The particular member is the rank-one strategy; the homogeneous part is
-    spanned by an orthonormal basis of the hyperplane orthogonal to the top
-    gradient block, obtained from a Householder QR factorization.
+    ``stage``'s top player is the one at level s.  One existence check and one
+    gradient g give the rank-one particular member and, by Householder QR,
+    an orthonormal basis of g_1's orthogonal complement; refusals name the stage.
     """
-    rank_one = synthesize_single_leader(problem, d)
-    g = gradient(problem.objective(2), d)
+    with stage_errors(s):
+        verdict = leader_existence_check(stage, d)
+        if not verdict.passed:
+            raise ExistenceError("; ".join(verdict.reasons), verdict=verdict)
+        g = gradient(stage.objective(2), d)
     g1 = g.block(1)
+    denom = float(g1 @ g1)
+    particular = tuple(np.outer(g1, g.block(j)) / denom for j in range(2, stage.levels + 1))
     Q_full, _ = np.linalg.qr(g1.reshape(-1, 1), mode="complete")
-    basis = Q_full[:, 1:]
-    return StrategyFamily(1, d, rank_one.coeffs, basis)
+    return StrategyFamily(s, d, particular, Q_full[:, 1:])
+
+
+def synthesize_single_leader(problem: GameProblem, d: DecisionPoint) -> AffineStrategy:
+    """Minimum-norm (rank-one) top-level strategy: the stage-1 family's particular member."""
+    return AffineStrategy(1, d, _stage_family(problem, d, 1).particular)
+
+
+def synthesize_family_leader(problem: GameProblem, d: DecisionPoint) -> StrategyFamily:
+    """Complete affine family of optimal top-level deviation gains (stage 1)."""
+    return _stage_family(problem, d, 1)
 
 
 def instantiate(family: StrategyFamily,
@@ -344,26 +339,18 @@ def synthesize_cascade(problem: GameProblem,
                        desired: DecisionPoint) -> List[AffineStrategy]:
     """Top-to-bottom synthesis: one rank-one strategy per announcing level.
 
-    Synthesizes the top strategy anchored at ``desired``, substitutes it to
-    get the one-smaller game, and repeats.  Each stage anchors at the
-    corresponding tail of the desired point.  Existence failures carry the
-    absolute level at which they occurred, and a reduction whose
-    coefficients overflow is refused naming its stage.
+    Announces the particular member of the stage family anchored at
+    ``desired``, substitutes it to get the one-smaller game, and repeats.
+    Each stage anchors at the corresponding tail of the desired point.
+    Existence failures carry the absolute level at which they occurred, and
+    a reduction whose coefficients overflow is refused naming its stage.
     """
     strategies: List[AffineStrategy] = []
     stage = problem
     for s in range(1, problem.levels):
-        where = "stage %d (announcing level %d): " % (s, s)
         if s > 1:
-            try:
+            with stage_errors(s):  # a substituted coefficient may overflow
                 stage = reduce_problem(stage, strategies[-1])
-            except RevstackError as err:  # a substituted coefficient overflowed
-                raise RevstackError(where + str(err)) from None
-        try:
-            top = synthesize_single_leader(stage, desired.tail(s))
-        except ExistenceError as err:
-            raise ExistenceError(where + str(err), verdict=err.verdict, level=s) from None
-        except RevstackError as err:  # a follower's derivative overflowed
-            raise RevstackError(where + str(err)) from None
-        strategies.append(AffineStrategy(s, top.anchor, top.coeffs))
+        family = _stage_family(stage, desired.tail(s), s)
+        strategies.append(AffineStrategy(s, family.anchor, family.particular))
     return strategies

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .calculus import gradient
-from .errors import DimensionError, ExistenceError, RevstackError
+from .errors import DimensionError, RevstackError, stage_errors
 from .geometry import leader_existence_check
 from .model import (
     DecisionPoint,
@@ -390,19 +390,11 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
     stage = problem
     for lev in range(1, n):
         strategy = strategies[lev - 1]
-        where = "stage %d (announcing level %d): " % (lev, lev)
-        if lev > 1:
-            try:
-                stage = reduce_problem(stage, strategies[lev - 2])
-            except RevstackError as err:  # a substituted coefficient overflowed
-                raise RevstackError(where + str(err)) from None
         stage_d = desired.tail(lev)
-        try:
+        with stage_errors(lev):
+            if lev > 1:  # a substituted coefficient may overflow
+                stage = reduce_problem(stage, strategies[lev - 2])
             verdict = leader_existence_check(stage, stage_d)
-        except ExistenceError as err:  # the follower's gradient is not finite
-            raise ExistenceError(where + str(err), verdict=err.verdict, level=lev) from None
-        except RevstackError as err:  # a follower's derivative overflowed
-            raise RevstackError(where + str(err)) from None
         own_desired = desired.block(lev)
         # an overflow makes a residual inf or NaN, which fails its check
         with np.errstate(over="ignore", invalid="ignore"):

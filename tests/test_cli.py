@@ -132,13 +132,22 @@ def test_solve_json_matches_the_checked_in_report(tri_doc, capsys):
     _approx_tree(got, want)
 
 
-def test_solve_reports_existence_failures(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [["solve"], ["family"], ["feasible", "--samples", "2"]],
+                         ids=["solve", "family", "feasible-samples"])
+def test_solve_reports_existence_failures(tmp_path, capsys, argv):
     # second objective blind to the top block: no supporting construction
     doc = json.loads(TRI_PROBLEM)
     doc["objectives"][1]["A"].pop("1,1")
     doc["objectives"][1]["l"][0] = [0]
-    assert main(["solve", _write(tmp_path, "blind.json", doc)]) == 2
-    assert "error:" in capsys.readouterr().err
+    if argv[0] == "feasible":
+        doc["constraints"] = FEASIBLE_CONSTRAINTS
+    path = _write(tmp_path, "blind.json", doc)
+    assert main([argv[0], path, *argv[1:]]) == 2
+    assert capsys.readouterr().err == (
+        "error: stage 1 (announcing level 1): the announcing player cannot influence "
+        "this objective at the anchor: its gradient block has norm 0 (tolerance 1e-08); "
+        "sublevel set not certified strictly convex at the anchor; support can only be "
+        "probed, not guaranteed\n")
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +206,14 @@ def test_family_checks_random_members(wide_doc, capsys):
     assert main(["family", wide_doc, "--samples", "3"]) == 0
     out = capsys.readouterr().out
     assert out.count("[ok]") == 3
+
+
+def test_family_json_matches_the_checked_in_report(wide_doc, capsys):
+    assert main(["family", wide_doc, "--params", "[[0.25]];[[-0.5]]", "--samples", "2",
+                 "--output", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((DATA / "family_wide.json").read_text())
+    _approx_tree(got, want)
 
 
 def test_family_refuses_non_finite_parameters(wide_doc, capsys):
@@ -402,6 +419,8 @@ def test_overflowing_follower_derivative_names_the_stage(tmp_path):
     assert (proc.returncode, proc.stderr) == (2, message)
     proc = _run_cli("verify", path, "--strategies",
                     _write(tmp_path, "rules.json", GOOD_STRATEGIES))
+    assert (proc.returncode, proc.stderr) == (2, message)
+    proc = _run_cli("family", path)
     assert (proc.returncode, proc.stderr) == (2, message)
 
 

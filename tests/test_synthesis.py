@@ -22,6 +22,7 @@ from revstack import (
     team_optimum,
     team_optimum_quadratic,
 )
+from revstack.synthesis import _stage_family
 
 from conftest import random_convex_game
 
@@ -206,6 +207,24 @@ def test_scalar_top_level_family_is_a_single_point(tri):
     assert fam.param_shapes == ((0, 1), (0, 1))
     only = instantiate(fam, [np.zeros((0, 1)), np.zeros((0, 1))])
     assert np.allclose(only.coeffs[0], [[1.0]])
+
+
+def test_stage_two_family_of_a_wide_middle_level():
+    # dims (1, 2, 1): the stage-2 player owns two variables, so its family
+    # has a one-column null basis and the cascade's rule is its particular member
+    problem = random_convex_game(5, (1, 2, 1))
+    eq = team_optimum_quadratic(problem)
+    chain = synthesize_cascade(problem, desired=eq.point)
+    fam = _stage_family(reduce_problem(problem, chain[0]), eq.point.tail(2), 2)
+    assert fam.level == 2
+    assert fam.null_basis.shape == (2, 1)
+    assert [Q.tobytes() for Q in fam.particular] == [Q.tobytes() for Q in chain[1].coeffs]
+    member = instantiate(fam, [np.zeros(s) for s in fam.param_shapes])
+    assert member.level == chain[1].level
+    for a, b in zip(member.anchor.blocks + member.coeffs,
+                    chain[1].anchor.blocks + chain[1].coeffs):
+        assert np.array_equal(a, b)
+    assert fam.membership(chain[1])[1] == 0.0
 
 
 def test_instantiate_rejects_bad_shapes(wide):
