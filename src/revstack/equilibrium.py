@@ -10,7 +10,6 @@ players' variables.  Three routes:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -172,14 +171,35 @@ def team_optimum_descent(problem: GameProblem,
     return EquilibriumResult(DecisionPoint.from_concat(widths, x), f, "descent", gnorm)
 
 
+def _sets_without_pairs(clash, r, start, barred):
+    """Sets of r rows from ``start`` on, in the order of
+    itertools.combinations, leaving out every set that holds rows i and j
+    with bit j of clash[i] set, or a row whose bit is set in ``barred``."""
+    if r == 0:
+        yield ()
+        return
+    for i in range(start, len(clash) - r + 1):
+        if not barred >> i & 1:
+            for rest in _sets_without_pairs(clash, r - 1, i + 1, barred | clash[i]):
+                yield (i,) + rest
+
+
 def team_optimum_constrained(problem: GameProblem) -> EquilibriumResult:
     """Exact constrained team optimum by active-set enumeration.
 
-    Enumerates candidate active sets of the linear rows (cost 2^k, so the
-    row count is capped at ``ACTIVE_SET_MAX_CONSTRAINTS``), solves each
+    Enumerates candidate active sets of the linear rows, by size and then
+    lexicographically, up to one row per decision variable (cost 2^k, so
+    the row count is capped at ``ACTIVE_SET_MAX_CONSTRAINTS``), solves each
     equality KKT system, and keeps the best KKT-consistent feasible
     candidate.  Ties on the objective are broken by the lexicographically
     smallest active set.
+
+    Sets holding two rows with A_i = A_j or A_i = -A_j exactly are skipped:
+    two columns of their KKT matrix are then equal or opposite, so it is
+    singular, and LAPACK either refuses it or returns rounding noise.  The
+    result is kept: H is positive definite, so the optimum is unique and has
+    multipliers on linearly independent active rows, a set with no such
+    pair, whose system the search still solves.
     """
     cons = problem.constraints
     if cons is None or cons.k == 0:
@@ -188,9 +208,10 @@ def team_optimum_constrained(problem: GameProblem) -> EquilibriumResult:
         )
     if cons.k > ACTIVE_SET_MAX_CONSTRAINTS:
         raise EquilibriumError(
-            "%d constraint rows exceed the enumeration cap %d; "
-            "use a descent/projection method instead"
-            % (cons.k, ACTIVE_SET_MAX_CONSTRAINTS)
+            "%d constraint rows exceed the cap of %d: the search enumerates "
+            "every active set of up to %d rows, one per decision variable; "
+            "drop redundant rows"
+            % (cons.k, ACTIVE_SET_MAX_CONSTRAINTS, problem.dims.total)
         )
     obj, H, l = _quadratic_system(problem)
     try:
@@ -202,19 +223,31 @@ def team_optimum_constrained(problem: GameProblem) -> EquilibriumResult:
     A = np.hstack(cons.A)  # (k, N) joint rows
     b = cons.b
     N = H.shape[0]
+    k = cons.k
+    # clash[i]: bitmask of the rows equal or opposite to row i
+    pair = (A[:, None] == A[None]).all(2) | (A[:, None] == -A[None]).all(2)
+    np.fill_diagonal(pair, False)
+    clash = (pair @ (1 << np.arange(k))).tolist()
 
     best = None  # (value, active_set, u, stationarity_residual)
     # rows near the double range can overflow a candidate, which is then
     # skipped: a NaN fails both sign tests, and the few candidates that pass
     # them are tested for finiteness
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(0, min(cons.k, N) + 1):
-            for S in itertools.combinations(range(cons.k), r):
-                As = A[list(S)]
-                # with no active row the block matrix is H itself
-                M = np.block([[H, As.T], [As, np.zeros((r, r))]])
+        for r in range(0, min(k, N) + 1):
+            # [[H, A_S^T], [A_S, 0]] and [-l; b_S]: only A_S and b_S change
+            M = np.zeros((N + r, N + r))
+            M[:N, :N] = H
+            rhs = np.empty(N + r)
+            rhs[:N] = -l
+            for S in _sets_without_pairs(clash, r, 0, 0):
+                idx = list(S)
+                As = A[idx]
+                M[N:, :N] = As
+                M[:N, N:] = As.T
+                rhs[N:] = b[idx]
                 try:
-                    sol = np.linalg.solve(M, np.concatenate([-l, b[list(S)]]))
+                    sol = np.linalg.solve(M, rhs)
                 except np.linalg.LinAlgError:
                     continue
                 u, lam = sol[:N], sol[N:]

@@ -488,6 +488,18 @@ def test_huge_constraint_rows_leave_family_checks_quiet(tmp_path):
         "member 0: realization 0, family residual 0, response distance 0 [ok]\n")
 
 
+def test_too_many_constraint_rows_are_refused(tmp_path):
+    doc = json.loads(TRI_PROBLEM)
+    doc["constraints"] = {"A": [[[1]] * 21, [[0]] * 21, [[0]] * 21],
+                          "b": [100 + i for i in range(21)]}
+    proc = _run_cli("solve", _write(tmp_path, "rows.json", doc))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: 21 constraint rows exceed the cap of 20: the search enumerates "
+        "every active set of up to 3 rows, one per decision variable; drop "
+        "redundant rows\n")
+
+
 NAN_SAMPLE_GAME = {"levels": 2, "dims": [1, 1], "objectives": [
     {"type": "expr", "formula": "(u1-2)^2 + (u2-1)^2"},
     {"type": "expr", "formula": "(u1-1)^2 + (u2-1)^2 + u2^400 - u2^399"}]}

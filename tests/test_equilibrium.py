@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from revstack import (
     NonUniqueOptimumError,
     NotMinimumError,
     QuadraticObjective,
+    evaluate,
     parse_formula,
     quadratic_to_expr,
     team_optimum,
@@ -19,6 +22,7 @@ from revstack import (
     team_optimum_descent,
     team_optimum_quadratic,
 )
+from revstack.model import split_blocks
 
 from conftest import random_convex_game
 
@@ -184,3 +188,108 @@ def test_two_active_rows(tri):
     eq = team_optimum_constrained(prob)
     assert np.allclose(eq.point.concat(), [1.0, 1.0, 2.0], atol=1e-9)
     assert eq.value == pytest.approx(2.0)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the enumeration loses the multiplier of a row near the double range and "
+    "keeps (0, 1, 3), value 4; an active-set QP that scales each row by its "
+    "largest entry finds (1, 0, 3)"))
+def test_a_row_near_the_double_range_does_not_hide_the_optimum(tri):
+    # the README game in a box plus 1e308*u1 + 1e308*u2 <= 1e308; the same
+    # rows divided by 1e308 give the optimum (1, 0, 3) with value 2, while
+    # the search returns (0, 1, 3) with value 4 and a stationarity residual
+    # of 4 (test_cli's huge-row family test shows that output)
+    prob = _with_rows(
+        tri,
+        ([[1], [-1], [0], [0], [0], [0], [1e308]],
+         [[0], [0], [1], [-1], [0], [0], [1e308]],
+         [[0], [0], [0], [0], [1], [-1], [0]]),
+        [100, 100, 5, 5, 5, 5, 1e308])
+    eq = team_optimum_constrained(prob)
+    assert np.allclose(eq.point.concat(), [1.0, 0.0, 3.0], atol=1e-9)
+    assert eq.value == pytest.approx(2.0)
+    assert eq.kkt_residual <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the active-set search against the plain enumeration of every active set
+# ---------------------------------------------------------------------------
+
+def _box_and_cuts(seed, widths, cuts, duplicate):
+    """A box around a random centre plus cuts that keep the centre inside;
+    with ``duplicate`` the first cut appears twice."""
+    game = random_convex_game(seed, widths)
+    rng = np.random.default_rng(700 + seed)
+    N = sum(widths)
+    centre = rng.uniform(-1.0, 1.0, N)
+    half = rng.uniform(0.5, 1.5, N)
+    C = rng.standard_normal((cuts, N))
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    A = np.vstack([np.eye(N), -np.eye(N), C])
+    b = np.concatenate([centre + half, half - centre,
+                        C @ centre + rng.uniform(0.2, 0.8, cuts)])
+    if duplicate:
+        A, b = np.vstack([A, C[:1]]), np.append(b, b[2 * N])
+    return GameProblem(game.dims, game.objectives,
+                       LinearConstraints(tuple(split_blocks(widths, A)), b))
+
+
+def _enumerated_optimum(problem):
+    """The search as a plain loop: every active set of up to N rows, each
+    with its own KKT matrix from np.block."""
+    obj = problem.objective(1)
+    H, l = obj.H, obj.l
+    A, b = np.hstack(problem.constraints.A), problem.constraints.b
+    k, N = A.shape
+    best = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(min(k, N) + 1):
+            for S in itertools.combinations(range(k), r):
+                As = A[list(S)]
+                M = np.block([[H, As.T], [As, np.zeros((r, r))]])
+                try:
+                    sol = np.linalg.solve(M, np.concatenate([-l, b[list(S)]]))
+                except np.linalg.LinAlgError:
+                    continue
+                u, lam = sol[:N], sol[N:]
+                rows = A @ u - b
+                if not ((lam >= -1e-9).all() and (rows <= 1e-9 * (1.0 + np.abs(b))).all()
+                        and np.isfinite(sol).all() and np.isfinite(rows).all()):
+                    continue
+                value = float(evaluate(obj, DecisionPoint.from_concat(problem.dims.m, u)))
+                if best is None or value < best[0] - 1e-12 or (
+                        abs(value - best[0]) <= 1e-12 and S < best[1]):
+                    best = (value, S, u, float(np.linalg.norm(H @ u + l + As.T @ lam)))
+    return best
+
+
+@pytest.mark.parametrize("seed,widths,cuts,duplicate", [
+    (1, (1, 1, 1), 3, False), (2, (1, 1, 1), 6, False), (3, (2, 1, 1), 4, False),
+    (4, (1, 2, 1), 3, False), (5, (2, 2), 4, False), (6, (1, 1, 1, 1), 4, False),
+    (7, (1, 1), 8, False), (8, (2, 1, 1), 3, True)])
+def test_search_is_bitwise_the_plain_enumeration(seed, widths, cuts, duplicate):
+    prob = _box_and_cuts(seed, widths, cuts, duplicate)
+    assert prob.constraints.k <= 12
+    eq = team_optimum_constrained(prob)
+    value, _, u, stat = _enumerated_optimum(prob)
+    assert eq.point.concat().tobytes() == u.tobytes()
+    assert (eq.value, eq.kkt_residual) == (value, stat)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_an_equal_or_opposite_pair_of_active_rows_makes_the_kkt_matrix_singular(seed):
+    # the search skips every active set holding such a pair
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(1, 7))
+    r = int(rng.integers(2, N + 2))
+    B = rng.standard_normal((N, N))
+    H = B @ B.T + np.eye(N)
+    A = rng.standard_normal((r, N)) * 10.0 ** rng.integers(-3, 4, (r, 1))
+    i, j = sorted(rng.choice(r, 2, replace=False))
+    sign = rng.choice([1.0, -1.0])
+    A[j] = sign * A[i]
+    M = np.block([[H, A.T], [A, np.zeros((r, r))]])
+    null = np.zeros(N + r)
+    null[N + i], null[N + j] = 1.0, -sign
+    assert (M @ null == 0.0).all()
+    assert np.linalg.matrix_rank(M) < N + r
