@@ -55,15 +55,15 @@ def _term_scale(obj: Objective, p: DecisionPoint, level: int) -> float:
     quadratic ``|H||p| + |l|``, for a polynomial each partial derivative
     with absolute coefficients at ``|p|``.
     """
-    if isinstance(obj, QuadraticObjective):
-        terms = np.abs(obj.H) @ np.abs(p.concat()) + np.abs(obj.l)
-        return float(np.linalg.norm(split_blocks(p.widths, terms)[level - 1]))
-    at = [np.abs(b) for b in p.blocks]
     with np.errstate(over="ignore"):  # an infinite scale counts every block as zero
+        if isinstance(obj, QuadraticObjective):
+            terms = np.abs(obj.H) @ np.abs(p.concat()) + np.abs(obj.l)
+            return float(np.linalg.norm(split_blocks(p.widths, terms)[level - 1]))
+        at = [np.abs(b) for b in p.blocks]
         terms = [Polynomial(d.keys, d.E, np.abs(d.c))(at)
                  for (lev, _), d in zip(obj.poly.keys, obj.poly.derivatives[0])
                  if lev == level]
-    return float(np.linalg.norm(terms))
+        return float(np.linalg.norm(terms))
 
 
 def leader_existence_check(problem: GameProblem, d: DecisionPoint) -> ExistenceVerdict:

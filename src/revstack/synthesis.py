@@ -27,7 +27,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .calculus import gradient
-from .errors import DimensionError, ExistenceError, stage_errors
+from .errors import DimensionError, ExistenceError, RevstackError, stage_errors
 from .geometry import leader_existence_check
 from .model import (
     DecisionPoint,
@@ -113,12 +113,18 @@ class AffineStrategy:
         return out
 
     def as_affine(self) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
-        """Offset form: returns (offset, linear) with u^L = offset + sum C_j u^j."""
+        """Offset form: returns (offset, linear) with u^L = offset + sum C_j u^j.
+
+        An offset that overflows is refused with RevstackError.
+        """
         offset = self.own_anchor.copy()
         linear = []
-        for Q, dj in zip(self.coeffs, self.anchor.blocks[1:]):
-            offset += Q @ dj
-            linear.append(-Q)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            for Q, dj in zip(self.coeffs, self.anchor.blocks[1:]):
+                offset += Q @ dj
+                linear.append(-Q)
+        if not np.isfinite(offset).all():
+            raise RevstackError("the offset of the level %d rule is not finite" % self.level)
         return offset, tuple(linear)
 
     @classmethod
@@ -230,16 +236,21 @@ def _stage_family(stage: GameProblem, d: DecisionPoint, s: int) -> StrategyFamil
 
     ``stage``'s top player is the one at level s.  One existence check and one
     gradient g give the rank-one particular member and, by Householder QR,
-    an orthonormal basis of g_1's orthogonal complement; refusals name the stage.
+    an orthonormal basis of g_1's orthogonal complement; refusals, gains
+    that overflow included, name the stage.
     """
     with stage_errors(s):
         verdict = leader_existence_check(stage, d)
         if not verdict.passed:
             raise ExistenceError("; ".join(verdict.reasons), verdict=verdict)
         g = gradient(stage.objective(2), d)
-    g1 = g.block(1)
-    denom = float(g1 @ g1)
-    particular = tuple(np.outer(g1, g.block(j)) / denom for j in range(2, stage.levels + 1))
+        g1 = g.block(1)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            denom = float(g1 @ g1)
+            particular = tuple(np.outer(g1, g.block(j)) / denom
+                               for j in range(2, stage.levels + 1))
+        if not all(np.isfinite(Q).all() for Q in particular):
+            raise RevstackError("the rank-one deviation gains are not finite")
     Q_full, _ = np.linalg.qr(g1.reshape(-1, 1), mode="complete")
     return StrategyFamily(s, d, particular, Q_full[:, 1:])
 

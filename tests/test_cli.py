@@ -488,6 +488,50 @@ def test_huge_constraint_rows_leave_family_checks_quiet(tmp_path):
         "member 0: realization 0, family residual 0, response distance 0 [ok]\n")
 
 
+# README game rows whose magnitudes overflow the simplex tableau once it
+# pivots on 1e-160 against 1e+300
+TABLEAU_OVERFLOW_CONSTRAINTS = {
+    "A": [[[1e-160], [-1e+300], [2]], [[1e+300], [0], [1e+300]], [[0], [1e+154], [0.5]]],
+    "b": [-2, -1e-300, 1e-12],
+}
+# README game rows whose team optimum makes the rank-one gains overflow
+GAIN_OVERFLOW_CONSTRAINTS = {
+    "A": [[[-1e-300], [1e-160]], [[-2], [1]], [[-5], [0]]],
+    "b": [-1e+300, 0],
+}
+TABLEAU_OVERFLOW = ("the simplex overflowed the double range: the constraint rows' "
+                    "magnitudes are too far apart")
+GAIN_OVERFLOW = "stage 1 (announcing level 1): the rank-one deviation gains are not finite"
+
+
+@pytest.mark.parametrize("constraints, argv, code, message", [
+    (TABLEAU_OVERFLOW_CONSTRAINTS, ["feasible"], 2, TABLEAU_OVERFLOW),
+    (TABLEAU_OVERFLOW_CONSTRAINTS, ["feasible", "--samples", "2"], 2, TABLEAU_OVERFLOW),
+    (TABLEAU_OVERFLOW_CONSTRAINTS, ["solve"], 0, None),
+    (GAIN_OVERFLOW_CONSTRAINTS, ["solve"], 2, GAIN_OVERFLOW),
+    (GAIN_OVERFLOW_CONSTRAINTS, ["feasible"], 2, GAIN_OVERFLOW),
+    (GAIN_OVERFLOW_CONSTRAINTS, ["family", "--samples", "1"], 2, GAIN_OVERFLOW),
+], ids=["tableau-feasible", "tableau-feasible-samples", "tableau-solve",
+        "gains-solve", "gains-feasible", "gains-family"])
+def test_overflowing_magnitudes_end_in_one_error_line(tmp_path, capsys, constraints,
+                                                      argv, code, message):
+    # in process, where the suite turns any numpy warning into a failure
+    doc = json.loads(TRI_PROBLEM)
+    doc["constraints"] = constraints
+    path = _write(tmp_path, "overflow.json", doc)
+    assert main([argv[0], path, *argv[1:]]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if message is None else "error: %s\n" % message)
+
+
+def test_feasible_json_matches_the_checked_in_report(capsys):
+    # a box-plus-cut game of the constrained-feasible benchmark's (2,1,1,1)
+    # class; the report was generated before phase one was shared
+    assert main(["feasible", str(DATA / "feasible_box_problem.json"), "--samples", "3",
+                 "--output", "json"]) == 3
+    assert capsys.readouterr().out == (DATA / "feasible_box.json").read_text()
+
+
 def test_too_many_constraint_rows_are_refused(tmp_path):
     doc = json.loads(TRI_PROBLEM)
     doc["constraints"] = {"A": [[[1]] * 21, [[0]] * 21, [[0]] * 21],

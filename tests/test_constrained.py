@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,12 +15,17 @@ from revstack import (
     RevstackError,
     UnboundedRegionError,
     feasibility_check,
+    instantiate,
+    reduce_problem,
     simplex_maximize,
     synthesize_cascade,
+    synthesize_family_leader,
     team_optimum_constrained,
     team_optimum_quadratic,
 )
+from revstack import constrained
 from revstack.model import split_blocks
+from revstack.synthesis import _stage_family
 
 from conftest import random_convex_game
 
@@ -146,11 +153,10 @@ def test_bland_rule_terminates_on_beales_cycling_example():
 KKT_TOL = 1e-7
 
 
-@pytest.mark.parametrize("seed,widths,cuts", [
-    (1, (1, 1, 1), 3), (2, (2, 1, 1, 1), 3), (3, (2, 1, 1, 1), 3), (4, (2, 2, 2), 4)])
-def test_constrained_optimum_satisfies_kkt(seed, widths, cuts):
-    # a narrow box around a random centre plus cuts that keep the centre
-    # inside, so the polytope is not empty and the optimum usually on its face
+def _box_game(seed, widths, cuts):
+    """Random convex game under a narrow box around a random centre plus cuts
+    that keep the centre inside, so the polytope is not empty and the team
+    optimum usually lies on its face.  Returns the game and its joint rows."""
     game = random_convex_game(seed, widths)
     rng = np.random.default_rng(900 + seed)
     N = sum(widths)
@@ -163,7 +169,13 @@ def test_constrained_optimum_satisfies_kkt(seed, widths, cuts):
                         C @ centre + rng.uniform(0.2, 0.8, cuts)])
     prob = GameProblem(game.dims, game.objectives,
                        LinearConstraints(tuple(split_blocks(widths, A)), b))
+    return prob, A, b
 
+
+@pytest.mark.parametrize("seed,widths,cuts", [
+    (1, (1, 1, 1), 3), (2, (2, 1, 1, 1), 3), (3, (2, 1, 1, 1), 3), (4, (2, 2, 2), 4)])
+def test_constrained_optimum_satisfies_kkt(seed, widths, cuts):
+    prob, A, b = _box_game(seed, widths, cuts)
     u = team_optimum_constrained(prob).point.concat()
     H, l = prob.objective(1).H, prob.objective(1).l
     slack = A @ u - b
@@ -329,3 +341,149 @@ def test_lp_margins_match_interval_arithmetic(tri, seed):
     ]
     assert verdict.margins == pytest.approx(expected, abs=1e-7)
     assert verdict.feasible == (max(expected) <= 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one prepared polytope per constraints object
+# ---------------------------------------------------------------------------
+
+def _reference_verdict(strategy, constraints, dims):
+    """Margins, worst row and witness with every row solved from scratch."""
+    L = strategy.level
+    offset, C = strategy.as_affine()
+    A = np.hstack(constraints.A)
+    own = slice(sum(dims.m[: L - 1]), sum(dims.m[:L]))
+    A_L = constraints.A[L - 1]
+    coef = A.copy()
+    coef[:, own.stop :] += A_L @ np.hstack([np.zeros((A_L.shape[1], 0)), *C])
+    kappa = A_L @ offset
+    coef[:, own] = 0.0
+    results = [simplex_maximize(row, A, constraints.b) for row in coef]
+    assert all(status == "optimal" for status, _, _ in results)
+    margins = (kappa + np.array([value for _, _, value in results]) - constraints.b).tolist()
+    worst = int(np.argmax(margins))
+    return margins, worst, results[worst][1]
+
+
+def _members(prob, rng, draws):
+    """The cascade, ``draws`` stage-1 family members and one stage-2 member."""
+    d = team_optimum_constrained(prob).point
+    chain = synthesize_cascade(prob, desired=d)
+    family = synthesize_family_leader(prob, d)
+    stage2 = _stage_family(reduce_problem(prob, chain[0]), d.tail(2), 2)
+    members = list(chain)
+    for fam, count in ((family, draws), (stage2, 1)):
+        members += [instantiate(fam, [rng.standard_normal(s) for s in fam.param_shapes])
+                    for _ in range(count)]
+    return members
+
+
+def _count_phase_one(monkeypatch):
+    calls = []
+    original = constrained._phase_one
+
+    def counted(A, b):
+        calls.append(1)
+        return original(A, b)
+
+    monkeypatch.setattr(constrained, "_phase_one", counted)
+    return calls
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("seed,widths,cuts", [
+    (11, (1, 1, 1), 3), (12, (2, 1, 1, 1), 3), (13, (2, 2, 2), 4)])
+def test_shared_polytope_gives_the_per_row_verdicts_bit_for_bit(
+        monkeypatch, seed, widths, cuts):
+    prob, _, _ = _box_game(seed, widths, cuts)
+    members = _members(prob, np.random.default_rng(seed), 8)
+    assert [s.level for s in members].count(2) == 2
+    want = [_reference_verdict(s, prob.constraints, prob.dims) for s in members]
+    calls = _count_phase_one(monkeypatch)
+    for s, (margins, worst, witness) in zip(members, want):
+        verdict = feasibility_check(s, prob.constraints, prob.dims)
+        assert _bits(verdict.margins) == _bits(margins)
+        assert verdict.worst_row == worst
+        assert _bits([verdict.worst_margin]) == _bits([margins[worst]])
+        assert _bits(verdict.witness) == _bits(witness)
+        assert verdict.feasible == (margins[worst] <= constrained.EPS)
+    # one phase one for the whole constraint set, whatever the strategy
+    assert len(calls) == 1
+
+
+def test_plain_rows_are_cached_once_per_constraint_set():
+    prob, _, _ = _box_game(21, (2, 1, 1, 1), 3)
+    rng = np.random.default_rng(21)
+    d = team_optimum_constrained(prob).point
+    family = synthesize_family_leader(prob, d)
+    for _ in range(50):
+        member = instantiate(family, [rng.standard_normal(s) for s in family.param_shapes])
+        feasibility_check(member, prob.constraints, prob.dims)
+    plain = constrained._PREPARED[prob.constraints].plain
+    # the box rows of the three lower levels, and nothing else
+    assert sorted(plain) == [2, 3, 4, 7, 8, 9]
+    assert len(plain) <= prob.constraints.k
+
+
+def test_rows_changed_in_place_get_a_fresh_tableau(monkeypatch):
+    prob, A, b = _box_game(31, (1, 1, 1), 3)
+    rule = synthesize_cascade(prob, desired=team_optimum_constrained(prob).point)[0]
+    calls = _count_phase_one(monkeypatch)
+    cons = prob.constraints
+    before = feasibility_check(rule, cons, prob.dims)
+    feasibility_check(rule, cons, prob.dims)
+    assert len(calls) == 1
+    for change in (lambda: cons.b.__setitem__(1, cons.b[1] - 0.5),
+                   lambda: cons.A[1].__setitem__((4, 0), 0.25)):
+        change()
+        after = feasibility_check(rule, cons, prob.dims)
+        fresh = LinearConstraints(tuple(m.copy() for m in cons.A), cons.b.copy())
+        solved = len(calls)
+        margins, worst, witness = _reference_verdict(rule, fresh, prob.dims)
+        del calls[solved:]  # the reference's own phase ones
+        assert _bits(after.margins) == _bits(margins)
+        assert _bits(after.witness) == _bits(witness)
+    assert len(calls) == 3
+    assert _bits(after.margins) != _bits(before.margins)
+
+
+def test_prepared_polytope_lives_as_long_as_its_constraints():
+    prob, _, _ = _box_game(41, (1, 1, 1), 3)
+    rule = synthesize_cascade(prob, desired=team_optimum_constrained(prob).point)[0]
+    feasibility_check(rule, prob.constraints, prob.dims)
+    polytope = weakref.ref(constrained._PREPARED[prob.constraints])
+    del prob, rule
+    gc.collect()
+    assert polytope() is None
+
+
+def test_first_unbounded_row_is_named_with_plain_rows_cached(tri, gamma):
+    # rows 0-2 do not touch u1 and are bounded; row 3 substitutes
+    # u1 = 12 - u2 - 3*u3, which grows without bound as u3 falls
+    rows = _row_system((0, 0, 1, 5.0), (0, 1, 0, 3.0), (0, -1, 0, 1.0),
+                       (1, 0, 0, 18.0), (-1, 0, 0, 28.0))
+    for _ in range(2):  # a cold, then a warm polytope
+        with pytest.raises(UnboundedRegionError, match="constraint row 3;"):
+            feasibility_check(gamma, rows, tri.dims)
+    assert sorted(constrained._PREPARED[rows].plain) == [0, 1, 2]
+
+
+def test_empty_polytope_stays_vacuously_feasible_when_prepared(tri, gamma):
+    rows = _row_system((1, 0, 0, 18.0), (0, 1, 0, -1.0), (0, -1, 0, 0.0),
+                       (0, 0, 1, 5.0), (0, 0, -1, -1.0))
+    bottom = AffineStrategy(3, DecisionPoint.of([4.0]), ())
+    for rule in (gamma, bottom, gamma):
+        verdict = feasibility_check(rule, rows, tri.dims)
+        assert verdict.feasible and verdict.worst_row is None
+        assert verdict.note == "empty follower region"
+    assert constrained._PREPARED[rows].start is None
+
+
+def test_overflowing_tableau_is_refused():
+    # pivoting on 1e-160 against 1e300 overflows; every ratio turns NaN
+    A = [[1e-160, 1e300, 0.0], [-1e300, 0.0, 1e154], [2.0, 1e300, 0.5]]
+    with pytest.raises(RevstackError, match="simplex overflowed the double range"):
+        simplex_maximize([1.0, 0.0, 0.0], A, [-2.0, -1e-300, 1e-12])

@@ -5,16 +5,19 @@ Hypothesis draws the cases deterministically (``derandomize=True``), so a
 run is repeatable and needs no example database.
 """
 
+import contextlib
 import functools
+import io
 import json
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, reject, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, reject, settings, strategies as st  # noqa: E402
 
 from revstack import (  # noqa: E402
     AffineStrategy,
@@ -390,3 +393,53 @@ def test_a_perturbed_chain_never_verifies(seed, levels, which, entry, sign):
     bad = AffineStrategy.from_affine(rule.level, offset, linear, rule.lower_anchor)
     broken = [bad if s is rule else s for s in chain]
     assert not verify_full(problem, broken, desired=d).verified
+
+
+# ---------------------------------------------------------------------------
+# the command line on constraint rows from a ladder of magnitudes
+# ---------------------------------------------------------------------------
+
+README_OBJECTIVES = [
+    {"type": "quadratic", "A": {"1,1": [[1]], "2,2": [[1]], "3,3": [[1]]},
+     "l": [[-4], [-2], [-6]], "c": 14},
+    {"type": "quadratic", "A": {"1,1": [[1]], "2,2": [[1]], "3,3": [[1]]},
+     "l": [[-2], [0], [0]], "c": 1},
+    {"type": "expr", "formula": "u1^2 + (u2 - 2)^2 + u3^2"},
+]
+
+LADDER = st.sampled_from(
+    [0.0] + [s * m for m in (1.0, 2.0, 1e-300, 1e-160, 1e154, 1e300) for s in (1.0, -1.0)])
+
+COMMANDS = (["feasible"], ["feasible", "--samples", "2"], ["solve"],
+            ["family", "--samples", "1"])
+
+
+def _run_main(argv):
+    """Exit code and stderr of ``cli.main``; a numpy warning raises."""
+    from revstack.cli import main
+
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@SETTINGS
+@given(rows=st.lists(st.tuples(LADDER, LADDER, LADDER, LADDER), min_size=1, max_size=3))
+# the simplex tableau overflows; the rank-one gains overflow
+@example(rows=[(1e-160, 1e300, 0.0, -2.0), (-1e300, 0.0, 1e154, -1e-300),
+               (2.0, 1e300, 0.5, 1e-12)])
+@example(rows=[(-1e-300, -2.0, -5.0, -1e300), (1e-160, 1.0, 0.0, 0.0)])
+def test_constraint_magnitudes_end_in_a_documented_exit(tmp_path_factory, rows):
+    doc = {"levels": 3, "dims": [1, 1, 1], "objectives": README_OBJECTIVES,
+           "constraints": {"A": [[[r[j]] for r in rows] for j in range(3)],
+                           "b": [r[3] for r in rows]}}
+    path = tmp_path_factory.mktemp("ladder") / "game.json"
+    path.write_text(json.dumps(doc))
+    for argv in COMMANDS:
+        code, err = _run_main([argv[0], str(path), *argv[1:]])
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        if code in (2, 4):
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

@@ -405,3 +405,10 @@ def test_strategy_offset_form_round_trip(wide):
     for _ in range(20):
         lower = [rng.uniform(-5, 5, 1), rng.uniform(-5, 5, 1)]
         assert np.allclose(s(lower), back(lower), atol=1e-12)
+
+
+def test_an_offset_past_the_double_range_is_refused():
+    # u1 = d1 - 1e10 * (u2 - d2) with d2 = 1e300: the offset d1 + 1e10 * d2 overflows
+    rule = AffineStrategy(1, DecisionPoint.of([0.0], [1e300]), ([[1e10]],))
+    with pytest.raises(RevstackError, match="offset of the level 1 rule is not finite"):
+        rule.as_affine()
