@@ -78,14 +78,8 @@ from .constrained import (
     feasibility_check,
     simplex_maximize,
 )
-from .formula import parse_formula, print_formula
-from .documents import (
-    format_problem,
-    parse_problem,
-    parse_strategies,
-    problem_to_document,
-    strategies_to_document,
-)
+from .formula import parse_formula
+from .documents import parse_problem, parse_strategies, strategies_to_document
 
 __version__ = "0.1.0"
 
@@ -128,7 +122,6 @@ __all__ = [
     "evaluate_many",
     "fd_gradient",
     "feasibility_check",
-    "format_problem",
     "gradient",
     "hessian",
     "instantiate",
@@ -137,8 +130,6 @@ __all__ = [
     "parse_formula",
     "parse_problem",
     "parse_strategies",
-    "print_formula",
-    "problem_to_document",
     "quadratic_to_expr",
     "reduce_problem",
     "simplex_maximize",

@@ -23,6 +23,7 @@ import numpy as np
 
 from .constrained import feasibility_check
 from .documents import (
+    float_array,
     load_json,
     parse_problem,
     parse_strategies,
@@ -149,15 +150,13 @@ def _parse_param_arg(text: str, family: StrategyFamily) -> List[np.ndarray]:
             "--params wants %d ';'-separated matrices, got %d"
             % (len(shapes), len(parts)))
     out = []
-    for part, shape in zip(parts, shapes):
+    for part in parts:
         try:
-            raw = load_json(part)
+            out.append(float_array(load_json(part), "matrix", None))
         except DocumentError as exc:
             raise DocumentError("bad --params entry %r: %s" % (part, exc)) from None
-        arr = np.asarray(raw, dtype=float)
-        if arr.size == 0:
-            arr = arr.reshape(shape)
-        out.append(arr)
+    # instantiate checks each shape and reshapes an empty entry for a
+    # single-point family
     return out
 
 

@@ -199,32 +199,25 @@ class FeasibilityVerdict:
 class _Polytope:
     """One constraint set's phase-one tableau and its plain rows' maximizers.
 
-    ``A`` and ``b`` are copies of the rows the tableau was built from;
     ``start`` is None for an empty polytope.  ``plain`` maps a row index to
     its maximizer, or to None if the row is unbounded.
     """
 
-    A: np.ndarray
-    b: np.ndarray
     start: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     plain: Dict[int, Optional[np.ndarray]]
 
 
-# An entry lives as long as its LinearConstraints object.
+# An entry lives as long as its LinearConstraints object, whose arrays are
+# read-only, so a tableau never outlives the rows it was built from.
 _PREPARED: weakref.WeakKeyDictionary[LinearConstraints, _Polytope] = (
     weakref.WeakKeyDictionary())
 
 
 def _prepared(constraints: LinearConstraints, A: np.ndarray, b: np.ndarray) -> _Polytope:
-    """The polytope of ``constraints`` (joint rows ``A``, bounds ``b``), phase one run once.
-
-    Rows or bounds changed in place since the last call get a fresh tableau.
-    """
+    """The polytope of ``constraints`` (joint rows ``A``, bounds ``b``), phase one run once."""
     polytope = _PREPARED.get(constraints)
-    if polytope is None or not (np.array_equal(polytope.A, A)
-                                and np.array_equal(polytope.b, b)):
-        polytope = _Polytope(A, b.copy(), _phase_one(A, b), {})
-        _PREPARED[constraints] = polytope
+    if polytope is None:
+        polytope = _PREPARED[constraints] = _Polytope(_phase_one(A, b), {})
     return polytope
 
 

@@ -1,4 +1,4 @@
-"""Reading and writing problem and strategy documents (JSON).
+"""Problem documents (read) and strategy documents (read and written), in JSON.
 
 A problem document looks like::
 
@@ -18,13 +18,14 @@ A problem document looks like::
 
 Matrices are nested lists, one ``A`` block per ordered level pair (upper
 triangle only), one ``l`` segment and one constraint block per level.
-``parse -> format -> parse`` is idempotent.
+Problem documents are only read: every command takes a problem and reports
+strategies and verdicts, so no problem is ever written back.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import (
     DocumentSyntaxError,
     RevstackError,
 )
-from .formula import parse_formula, print_formula
+from .formula import parse_formula
 from .model import (
     Dims,
     DecisionPoint,
@@ -43,14 +44,11 @@ from .model import (
     LinearConstraints,
     Objective,
     QuadraticObjective,
-    split_blocks,
 )
 from .synthesis import AffineStrategy
 
 __all__ = [
     "parse_problem",
-    "problem_to_document",
-    "format_problem",
     "parse_strategies",
     "strategies_to_document",
 ]
@@ -88,21 +86,23 @@ def _require(doc: Dict[str, Any], key: str, where: str) -> Any:
     return doc[key]
 
 
-def _matrix(raw: Any, where: str) -> np.ndarray:
+def float_array(raw: Any, what: str, where: Optional[str]) -> np.ndarray:
+    """``raw`` as a float array; a ragged or non-numeric entry is a DocumentError."""
     try:
-        arr = np.asarray(raw, dtype=float)
+        return np.asarray(raw, dtype=float)
     except (TypeError, ValueError):
-        raise DocumentError("not a numeric matrix", where=where)
+        raise DocumentError("not a numeric %s" % what, where=where)
+
+
+def _matrix(raw: Any, where: str) -> np.ndarray:
+    arr = float_array(raw, "matrix", where)
     if arr.ndim != 2:
         raise DocumentError("expected a matrix (list of rows)", where=where)
     return arr
 
 
 def _vector(raw: Any, where: str) -> np.ndarray:
-    try:
-        arr = np.atleast_1d(np.asarray(raw, dtype=float))
-    except (TypeError, ValueError):
-        raise DocumentError("not a numeric vector", where=where)
+    arr = np.atleast_1d(float_array(raw, "vector", where))
     if arr.ndim != 1:
         raise DocumentError("expected a flat vector", where=where)
     return arr
@@ -218,45 +218,6 @@ def parse_problem(text: str) -> GameProblem:
     except DimensionError as exc:
         raise DocumentError(str(exc))
     return problem
-
-
-def _quadratic_document(obj: QuadraticObjective) -> Dict[str, Any]:
-    table = {
-        "%d,%d" % key: block.tolist()
-        for key, block in sorted(obj.A.items())
-        if np.any(block)
-    }
-    return {
-        "type": "quadratic",
-        "A": table,
-        "l": [seg.tolist() for seg in split_blocks(obj.widths, obj.l)],
-        "c": float(obj.const),
-    }
-
-
-def problem_to_document(problem: GameProblem) -> Dict[str, Any]:
-    """Plain-data form of a problem, ready for ``json.dumps``."""
-    objectives: List[Dict[str, Any]] = []
-    for obj in problem.objectives:
-        if isinstance(obj, QuadraticObjective):
-            objectives.append(_quadratic_document(obj))
-        else:
-            objectives.append({"type": "expr", "formula": print_formula(obj.root)})
-    doc: Dict[str, Any] = {
-        "levels": problem.dims.levels,
-        "dims": list(problem.dims.m),
-        "objectives": objectives,
-    }
-    if problem.constraints is not None:
-        doc["constraints"] = {
-            "A": [blk.tolist() for blk in problem.constraints.A],
-            "b": problem.constraints.b.tolist(),
-        }
-    return doc
-
-
-def format_problem(problem: GameProblem) -> str:
-    return json.dumps(problem_to_document(problem), indent=2, sort_keys=True) + "\n"
 
 
 def parse_strategies(

@@ -4,11 +4,8 @@ Tokens: decimal numbers (optional fraction/exponent), variables
 ``u<level>_<index>`` (or ``u<level>`` when that level is scalar), operators
 ``+ - * ^`` and parentheses.  Precedence, tightest first: ``^`` (integer
 exponents only, right-associative), unary minus, ``*``, then ``+``/``-``.
-
-The printer emits a canonical form that parses back to a structurally
-identical tree; the one caveat is that it writes negative constants with a
-leading minus, which re-reads as Negate(Constant) — the parser itself never
-produces negative constants, so parse -> print -> parse is idempotent.
+The parser never produces a negative constant: ``-2`` reads as
+``Negate(Constant(2.0))``.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from .model import (
     Var,
 )
 
-__all__ = ["parse_formula", "print_formula"]
+__all__ = ["parse_formula"]
 
 _TOKEN_RE = re.compile(
     r"\s*(?:"
@@ -202,50 +199,3 @@ class _Parser:
 def parse_formula(text: str, dims: Dims) -> Node:
     """Parse a formula against a hierarchy shape.  1-based variables."""
     return _Parser(text, dims).parse()
-
-
-def _num(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def print_formula(node: Node) -> str:
-    """Canonical text for a tree; parses back to the same structure."""
-    if isinstance(node, Constant):
-        return _num(node.value)
-    if isinstance(node, Var):
-        return "u%d_%d" % (node.level, node.index)
-    if isinstance(node, Sum):
-        parts = [_sum_child(node.terms[0])]
-        for t in node.terms[1:]:
-            if isinstance(t, Negate):
-                parts.append("- " + _sum_child(t.child))
-            else:
-                parts.append("+ " + _sum_child(t))
-        return " ".join(parts)
-    if isinstance(node, Product):
-        return "*".join(_product_child(f) for f in node.factors)
-    if isinstance(node, Power):
-        base = print_formula(node.base)
-        if not isinstance(node.base, (Var,)) and not (
-            isinstance(node.base, Constant) and node.base.value >= 0
-        ):
-            base = "(%s)" % base
-        return "%s^%d" % (base, node.exponent)
-    if isinstance(node, Negate):
-        inner = print_formula(node.child)
-        if isinstance(node.child, (Sum, Product)):
-            inner = "(%s)" % inner
-        return "-" + inner
-    raise TypeError("not an expression node: %r" % (node,))
-
-
-def _sum_child(node: Node) -> str:
-    text = print_formula(node)
-    return "(%s)" % text if isinstance(node, Sum) else text
-
-
-def _product_child(node: Node) -> str:
-    text = print_formula(node)
-    return "(%s)" % text if isinstance(node, (Sum, Product)) else text

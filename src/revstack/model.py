@@ -399,17 +399,6 @@ class Polynomial:
                     _power(rule, k)) for k in sorted({row[v] for row in rows})])
         return Polynomial._of(poly)
 
-    def to_node(self) -> Node:
-        """A formula tree of this polynomial: one signed monomial per term."""
-        terms: List[Node] = []
-        for coef, factors in self._terms:
-            nodes: List[Node] = [Constant(abs(coef))] if abs(coef) != 1.0 or not factors else []
-            nodes += [Var(*self.keys[v]) if e == 1 else Power(Var(*self.keys[v]), e)
-                      for v, e in factors]
-            term = nodes[0] if len(nodes) == 1 else Product(tuple(nodes))
-            terms.append(Negate(term) if coef < 0 else term)
-        return Sum(tuple(terms)) if len(terms) > 1 else (terms or [Constant(0.0)])[0]
-
 
 def _expand(node: Node) -> _Terms:
     if isinstance(node, Constant):
@@ -534,22 +523,13 @@ class QuadraticObjective:
                                      % (lev, vec.size, w))
         return cls(H, np.concatenate(lin), const, dims.m)
 
-    @property
-    def A(self) -> Dict[Tuple[int, int], np.ndarray]:
-        """Upper-triangular blocks of :meth:`build`: ``A[j,j] = H_jj / 2``, ``A[j,k] = H_jk``."""
-        at = np.cumsum((0,) + self.widths)
-        n = len(self.widths)
-        return {(j + 1, k + 1): (0.5 if j == k else 1.0)
-                * self.H[at[j]:at[j + 1], at[k]:at[k + 1]]
-                for j in range(n) for k in range(j, n)}
-
 
 class ExprObjective:
     """Cost given by a formula, held as the polynomial ``poly`` it expands to.
 
     ``ExprObjective(root)`` compiles the tree once, raising FormulaError when
-    the expansion is refused.  An objective from :meth:`from_polynomial`
-    prints its ``root`` from ``poly`` when ``root`` is first read.
+    the expansion is refused, and keeps it as ``root``.  An objective from
+    :meth:`from_polynomial` has no tree and no ``root`` attribute.
     """
 
     def __init__(self, root: Node):
@@ -566,10 +546,6 @@ class ExprObjective:
         obj = cls.__new__(cls)
         obj.poly = poly
         return obj
-
-    @cached_property
-    def root(self) -> Node:
-        return self.poly.to_node()
 
 
 Objective = Union[QuadraticObjective, ExprObjective]
@@ -670,17 +646,20 @@ def evaluate(obj: Objective, point: DecisionPoint) -> float:
 class LinearConstraints:
     """Joint rows ``sum_level A[level] @ u^level <= b`` (k rows).
 
-    An entry that is not finite raises RevstackError.
+    The blocks and ``b`` are read-only copies of the arrays given.  An entry
+    that is not finite raises RevstackError.
     """
 
     A: Tuple[np.ndarray, ...]
     b: np.ndarray
 
     def __post_init__(self):
-        mats = tuple(_as_matrix(m) for m in self.A)
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        mats = tuple(_as_matrix(m).copy() for m in self.A)
+        b = np.atleast_1d(np.array(self.b, dtype=float))
         if not (np.isfinite(b).all() and all(np.isfinite(m).all() for m in mats)):
             raise RevstackError("constraint coefficient is not finite")
+        for arr in mats + (b,):
+            arr.setflags(write=False)
         object.__setattr__(self, "A", mats)
         object.__setattr__(self, "b", b)
 

@@ -155,8 +155,10 @@ def oracle_best_response(problem: GameProblem,
     to the first improving one: the accepted path and ``evaluations`` are
     those of the one-at-a-time search, at one call per accepted move plus
     one.  A NaN cost at any node or trial of an evaluated batch is refused
-    with a ``RevstackError`` naming the level and the point; the whole
-    procedure is deterministic.
+    with a ``RevstackError`` naming the level and the point.  A grid axis
+    past the double range, and a cost that is not finite where a point's
+    coordinates or substituted rule values are past it, are refused naming
+    the level and ``--grid-radius``.  The whole procedure is deterministic.
     """
     n = problem.levels
     if not 2 <= level <= n:
@@ -176,17 +178,26 @@ def oracle_best_response(problem: GameProblem,
     center = anchor.concat()
     objective = problem.objective(level)
 
+    past_range = ("level %d: the oracle grid leaves the double range (a coordinate or an "
+                  "announced rule's value is not finite); lower --grid-radius" % level)
+
     def values_at(X: np.ndarray) -> np.ndarray:
-        blocks = _substitute_chain(problem, announced, level, split_blocks(free_widths, X))
-        with np.errstate(over="ignore", invalid="ignore"):  # a NaN is refused below
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            blocks = _substitute_chain(problem, announced, level, split_blocks(free_widths, X))
             values = np.asarray(evaluate_many(objective, blocks), dtype=float)
-        if np.isnan(values).any():
-            raise RevstackError("level %d: the oracle found a NaN cost at %s"
-                                % (level, X[int(np.argmax(np.isnan(values)))].tolist()))
+        if not np.isfinite(values).all():
+            if not all(np.isfinite(b).all() for b in blocks):
+                raise RevstackError(past_range)
+            if np.isnan(values).any():
+                raise RevstackError("level %d: the oracle found a NaN cost at %s"
+                                    % (level, X[int(np.argmax(np.isnan(values)))].tolist()))
         return values
 
-    axes = [np.linspace(center[i] - grid.radius, center[i] + grid.radius, grid.points)
-            for i in range(D)]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        axes = [np.linspace(center[i] - grid.radius, center[i] + grid.radius, grid.points)
+                for i in range(D)]
+    if not all(np.isfinite(a).all() for a in axes):
+        raise RevstackError(past_range)
 
     # the trailing r axes form one reusable chunk; the leading ones are walked.
     # Column-major, each free block is one contiguous slab for the strategies'

@@ -7,10 +7,9 @@ import sys
 import pytest
 
 import revstack
-from revstack import format_problem
 from revstack.cli import main
 
-from conftest import wide_leader
+from conftest import problem_text, wide_leader_data
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -61,7 +60,7 @@ def tri_doc(tmp_path):
 @pytest.fixture()
 def wide_doc(tmp_path):
     path = tmp_path / "wide.json"
-    path.write_text(format_problem(wide_leader()))
+    path.write_text(problem_text(*wide_leader_data()))
     return str(path)
 
 
@@ -222,9 +221,21 @@ def test_family_refuses_non_finite_parameters(wide_doc, capsys):
     assert "--params" in err and "NaN" in err
 
 
-def test_family_rejects_wrong_parameter_count(wide_doc, capsys):
-    assert main(["family", wide_doc, "--params", "[[0.25]]"]) == 4
-    assert "--params" in capsys.readouterr().err
+def test_family_takes_empty_parameters_for_a_single_point(tri_doc, capsys):
+    # the scalar top level's parameters are 0x1 matrices, written []
+    assert main(["family", tri_doc, "--params", "[];[]", "--samples", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "member 0:" in out and out.count("[ok]") == 1
+
+
+def test_family_rejects_bad_parameter_entries(wide_doc, capsys):
+    for params, needle in (("[[0.25]]", "--params wants 2"),
+                           ('[["a"]];[[0.5]]', "bad --params entry"),
+                           ("{};[[0.5]]", "bad --params entry"),
+                           ("[];[[0.5]]", "parameter matrix has shape (1, 0), expected (1, 1)")):
+        assert main(["family", wide_doc, "--params", params]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +335,19 @@ def test_huge_exponent_chain_is_bad_input(tmp_path, capsys):
 def test_oversized_oracle_grid_is_refused(tri_doc, capsys):
     assert main(["solve", tri_doc, "--grid-points", "100000000"]) == 2
     assert "--grid-points" in capsys.readouterr().err
+
+
+def test_oracle_grid_past_the_double_range_is_refused(tri_doc, wide_doc, capsys):
+    # 1e308 and 9e307 overflow the axes themselves; at 6e307 the axes are
+    # finite, but the leader's rule u1 = 12 - u2 - 3*u3 overflows on them
+    for argv in (["solve", tri_doc, "--grid-radius", "1e308"],
+                 ["solve", tri_doc, "--grid-radius", "9e307"],
+                 ["solve", tri_doc, "--grid-radius", "6e307"],
+                 ["family", wide_doc, "--samples", "1", "--grid-radius", "1e308"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: level 2: the oracle grid leaves the double range")
+        assert err.count("\n") == 1 and "--grid-radius" in err
 
 
 def test_overflowing_follower_gradient_is_refused(tmp_path, capsys):

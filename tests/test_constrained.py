@@ -428,25 +428,31 @@ def test_plain_rows_are_cached_once_per_constraint_set():
     assert len(plain) <= prob.constraints.k
 
 
-def test_rows_changed_in_place_get_a_fresh_tableau(monkeypatch):
-    prob, A, b = _box_game(31, (1, 1, 1), 3)
+def test_rows_are_read_only_and_new_rows_get_their_own_tableau(monkeypatch):
+    prob, _, _ = _box_game(31, (1, 1, 1), 3)
     rule = synthesize_cascade(prob, desired=team_optimum_constrained(prob).point)[0]
     calls = _count_phase_one(monkeypatch)
     cons = prob.constraints
     before = feasibility_check(rule, cons, prob.dims)
     feasibility_check(rule, cons, prob.dims)
     assert len(calls) == 1
-    for change in (lambda: cons.b.__setitem__(1, cons.b[1] - 0.5),
-                   lambda: cons.A[1].__setitem__((4, 0), 0.25)):
-        change()
-        after = feasibility_check(rule, cons, prob.dims)
-        fresh = LinearConstraints(tuple(m.copy() for m in cons.A), cons.b.copy())
-        solved = len(calls)
-        margins, worst, witness = _reference_verdict(rule, fresh, prob.dims)
-        del calls[solved:]  # the reference's own phase ones
-        assert _bits(after.margins) == _bits(margins)
-        assert _bits(after.witness) == _bits(witness)
-    assert len(calls) == 3
+    with pytest.raises(ValueError):
+        cons.b[1] -= 0.5
+    with pytest.raises(ValueError):
+        cons.A[1][4, 0] = 0.25
+    # the arrays a constraint set is built from are copied, not frozen
+    blocks, bounds = [m.copy() for m in cons.A], cons.b.copy()
+    changed = LinearConstraints(tuple(blocks), bounds)
+    bounds[1] -= 0.5
+    blocks[1][4, 0] = 0.25
+    assert _bits(changed.b) == _bits(cons.b)
+    assert _bits(changed.A[1]) == _bits(cons.A[1])
+    changed = LinearConstraints(tuple(blocks), bounds)
+    after = feasibility_check(rule, changed, prob.dims)
+    assert len(calls) == 2
+    margins, worst, witness = _reference_verdict(rule, changed, prob.dims)
+    assert (_bits(after.margins), after.worst_row, _bits(after.witness)) == (
+        _bits(margins), worst, _bits(witness))
     assert _bits(after.margins) != _bits(before.margins)
 
 

@@ -17,8 +17,9 @@ from revstack import (
     Var,
     evaluate,
     parse_formula,
-    print_formula,
 )
+
+from conftest import formula_text
 
 D3 = Dims.of(1, 1, 1)
 DW = Dims.of(2, 1)
@@ -124,7 +125,7 @@ def test_evaluation_of_parsed_formula():
 ])
 def test_parse_print_parse_is_identity(text):
     tree = parse_formula(text, D3)
-    assert parse_formula(print_formula(tree), D3) == tree
+    assert parse_formula(formula_text(tree), D3) == tree
 
 
 def _random_tree(rng, depth):
@@ -151,14 +152,14 @@ def test_printer_round_trips_random_trees():
     rng = np.random.default_rng(7)
     for _ in range(60):
         tree = _random_tree(rng, 3)
-        assert parse_formula(print_formula(tree), D3) == tree
+        assert parse_formula(formula_text(tree), D3) == tree
 
 
 def test_printed_form_evaluates_identically():
     rng = np.random.default_rng(8)
     for _ in range(30):
         tree = _random_tree(rng, 3)
-        back = parse_formula(print_formula(tree), D3)
+        back = parse_formula(formula_text(tree), D3)
         p = DecisionPoint.from_concat((1, 1, 1), rng.uniform(-2, 2, 3))
         assert evaluate(ExprObjective(back), p) == pytest.approx(
             evaluate(ExprObjective(tree), p), rel=1e-12, abs=1e-12)

@@ -14,7 +14,6 @@ from revstack import (
     RevstackError,
     evaluate,
     evaluate_many,
-    format_problem,
     hessian,
     parse_formula,
     parse_problem,
@@ -24,7 +23,7 @@ from revstack import (
 from revstack import model
 from revstack.model import split_blocks
 
-from conftest import random_convex_game, scalar_trilevel, wide_leader
+from conftest import build_game, problem_text, random_convex_data, random_convex_game
 
 
 def test_dims_basics():
@@ -184,6 +183,13 @@ def test_quadratic_expansion_to_expression_tree(wide):
                 evaluate(wide.objective(lev), p), rel=1e-12, abs=1e-12)
 
 
+def test_only_parsed_objectives_keep_a_tree(wide):
+    tree = parse_formula("u1_1^2 + u2^2", wide.dims)
+    assert ExprObjective(tree).root is tree
+    # a derived objective has only its polynomial, and no root attribute at all
+    assert not hasattr(quadratic_to_expr(wide.objective(1)), "root")
+
+
 def test_compiling_a_flat_formula_builds_one_polynomial(monkeypatch):
     # a quadratic written out monomial by monomial, as documents state one:
     # 36 squares and products of 8 scalars, then 8 linear terms, signs mixed
@@ -225,19 +231,22 @@ def test_diagonal_blocks_are_symmetrized():
     dims = Dims.of(2, 1)
     skew = np.array([[1.0, 2.0], [0.0, 1.0]])
     obj = QuadraticObjective.build(dims, {(1, 1): skew, (2, 2): np.eye(1)})
-    assert np.allclose(obj.A[(1, 1)], obj.A[(1, 1)].T)
+    assert np.array_equal(obj.H, obj.H.T)
     x = np.array([0.7, -1.3])
     p = DecisionPoint.of(x, [0.0])
     assert evaluate(obj, p) == pytest.approx(x @ skew @ x)
 
 
-def test_flat_form_round_trips_bitwise_through_documents(wide):
-    for game in (wide, random_convex_game(5, (2, 1, 2))):
-        back = parse_problem(format_problem(game))
-        for q, r in zip(game.objectives, back.objectives):
-            assert np.array_equal(r.H, q.H)
-            assert np.array_equal(r.l, q.l)
-            assert r.const == q.const
+def test_flat_form_round_trips_bitwise_through_documents():
+    # the (A, l) blocks a game is built from, written as a document, parse
+    # to the same flat H and l
+    widths = (2, 1, 2)
+    data = random_convex_data(5, widths)
+    game, back = build_game(widths, data), parse_problem(problem_text(widths, data))
+    for q, r in zip(game.objectives, back.objectives):
+        assert np.array_equal(r.H, q.H)
+        assert np.array_equal(r.l, q.l)
+        assert r.const == q.const
 
 
 def test_stored_arrays_refuse_writes(wide):

@@ -26,8 +26,6 @@ from revstack import (  # noqa: E402
     Dims,
     ExprObjective,
     FormulaError,
-    GameProblem,
-    LinearConstraints,
     Negate,
     Power,
     Product,
@@ -35,10 +33,8 @@ from revstack import (  # noqa: E402
     RevstackError,
     Sum,
     Var,
-    format_problem,
     parse_formula,
     parse_problem,
-    print_formula,
     synthesize_cascade,
     team_optimum_quadratic,
     verify_full,
@@ -46,7 +42,7 @@ from revstack import (  # noqa: E402
 
 from revstack import model  # noqa: E402
 
-from conftest import random_convex_game  # noqa: E402
+from conftest import build_game, formula_text, problem_text, random_convex_game  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -81,45 +77,67 @@ WIDE = Dims.of(2, 1, 3)
 @SETTINGS
 @given(formula_trees(WIDE, 10 ** 6, 12))
 def test_formula_print_parse_round_trip(tree):
-    assert parse_formula(print_formula(tree), WIDE) == tree
+    assert parse_formula(formula_text(tree), WIDE) == tree
 
 
 @st.composite
 def problems(draw):
-    dims = Dims.of(*draw(st.lists(st.integers(1, 2), min_size=2, max_size=3)))
+    """A game as data (widths, objectives, constraints), each level an
+    ``(A, l, const)`` triple or a formula tree, and the game built from it."""
+    widths = tuple(draw(st.lists(st.integers(1, 2), min_size=2, max_size=3)))
+    dims = Dims.of(*widths)
     n, m = dims.levels, dims.m
     objectives = []
     for _ in range(n):
-        quadratic = draw(st.booleans())
-        if quadratic:
+        if draw(st.booleans()):
             A = {(j, k): np.array(draw(st.lists(
                      st.lists(FINITE, min_size=m[k - 1], max_size=m[k - 1]),
                      min_size=m[j - 1], max_size=m[j - 1])))
                  for j in range(1, n + 1) for k in range(j, n + 1) if draw(st.booleans())}
             l = [draw(st.lists(FINITE, min_size=w, max_size=w)) for w in m]
-            const = draw(FINITE)
+            objectives.append((A, l, draw(FINITE)))
         else:
-            tree = draw(formula_trees(dims, 3, 6))
-        try:
-            objectives.append(QuadraticObjective.build(dims, A, l=l, const=const)
-                              if quadratic else ExprObjective(tree))
-        except RevstackError:  # an overflowing coefficient or expansion is refused
-            reject()
+            objectives.append(draw(formula_trees(dims, 3, 6)))
     constraints = None
     if draw(st.booleans()):
         k = draw(st.integers(1, 3))
         rows = st.lists(FINITE, min_size=k, max_size=k)
-        constraints = LinearConstraints(
-            tuple(np.array([draw(rows) for _ in range(w)]).T for w in m), draw(rows))
-    return GameProblem(dims, tuple(objectives), constraints)
+        constraints = (tuple(np.array([draw(rows) for _ in range(w)]).T for w in m),
+                       draw(rows))
+    try:
+        game = build_game(widths, objectives, constraints)
+    except RevstackError:  # an overflowing coefficient or expansion is refused
+        reject()
+    return (widths, objectives, constraints), game
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
 
 
 @SETTINGS
 @given(problems())
-def test_document_round_trip(problem):
-    text = format_problem(problem)
-    assert format_problem(parse_problem(text)) == text
+def test_document_round_trip(drawn):
+    data, game = drawn
+    text = problem_text(*data)
     json.loads(text)  # plain JSON: every number finite
+    parsed = parse_problem(text)
+    assert parsed.dims == game.dims
+    for got, want in zip(parsed.objectives, game.objectives):
+        assert type(got) is type(want)
+        if isinstance(want, QuadraticObjective):
+            assert [_bits(got.H), _bits(got.l), _bits(got.const)] == [
+                _bits(want.H), _bits(want.l), _bits(want.const)]
+        else:
+            assert got.root == want.root
+            assert got.poly.keys == want.poly.keys
+            assert (got.poly.E.tobytes(), _bits(got.poly.c)) == (want.poly.E.tobytes(),
+                                                                 _bits(want.poly.c))
+    if game.constraints is None:
+        assert parsed.constraints is None
+    else:
+        assert ([_bits(M) for M in parsed.constraints.A], _bits(parsed.constraints.b)) == (
+            [_bits(M) for M in game.constraints.A], _bits(game.constraints.b))
 
 
 # ---------------------------------------------------------------------------
