@@ -25,24 +25,17 @@ from .errors import (
     UnknownVariableError,
 )
 from .model import (
-    Constant,
     DecisionPoint,
     Dims,
     ExprObjective,
     GameProblem,
     LinearConstraints,
-    Negate,
-    Power,
-    Product,
     QuadraticObjective,
-    Sum,
-    Var,
     evaluate,
     evaluate_many,
     quadratic_to_expr,
 )
 from .calculus import (
-    fd_gradient,
     gradient,
     hessian,
     strict_convexity_probe,
@@ -85,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineStrategy",
-    "Constant",
     "ConvergenceError",
     "DecisionPoint",
     "DimensionError",
@@ -104,23 +96,17 @@ __all__ = [
     "InequalityStats",
     "InfeasibleError",
     "LinearConstraints",
-    "Negate",
     "NonUniqueOptimumError",
     "NotMinimumError",
     "OracleResult",
-    "Power",
-    "Product",
     "QuadraticObjective",
     "RevstackError",
     "StrategyFamily",
-    "Sum",
     "UnboundedRegionError",
     "UnknownVariableError",
-    "Var",
     "VerificationReport",
     "evaluate",
     "evaluate_many",
-    "fd_gradient",
     "feasibility_check",
     "gradient",
     "hessian",

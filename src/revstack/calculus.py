@@ -1,9 +1,7 @@
 """Gradients, Hessians, and convexity probes for game objectives.
 
 Analytic derivatives: H x + l for quadratics, and the partial
-derivative polynomials of the compiled form for expressions.  A central
-finite-difference gradient is kept alongside as an independent cross-check
-oracle.
+derivative polynomials of an expression's polynomial.
 """
 
 from __future__ import annotations
@@ -16,12 +14,10 @@ from .model import (
     ExprObjective,
     Objective,
     QuadraticObjective,
-    evaluate,
 )
 
 __all__ = [
     "gradient",
-    "fd_gradient",
     "hessian",
     "strict_convexity_probe",
 ]
@@ -29,8 +25,6 @@ __all__ = [
 # Shift applied to the Hessian diagonal before the Cholesky attempt: the
 # probe certifies a minimum eigenvalue strictly above this.
 CONVEXITY_TOL = 1e-9
-# The finite-difference step at coordinate i is FD_STEP * (1 + |p_i|).
-FD_STEP = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -51,23 +45,6 @@ def gradient(obj: Objective, p: DecisionPoint) -> DecisionPoint:
             g[level - 1][index - 1] = d(p.blocks)
         return DecisionPoint(tuple(g))
     raise TypeError("not an objective: %r" % (obj,))
-
-
-def fd_gradient(obj: Objective, p: DecisionPoint) -> DecisionPoint:
-    """Central finite differences with per-coordinate step ``FD_STEP * (1 + |p_i|)``."""
-    flat = p.concat()
-    widths = p.widths
-    g = np.empty(flat.size)
-    for i in range(flat.size):
-        step = FD_STEP * (1.0 + abs(flat[i]))
-        fwd = flat.copy()
-        bwd = flat.copy()
-        fwd[i] += step
-        bwd[i] -= step
-        f1 = evaluate(obj, DecisionPoint.from_concat(widths, fwd))
-        f0 = evaluate(obj, DecisionPoint.from_concat(widths, bwd))
-        g[i] = (f1 - f0) / (2.0 * step)
-    return DecisionPoint.from_concat(widths, g)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .synthesis import (
     synthesize_cascade,
     synthesize_family_leader,
 )
-from .verify import GridSpec, oracle_best_response, verify_full
+from .verify import GridSpec, oracle_best_response, response_passes, verify_full
 
 __all__ = ["main"]
 
@@ -179,9 +179,9 @@ def _check_member(problem: GameProblem, family: StrategyFamily,
     distance = max(
         float(np.abs(a - b).max(initial=0.0))
         for a, b in zip(oracle.argmin.blocks, family.anchor.tail(2).blocks))
-    ok = (realization <= MEMBER_REALIZATION_TOL
-          and residual <= MEMBER_REALIZATION_TOL
-          and distance <= args.tol)
+    ok = (response_passes(2, distance, args.tol, args.grid)
+          and realization <= MEMBER_REALIZATION_TOL
+          and residual <= MEMBER_REALIZATION_TOL)
     return {
         "realization_residual": realization,
         "family_residual": residual,

@@ -4,27 +4,21 @@ Tokens: decimal numbers (optional fraction/exponent), variables
 ``u<level>_<index>`` (or ``u<level>`` when that level is scalar), operators
 ``+ - * ^`` and parentheses.  Precedence, tightest first: ``^`` (integer
 exponents only, right-associative), unary minus, ``*``, then ``+``/``-``.
-The parser never produces a negative constant: ``-2`` reads as
-``Negate(Constant(2.0))``.
+The parser expands as it reads: every constant, variable, sum, product,
+power and negation becomes the plain terms of its polynomial, and the
+formula's :class:`~revstack.model.Polynomial` is built once, at the end.
+``-2`` is the constant 2 with its coefficient negated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import List, Optional, Tuple
 
-from .errors import FormulaError, UnknownVariableError
-from .model import (
-    Constant,
-    Dims,
-    Negate,
-    Node,
-    Power,
-    Product,
-    Sum,
-    Var,
-)
+from .errors import DocumentError, FormulaError, RevstackError, UnknownVariableError
+from .model import Dims, Polynomial, _merged, _power, _product, _sum, _Terms
 
 __all__ = ["parse_formula"]
 
@@ -79,19 +73,27 @@ def _too_large(tok: Tuple[str, str, int]) -> FormulaError:
                         column=tok[2] + 1)
 
 
+def _negated(terms: _Terms) -> _Terms:
+    keys, rows, coefs = terms
+    return keys, rows, [-coef for coef in coefs]
+
+
 class _Parser:
+    """Recursive descent; each rule returns the plain terms of what it read.
+    Sums and products combine their terms once all are read, left to right."""
+
     def __init__(self, text: str, dims: Dims):
         self.tokens = _Tokens(text)
         self.dims = dims
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self) -> _Terms:
+        terms = self.expr()
         left = self.tokens.peek()
         if left is not None:
             raise FormulaError("trailing input %r" % left[1], column=left[2] + 1)
-        return node
+        return terms
 
-    def expr(self) -> Node:
+    def expr(self) -> _Terms:
         terms = [self.term()]
         while True:
             tok = self.tokens.peek()
@@ -99,10 +101,10 @@ class _Parser:
                 break
             self.tokens.next()
             nxt = self.term()
-            terms.append(Negate(nxt) if tok[1] == "-" else nxt)
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            terms.append(_negated(nxt) if tok[1] == "-" else nxt)
+        return terms[0] if len(terms) == 1 else _sum(terms)
 
-    def term(self) -> Node:
+    def term(self) -> _Terms:
         factors = [self.factor()]
         while True:
             tok = self.tokens.peek()
@@ -110,21 +112,21 @@ class _Parser:
                 break
             self.tokens.next()
             factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
+        return functools.reduce(_product, factors)
 
-    def factor(self) -> Node:
+    def factor(self) -> _Terms:
         tok = self.tokens.peek()
         if tok is not None and tok[0] == "op" and tok[1] == "-":
             self.tokens.next()
-            return Negate(self.factor())
+            return _negated(self.factor())
         return self.power()
 
-    def power(self) -> Node:
+    def power(self) -> _Terms:
         base = self.atom()
         tok = self.tokens.peek()
         if tok is not None and tok[0] == "op" and tok[1] == "^":
             self.tokens.next()
-            return Power(base, self.exponent())
+            return _power(base, self.exponent())
         return base
 
     def exponent(self) -> int:
@@ -151,14 +153,14 @@ class _Parser:
             raise _too_large(tok)
         return value
 
-    def atom(self) -> Node:
+    def atom(self) -> _Terms:
         tok = self.tokens.next()
         kind, text, pos = tok
         if kind == "number":
             value = float(text)
             if not math.isfinite(value):
                 raise FormulaError("number overflows a double", column=pos + 1)
-            return Constant(value)
+            return _merged((), [()], [value])
         if kind == "ident":
             return self.variable(text, pos)
         if kind == "op" and text == "(":
@@ -169,7 +171,7 @@ class _Parser:
             return inner
         raise FormulaError("unexpected token %r" % text, column=pos + 1)
 
-    def variable(self, text: str, pos: int) -> Var:
+    def variable(self, text: str, pos: int) -> _Terms:
         if "_" in text:
             lev_s, idx_s = text[1:].split("_")
             level, index = int(lev_s), int(idx_s)
@@ -193,9 +195,19 @@ class _Parser:
                 "variable %r: level %d has width %d" % (text, level, width),
                 column=pos + 1,
             )
-        return Var(level, index)
+        return ((level, index),), [(1,)], [1.0]
 
 
-def parse_formula(text: str, dims: Dims) -> Node:
-    """Parse a formula against a hierarchy shape.  1-based variables."""
-    return _Parser(text, dims).parse()
+def parse_formula(text: str, dims: Dims) -> Polynomial:
+    """The polynomial of a formula over a hierarchy shape.  1-based variables.
+
+    Malformed text, and an expansion the arithmetic refuses (with its
+    message), raise FormulaError; a variable outside the shape raises
+    UnknownVariableError.
+    """
+    try:
+        return Polynomial._of(_Parser(text, dims).parse())
+    except DocumentError:
+        raise
+    except RevstackError as exc:
+        raise FormulaError(str(exc)) from None

@@ -8,8 +8,8 @@ in two flavours:
 * :class:`QuadraticObjective` — ``x'Hx/2 + l'x + const`` over the
   concatenated decision x, built from upper-triangular blocks,
 * :class:`ExprObjective` — a formula over the scalar decision variables
-  (sums, products, positive integer powers, negation), compiled once into a
-  sparse :class:`Polynomial` that evaluates and differentiates it.
+  (sums, products, positive integer powers, negation), held as the sparse
+  :class:`Polynomial` it expands to, which evaluates and differentiates it.
 
 Evaluation works on single decision points and, for the brute-force checks
 elsewhere in the package, on stacked batches of points.  A
@@ -20,7 +20,6 @@ check its shape again.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -30,19 +29,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionError, FormulaError, RevstackError
+from .errors import DimensionError, RevstackError
 
 __all__ = [
     "Dims",
     "DecisionPoint",
     "split_blocks",
-    "Constant",
-    "Var",
-    "Sum",
-    "Product",
-    "Power",
-    "Negate",
-    "Node",
     "Polynomial",
     "QuadraticObjective",
     "ExprObjective",
@@ -154,65 +146,6 @@ class DecisionPoint:
 
 
 # ---------------------------------------------------------------------------
-# expression trees
-# ---------------------------------------------------------------------------
-
-class Node:
-    """Base class for expression-tree nodes.  Nodes are immutable."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Constant(Node):
-    value: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-
-
-@dataclass(frozen=True)
-class Var(Node):
-    """The ``index``-th scalar of level ``level`` (both 1-based)."""
-
-    level: int
-    index: int = 1
-
-
-@dataclass(frozen=True)
-class Sum(Node):
-    terms: Tuple[Node, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-
-
-@dataclass(frozen=True)
-class Product(Node):
-    factors: Tuple[Node, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-
-
-@dataclass(frozen=True)
-class Power(Node):
-    base: Node
-    exponent: int
-
-    def __post_init__(self):
-        exp = self.exponent
-        if not isinstance(exp, (int, np.integer)) or isinstance(exp, bool) or exp < 1:
-            raise DimensionError("Power exponent must be a positive integer, got %r" % (exp,))
-        object.__setattr__(self, "exponent", int(exp))
-
-
-@dataclass(frozen=True)
-class Negate(Node):
-    child: Node
-
-
-# ---------------------------------------------------------------------------
 # sparse polynomials
 # ---------------------------------------------------------------------------
 
@@ -223,8 +156,8 @@ _TOO_LARGE = "polynomial expansion exceeds %d monomials" % _MAX_MONOMIALS
 _MAX_EXPONENT = 2 ** 63 - 1
 
 # A polynomial as plain Python: sorted keys, exponent rows as tuples of ints,
-# float coefficients.  Arithmetic works on this form, so a formula tree or a
-# substitution builds numpy arrays once, for its result.
+# float coefficients.  Arithmetic works on this form, so a parsed formula or
+# a substitution builds numpy arrays once, for its result.
 _Terms = Tuple[Tuple[Tuple[int, int], ...], Sequence[Tuple[int, ...]], Sequence[float]]
 
 _ONE: _Terms = ((), ((),), (1.0,))
@@ -318,21 +251,6 @@ class Polynomial:
         return cls._of(_merged(tuple(keys), list(map(tuple, rows)),
                                np.asarray(c, dtype=float).tolist()))
 
-    @classmethod
-    def constant(cls, value: float) -> "Polynomial":
-        return cls._of(_merged((), [()], [float(value)]))
-
-    @staticmethod
-    def total(polys: Sequence["Polynomial"]) -> "Polynomial":
-        return Polynomial._of(_sum([p._plain for p in polys]))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial._of(_product(self._plain, other._plain))
-
-    def __pow__(self, k: int) -> "Polynomial":
-        """``self ** k`` for an integer k >= 0, by repeated squaring."""
-        return Polynomial._of(_power(self._plain, k))
-
     @cached_property
     def _terms(self) -> List[Tuple[float, Tuple[Tuple[int, int], ...]]]:
         """Per monomial, its coefficient and its (column, exponent) factors."""
@@ -398,28 +316,6 @@ class Polynomial:
                             [coef for row, coef in zip(rows, coefs) if row[v] == k]),
                     _power(rule, k)) for k in sorted({row[v] for row in rows})])
         return Polynomial._of(poly)
-
-
-def _expand(node: Node) -> _Terms:
-    if isinstance(node, Constant):
-        return _merged((), [()], [node.value])
-    if isinstance(node, Var):
-        return ((node.level, node.index),), [(1,)], [1.0]
-    if isinstance(node, Sum):
-        return _sum([_expand(t) for t in node.terms])
-    if isinstance(node, Product):
-        return functools.reduce(_product, [_expand(f) for f in node.factors])
-    if isinstance(node, Power):
-        return _power(_expand(node.base), node.exponent)
-    if isinstance(node, Negate):
-        keys, rows, coefs = _expand(node.child)
-        return keys, rows, [-coef for coef in coefs]
-    raise TypeError("not an expression node: %r" % (node,))
-
-
-def _compile(node: Node) -> Polynomial:
-    """Expand a formula tree into its polynomial."""
-    return Polynomial._of(_expand(node))
 
 
 # ---------------------------------------------------------------------------
@@ -527,25 +423,14 @@ class QuadraticObjective:
 class ExprObjective:
     """Cost given by a formula, held as the polynomial ``poly`` it expands to.
 
-    ``ExprObjective(root)`` compiles the tree once, raising FormulaError when
-    the expansion is refused, and keeps it as ``root``.  An objective from
-    :meth:`from_polynomial` has no tree and no ``root`` attribute.
+    ``formula.parse_formula`` reads formula text into that polynomial;
+    substitution and :func:`quadratic_to_expr` derive one.
     """
 
-    def __init__(self, root: Node):
-        if not isinstance(root, Node):
-            raise TypeError("ExprObjective wants a Node, got %r" % (root,))
-        try:
-            self.poly = _compile(root)
-        except RevstackError as exc:
-            raise FormulaError(str(exc)) from None
-        self.root = root
-
-    @classmethod
-    def from_polynomial(cls, poly: Polynomial) -> "ExprObjective":
-        obj = cls.__new__(cls)
-        obj.poly = poly
-        return obj
+    def __init__(self, poly: Polynomial):
+        if not isinstance(poly, Polynomial):
+            raise TypeError("ExprObjective wants a Polynomial, got %r" % (poly,))
+        self.poly = poly
 
 
 Objective = Union[QuadraticObjective, ExprObjective]
@@ -736,4 +621,4 @@ def quadratic_to_expr(obj: QuadraticObjective) -> ExprObjective:
     eye = np.eye(len(keys), dtype=np.int64)
     E = np.vstack([eye[rows] + eye[cols], eye, np.zeros((1, len(keys)), dtype=np.int64)])
     c = np.concatenate([np.where(rows == cols, 0.5, 1.0) * H[rows, cols], obj.l, [obj.const]])
-    return ExprObjective.from_polynomial(Polynomial.from_terms(keys, E, c))
+    return ExprObjective(Polynomial.from_terms(keys, E, c))

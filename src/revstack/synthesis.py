@@ -332,8 +332,7 @@ def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProble
         if isinstance(obj, QuadraticObjective):
             new_objectives.append(_substitute_quadratic(obj, q, P, new_dims.m))
         else:
-            new_objectives.append(
-                ExprObjective.from_polynomial(obj.poly.substitute_top(offset, C)))
+            new_objectives.append(ExprObjective(obj.poly.substitute_top(offset, C)))
     new_cons = None
     cons = problem.constraints
     if cons is not None:

@@ -37,6 +37,7 @@ __all__ = [
     "ResponseCheck",
     "VerificationReport",
     "oracle_best_response",
+    "response_passes",
     "sublevel_inequality_check",
     "verify_full",
 ]
@@ -264,6 +265,24 @@ def oracle_best_response(problem: GameProblem,
     return OracleResult(argmin, fx, x0, drift, evaluations)
 
 
+def response_passes(level: int, distance: float, tol: float, grid: GridSpec) -> bool:
+    """Whether an oracle argmin ``distance`` from the desired blocks passes ``tol``.
+
+    A miss while the refinement's finest step (the grid spacing halved
+    ``REFINE_ITERS - 1`` times) is above ``max(tol, REFINE_FLOOR)`` is the
+    window's, not the response's: a RevstackError naming the level and
+    ``--grid-radius``."""
+    if distance <= tol:
+        return True
+    spacing = 2.0 * grid.radius / (grid.points - 1) if grid.points > 1 else 1.0
+    finest = spacing * REFINE_SHRINK ** (REFINE_ITERS - 1)
+    if finest > max(tol, REFINE_FLOOR):
+        raise RevstackError(
+            "level %d: the oracle's finest step %.3g cannot resolve the tolerance %.3g "
+            "(argmin %.3g away); lower --grid-radius" % (level, finest, tol, distance))
+    return False
+
+
 def sublevel_inequality_check(objective: Objective, anchor: DecisionPoint,
                               strategy: AffineStrategy, count: int,
                               seed: int) -> InequalityStats:
@@ -381,7 +400,8 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
     The chain is checked against the ``desired`` point.  In order:
     realization residuals, hyperplane membership, oracle best responses
     (each responding level must land on the desired blocks within ``tol``
-    componentwise), and sublevel one-sidedness sampling.  Existence verdicts
+    componentwise; see :func:`response_passes` for a window too coarse to
+    tell), and sublevel one-sidedness sampling.  Existence verdicts
     are reported for context but do not gate the verdict — a working
     strategy for a degenerate game is still verified.  A residual that
     overflows fails its check; a stage game whose reduction overflows, or
@@ -454,7 +474,7 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
             np.abs(oracle.argmin.concat() - target.concat()).max(initial=0.0)
         )
         low_conf = oracle.refinement_drift > 2.0 * spacing
-        passed = distance <= tol
+        passed = response_passes(lev, distance, tol, grid)
         if not passed:
             reasons.append(
                 "level %d: oracle argmin is %.3g away from the desired blocks"

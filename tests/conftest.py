@@ -7,41 +7,83 @@ Two hand-checked games recur throughout the suite:
   closed form (u1 = 12 - u2 - 3*u3, u2 = 4 - u3);
 * the *wide-leader* game — the top level owns two variables, so the set of
   optimal top maps is a one-parameter family per lower level.
+
+Formula trees (``Const``, ``Var``, ``Sum``, ``Product``, ``Power``,
+``Negate``) say what a formula text means; the package parses text straight
+to a polynomial, and ``RefPoly.compile`` of the tree is the numpy reference
+it must match bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from revstack import (
-    Constant,
+    DecisionPoint,
     Dims,
     ExprObjective,
     GameProblem,
     LinearConstraints,
-    Power,
-    Product,
     QuadraticObjective,
-    Sum,
-    Var,
+    RevstackError,
+    evaluate,
     parse_formula,
 )
+from revstack.model import _MAX_MONOMIALS, Polynomial
 
 
 # ---------------------------------------------------------------------------
-# games as data: one (A blocks, l, const) triple or formula tree per level
+# formula trees: what a formula text says, written out by hand or drawn
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Const:
+    value: float
+
+
+@dataclass(frozen=True)
+class Var:
+    """The ``index``-th scalar of level ``level`` (both 1-based)."""
+
+    level: int
+    index: int
+
+
+@dataclass(frozen=True)
+class Sum:
+    terms: tuple
+
+
+@dataclass(frozen=True)
+class Product:
+    factors: tuple
+
+
+@dataclass(frozen=True)
+class Power:
+    base: object
+    exponent: int
+
+
+@dataclass(frozen=True)
+class Negate:
+    child: object
+
 
 def formula_text(node) -> str:
-    """Text that parses back to ``node`` when its constants are nonnegative.
+    """Text that the parser reads as ``node`` when its constants are nonnegative.
 
     Every compound is parenthesized, so no precedence rule is needed; a
     negative constant prints as a minus sign, which reads back as Negate.
     """
-    if isinstance(node, Constant):
+    if isinstance(node, Const):
         return repr(node.value)
     if isinstance(node, Var):
         return "u%d_%d" % (node.level, node.index)
@@ -53,6 +95,138 @@ def formula_text(node) -> str:
         return "(%s)^%d" % (formula_text(node.base), node.exponent)
     return "-(%s)" % formula_text(node.child)
 
+
+TOO_LARGE = "polynomial expansion exceeds %d monomials" % _MAX_MONOMIALS
+
+
+class RefPoly:
+    """The polynomial algebra on numpy arrays: int64 exponent rows widened to
+    a common key set, outer products i-major, like rows merged in order of
+    appearance from 0.0.  The package works on plain Python terms instead;
+    every result must carry the same bits."""
+
+    def __init__(self, keys, E, c):
+        self.keys, self.E, self.c = keys, E, c
+
+    @classmethod
+    def from_terms(cls, keys, E, c):
+        if len(c) > _MAX_MONOMIALS:
+            raise RevstackError(TOO_LARGE)
+        merged = {}
+        rows = np.asarray(E, dtype=np.int64).reshape(len(c), len(keys)).tolist()
+        for row, coef in zip(map(tuple, rows), np.asarray(c, dtype=float).tolist()):
+            merged[row] = merged.get(row, 0.0) + coef
+        if not all(map(math.isfinite, merged.values())):
+            raise RevstackError("polynomial coefficient is not finite")
+        order = sorted(row for row, coef in merged.items() if coef != 0.0)
+        return cls(tuple(keys), np.array(order, dtype=np.int64).reshape(len(order), len(keys)),
+                   np.array([merged[row] for row in order], dtype=float))
+
+    @classmethod
+    def constant(cls, value):
+        return cls.from_terms((), np.zeros((1, 0)), [value])
+
+    @staticmethod
+    def total(polys):
+        keys = tuple(sorted(set().union(*(p.keys for p in polys))))
+        return RefPoly.from_terms(keys, np.vstack([p.widened(keys) for p in polys]),
+                                  np.concatenate([p.c for p in polys]))
+
+    def widened(self, keys):
+        at = {key: v for v, key in enumerate(keys)}
+        out = np.zeros((self.E.shape[0], len(keys)), dtype=np.int64)
+        out[:, [at[key] for key in self.keys]] = self.E
+        return out
+
+    def __mul__(self, other):
+        if self.c.size * other.c.size > _MAX_MONOMIALS:
+            raise RevstackError(TOO_LARGE)
+        keys = tuple(sorted(set(self.keys) | set(other.keys)))
+        E = (self.widened(keys)[:, None, :] + other.widened(keys)[None, :, :]
+             ).reshape(self.c.size * other.c.size, len(keys))
+        if (E < 0).any():  # a sum of exponents wrapped past int64
+            raise RevstackError("polynomial exponent overflows")
+        with np.errstate(over="ignore"):
+            c = np.outer(self.c, other.c).ravel()
+        return RefPoly.from_terms(keys, E, c)
+
+    def __pow__(self, k):
+        result, base = RefPoly.constant(1.0), self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
+    def derivative(self, v):
+        e = self.E[:, v]
+        E = self.E[e > 0]
+        E[:, v] -= 1
+        with np.errstate(over="ignore"):
+            return RefPoly.from_terms(self.keys, E, self.c[e > 0] * e[e > 0])
+
+    def substitute_top(self, offset, C):
+        lower = [(j + 1, col + 1) for j, M in enumerate(C) for col in range(M.shape[1])]
+        rule_E = np.vstack([np.zeros((1, len(lower))), np.eye(len(lower))])
+        poly = RefPoly(tuple((lev - 1, idx) for lev, idx in self.keys), self.E, self.c)
+        for i in range(offset.size):
+            if (0, i + 1) in poly.keys:
+                rule = RefPoly.from_terms(
+                    lower, rule_E, np.concatenate([[offset[i]]] + [M[i] for M in C]))
+                v = poly.keys.index((0, i + 1))
+                e, rest = poly.E[:, v], np.delete(poly.E, v, 1)
+                keys = poly.keys[:v] + poly.keys[v + 1:]
+                poly = RefPoly.total([
+                    RefPoly.from_terms(keys, rest[e == k], poly.c[e == k]) * rule ** k
+                    for k in sorted(set(e.tolist()))])
+        return poly
+
+    @classmethod
+    def compile(cls, node):
+        """The polynomial of a formula tree: a Sum merges its terms, a
+        Product multiplies its factors left to right."""
+        if isinstance(node, Const):
+            return cls.constant(node.value)
+        if isinstance(node, Var):
+            return cls(((node.level, node.index),), np.ones((1, 1), dtype=np.int64), np.ones(1))
+        if isinstance(node, Sum):
+            return cls.total([cls.compile(t) for t in node.terms])
+        if isinstance(node, Product):
+            return functools.reduce(operator.mul, [cls.compile(f) for f in node.factors])
+        if isinstance(node, Power):
+            return cls.compile(node.base) ** node.exponent
+        child = cls.compile(node.child)
+        return cls(child.keys, child.E, -child.c)
+
+
+def outcome(build):
+    """The bits of the polynomial ``build()`` returns, or the message it raises."""
+    try:
+        p = build()
+    except RevstackError as err:
+        return str(err)
+    return (p.keys, p.E.dtype, p.E.shape, p.E.tobytes(), p.c.dtype, p.c.shape, p.c.tobytes())
+
+
+def fd_gradient(obj, p: DecisionPoint) -> DecisionPoint:
+    """Central finite differences with per-coordinate step ``1e-6 * (1 + |p_i|)``."""
+    flat = p.concat()
+    g = np.empty(flat.size)
+    for i in range(flat.size):
+        step = 1e-6 * (1.0 + abs(flat[i]))
+        fwd, bwd = flat.copy(), flat.copy()
+        fwd[i] += step
+        bwd[i] -= step
+        g[i] = (evaluate(obj, DecisionPoint.from_concat(p.widths, fwd))
+                - evaluate(obj, DecisionPoint.from_concat(p.widths, bwd))) / (2.0 * step)
+    return DecisionPoint.from_concat(p.widths, g)
+
+
+# ---------------------------------------------------------------------------
+# games as data: one (A blocks, l, const) triple or formula tree per level
+# ---------------------------------------------------------------------------
 
 def problem_text(widths, objectives, constraints=None) -> str:
     """The JSON problem document of a game given as data.
@@ -80,12 +254,18 @@ def problem_text(widths, objectives, constraints=None) -> str:
     return json.dumps(doc)
 
 
+def _expr(tree) -> ExprObjective:
+    ref = RefPoly.compile(tree)
+    return ExprObjective(Polynomial(ref.keys, ref.E, ref.c))
+
+
 def build_game(widths, objectives, constraints=None) -> GameProblem:
-    """The game ``problem_text`` writes, built directly."""
+    """The game ``problem_text`` writes, built directly; a formula tree's
+    polynomial is :class:`RefPoly`'s."""
     dims = Dims.of(*widths)
     return GameProblem(dims, tuple(
         QuadraticObjective.build(dims, obj[0], l=obj[1], const=obj[2])
-        if isinstance(obj, tuple) else ExprObjective(obj) for obj in objectives),
+        if isinstance(obj, tuple) else _expr(obj) for obj in objectives),
         None if constraints is None else LinearConstraints(*constraints))
 
 

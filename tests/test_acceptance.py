@@ -14,7 +14,6 @@ from revstack import (
     DecisionPoint,
     LinearConstraints,
     feasibility_check,
-    fd_gradient,
     gradient,
     instantiate,
     oracle_best_response,
@@ -28,7 +27,13 @@ from revstack import (
 from revstack.verify import SAMPLE_RADIUS
 
 import conftest
-from conftest import random_convex_game, scalar_trilevel, scalar_trilevel_expr, wide_leader
+from conftest import (
+    fd_gradient,
+    random_convex_game,
+    scalar_trilevel,
+    scalar_trilevel_expr,
+    wide_leader,
+)
 
 
 class Criterion:

@@ -11,9 +11,7 @@ from revstack import (
     parse_formula,
     strict_convexity_probe,
 )
-from revstack.calculus import fd_gradient
-
-from conftest import random_convex_game
+from conftest import fd_gradient, random_convex_game
 
 D3 = Dims.of(1, 1, 1)
 D_AT = DecisionPoint.of([2.0], [1.0], [3.0])

@@ -350,6 +350,28 @@ def test_oracle_grid_past_the_double_range_is_refused(tri_doc, wide_doc, capsys)
         assert err.count("\n") == 1 and "--grid-radius" in err
 
 
+def test_a_window_too_coarse_for_the_tolerance_is_refused(tri_doc, wide_doc, tmp_path,
+                                                          capsys):
+    # the refinement's finest step is the spacing halved 59 times: 8.7e-4 at
+    # radius 1e16 and 8.67 at 1e20, both above --tol 1e-4, where the correct
+    # chain and member used to be reported as failed
+    for radius in ("1e16", "1e20"):
+        for argv in (["solve", tri_doc], ["family", wide_doc, "--samples", "1"]):
+            assert main(argv + ["--grid-radius", radius]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: level 2: the oracle's finest step ")
+            assert err.count("\n") == 1 and "--grid-radius" in err
+    # at 1e12 the finest step, 8.7e-8, resolves the tolerance
+    for argv in (["solve", tri_doc], ["family", wide_doc, "--samples", "1"]):
+        assert main(argv + ["--grid-radius", "1e12"]) == 0
+    # on the default window a miss is the chain's for any tolerance, 0 included
+    capsys.readouterr()
+    assert main(["solve", tri_doc, "--tol", "0"]) == 0
+    spath = _write(tmp_path, "bad.json", CORRUPTED_STRATEGIES)
+    assert main(["verify", tri_doc, "--strategies", spath, "--tol", "0"]) == 3
+    assert capsys.readouterr().err == ""
+
+
 def test_overflowing_follower_gradient_is_refused(tmp_path, capsys):
     doc = json.loads(TRI_PROBLEM)
     doc["objectives"][2]["formula"] = "u1^2 + (u2 - 2)^2 + u3^1000000"
@@ -607,12 +629,16 @@ def test_nonconvex_follower_fails_rank_one_but_a_family_member_verifies(capsys):
 
 
 @pytest.mark.parametrize("formula", [
-    "(u1 - 2)^1000000", "(u1 + u2 + u3)^1000", "(u1 + 1e200)^2"])
+    "(u1 - 2)^1000000", "(u1 + u2 + u3)^1000", "(u1 + 1e200)^2",
+    # oversized and malformed: the power is expanded as it is read, so the
+    # expansion is refused before the parser reaches the dangling '+'
+    "(u1 + u2 + u3)^1000 +"])
 def test_refused_expansion_is_bad_input(tmp_path, capsys, formula):
     doc = json.loads(TRI_PROBLEM)
     doc["objectives"][2]["formula"] = formula
     assert main(["solve", _write(tmp_path, "big.json", doc)]) == 4
-    assert "objectives[2].formula" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: objectives[2].formula: ") and err.count("\n") == 1
 
 
 def test_non_finite_coefficient_is_bad_input(tmp_path, capsys):

@@ -183,13 +183,6 @@ def test_quadratic_expansion_to_expression_tree(wide):
                 evaluate(wide.objective(lev), p), rel=1e-12, abs=1e-12)
 
 
-def test_only_parsed_objectives_keep_a_tree(wide):
-    tree = parse_formula("u1_1^2 + u2^2", wide.dims)
-    assert ExprObjective(tree).root is tree
-    # a derived objective has only its polynomial, and no root attribute at all
-    assert not hasattr(quadratic_to_expr(wide.objective(1)), "root")
-
-
 def test_compiling_a_flat_formula_builds_one_polynomial(monkeypatch):
     # a quadratic written out monomial by monomial, as documents state one:
     # 36 squares and products of 8 scalars, then 8 linear terms, signs mixed
@@ -199,7 +192,6 @@ def test_compiling_a_flat_formula_builds_one_polynomial(monkeypatch):
     text = "0.75*" + monomials[0] + "".join(
         " %s %r*%s" % ("-+"[k % 2], 0.25 + k / 8, mono)
         for k, mono in enumerate(monomials[1:], start=1))
-    tree = parse_formula(text, Dims.of(2, 2, 2, 2))
     built = []
     init = model.Polynomial.__init__
 
@@ -208,9 +200,9 @@ def test_compiling_a_flat_formula_builds_one_polynomial(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(model.Polynomial, "__init__", counted)
-    obj = ExprObjective(tree)
+    poly = parse_formula(text, Dims.of(2, 2, 2, 2))
     assert len(built) == 1
-    assert obj.poly.c.size == 44
+    assert poly.c.size == 44
 
 
 def test_lower_triangular_keys_rejected():
@@ -291,6 +283,8 @@ def test_validate_flags_shape_problems():
     ok = ExprObjective(parse_formula("u1^2 + u2^2", dims))
     with pytest.raises(TypeError, match="not an objective"):
         GameProblem(dims, (ok, "u1^2"))
+    with pytest.raises(TypeError, match="wants a Polynomial"):
+        ExprObjective("u1^2")
 
 
 def test_validate_flags_variables_outside_the_hierarchy():

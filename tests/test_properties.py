@@ -6,11 +6,9 @@ run is repeatable and needs no example database.
 """
 
 import contextlib
-import functools
 import io
 import json
-import math
-import operator
+import time
 import warnings
 
 import numpy as np
@@ -21,18 +19,11 @@ from hypothesis import example, given, reject, settings, strategies as st  # noq
 
 from revstack import (  # noqa: E402
     AffineStrategy,
-    Constant,
     DecisionPoint,
     Dims,
-    ExprObjective,
     FormulaError,
-    Negate,
-    Power,
-    Product,
     QuadraticObjective,
     RevstackError,
-    Sum,
-    Var,
     parse_formula,
     parse_problem,
     synthesize_cascade,
@@ -42,7 +33,21 @@ from revstack import (  # noqa: E402
 
 from revstack import model  # noqa: E402
 
-from conftest import build_game, formula_text, problem_text, random_convex_game  # noqa: E402
+from conftest import (  # noqa: E402
+    TOO_LARGE,
+    Const,
+    Negate,
+    Power,
+    Product,
+    RefPoly,
+    Sum,
+    Var,
+    build_game,
+    formula_text,
+    outcome,
+    problem_text,
+    random_convex_game,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -55,12 +60,13 @@ MODEST = st.floats(-1e6, 1e6, allow_nan=False)
 # ---------------------------------------------------------------------------
 
 def formula_trees(dims, max_exponent, max_leaves):
-    """Trees the parser can produce: every Sum and Product has at least two
-    terms and constants are non-negative (the printer writes a negative
-    constant as a minus sign, which re-reads as Negate)."""
+    """Trees ``formula_text`` prints as the parser reads them: every Sum and
+    Product has at least two terms and constants are non-negative (the
+    printer writes a negative constant as a minus sign, which re-reads as
+    Negate)."""
     variables = st.integers(1, dims.levels).flatmap(
         lambda lev: st.builds(Var, st.just(lev), st.integers(1, dims.m[lev - 1])))
-    constants = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(Constant)
+    constants = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(Const)
 
     def extend(kids):
         terms = st.lists(kids, min_size=2, max_size=4).map(tuple)
@@ -77,7 +83,8 @@ WIDE = Dims.of(2, 1, 3)
 @SETTINGS
 @given(formula_trees(WIDE, 10 ** 6, 12))
 def test_formula_print_parse_round_trip(tree):
-    assert parse_formula(formula_text(tree), WIDE) == tree
+    assert outcome(lambda: parse_formula(formula_text(tree), WIDE)) == outcome(
+        lambda: RefPoly.compile(tree))
 
 
 @st.composite
@@ -129,7 +136,6 @@ def test_document_round_trip(drawn):
             assert [_bits(got.H), _bits(got.l), _bits(got.const)] == [
                 _bits(want.H), _bits(want.l), _bits(want.const)]
         else:
-            assert got.root == want.root
             assert got.poly.keys == want.poly.keys
             assert (got.poly.E.tobytes(), _bits(got.poly.c)) == (want.poly.E.tobytes(),
                                                                  _bits(want.poly.c))
@@ -144,157 +150,38 @@ def test_document_round_trip(drawn):
 # polynomial arithmetic against numpy array arithmetic
 # ---------------------------------------------------------------------------
 
-_MAX = model._MAX_MONOMIALS
-_TOO_LARGE = "polynomial expansion exceeds %d monomials" % _MAX
-
-
-class RefPoly:
-    """The polynomial algebra on numpy arrays: int64 exponent rows widened to
-    a common key set, outer products i-major, like rows merged in order of
-    appearance from 0.0.  The package works on plain Python terms instead;
-    every result must carry the same bits."""
-
-    def __init__(self, keys, E, c):
-        self.keys, self.E, self.c = keys, E, c
-
-    @classmethod
-    def from_terms(cls, keys, E, c):
-        if len(c) > _MAX:
-            raise RevstackError(_TOO_LARGE)
-        merged = {}
-        rows = np.asarray(E, dtype=np.int64).reshape(len(c), len(keys)).tolist()
-        for row, coef in zip(map(tuple, rows), np.asarray(c, dtype=float).tolist()):
-            merged[row] = merged.get(row, 0.0) + coef
-        if not all(map(math.isfinite, merged.values())):
-            raise RevstackError("polynomial coefficient is not finite")
-        order = sorted(row for row, coef in merged.items() if coef != 0.0)
-        return cls(tuple(keys), np.array(order, dtype=np.int64).reshape(len(order), len(keys)),
-                   np.array([merged[row] for row in order], dtype=float))
-
-    @classmethod
-    def constant(cls, value):
-        return cls.from_terms((), np.zeros((1, 0)), [value])
-
-    @staticmethod
-    def total(polys):
-        keys = tuple(sorted(set().union(*(p.keys for p in polys))))
-        return RefPoly.from_terms(keys, np.vstack([p.widened(keys) for p in polys]),
-                                  np.concatenate([p.c for p in polys]))
-
-    def widened(self, keys):
-        at = {key: v for v, key in enumerate(keys)}
-        out = np.zeros((self.E.shape[0], len(keys)), dtype=np.int64)
-        out[:, [at[key] for key in self.keys]] = self.E
-        return out
-
-    def __mul__(self, other):
-        if self.c.size * other.c.size > _MAX:
-            raise RevstackError(_TOO_LARGE)
-        keys = tuple(sorted(set(self.keys) | set(other.keys)))
-        E = (self.widened(keys)[:, None, :] + other.widened(keys)[None, :, :]
-             ).reshape(self.c.size * other.c.size, len(keys))
-        if (E < 0).any():  # a sum of exponents wrapped past int64
-            raise RevstackError("polynomial exponent overflows")
-        with np.errstate(over="ignore"):
-            c = np.outer(self.c, other.c).ravel()
-        return RefPoly.from_terms(keys, E, c)
-
-    def __pow__(self, k):
-        result, base = RefPoly.constant(1.0), self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
-    def derivative(self, v):
-        e = self.E[:, v]
-        E = self.E[e > 0]
-        E[:, v] -= 1
-        with np.errstate(over="ignore"):
-            return RefPoly.from_terms(self.keys, E, self.c[e > 0] * e[e > 0])
-
-    def substitute_top(self, offset, C):
-        lower = [(j + 1, col + 1) for j, M in enumerate(C) for col in range(M.shape[1])]
-        rule_E = np.vstack([np.zeros((1, len(lower))), np.eye(len(lower))])
-        poly = RefPoly(tuple((lev - 1, idx) for lev, idx in self.keys), self.E, self.c)
-        for i in range(offset.size):
-            if (0, i + 1) in poly.keys:
-                rule = RefPoly.from_terms(
-                    lower, rule_E, np.concatenate([[offset[i]]] + [M[i] for M in C]))
-                v = poly.keys.index((0, i + 1))
-                e, rest = poly.E[:, v], np.delete(poly.E, v, 1)
-                keys = poly.keys[:v] + poly.keys[v + 1:]
-                poly = RefPoly.total([
-                    RefPoly.from_terms(keys, rest[e == k], poly.c[e == k]) * rule ** k
-                    for k in sorted(set(e.tolist()))])
-        return poly
-
-    @classmethod
-    def compile(cls, node):
-        if isinstance(node, Constant):
-            return cls.constant(node.value)
-        if isinstance(node, Var):
-            return cls(((node.level, node.index),), np.ones((1, 1), dtype=np.int64), np.ones(1))
-        if isinstance(node, Sum):
-            return cls.total([cls.compile(t) for t in node.terms])
-        if isinstance(node, Product):
-            return functools.reduce(operator.mul, [cls.compile(f) for f in node.factors])
-        if isinstance(node, Power):
-            return cls.compile(node.base) ** node.exponent
-        child = cls.compile(node.child)
-        return cls(child.keys, child.E, -child.c)
-
-
-def _by_operators(node):
-    """The polynomial of ``node`` from its children's, by the public operators."""
-    Polynomial = model.Polynomial
-    if isinstance(node, Constant):
-        return Polynomial.constant(node.value)
-    if isinstance(node, Sum):
-        return Polynomial.total([model._compile(t) for t in node.terms])
-    if isinstance(node, Product):
-        return functools.reduce(operator.mul, [model._compile(f) for f in node.factors])
-    if isinstance(node, Power):
-        return model._compile(node.base) ** node.exponent
-    return model._compile(node)
-
-
-def _outcome(build):
-    """The bits of the polynomial ``build()`` returns, or the message it raises."""
-    try:
-        p = build()
-    except RevstackError as err:
-        return str(err)
-    return (p.keys, p.E.dtype, p.E.shape, p.E.tobytes(), p.c.dtype, p.c.shape, p.c.tobytes())
-
-
 ARITHMETIC = settings(SETTINGS, max_examples=150)
 
 # Sums whose like terms merge three or more at a time, and their powers:
 # there the order in which coefficients are added shows in the last bit.
 LIKE_TERMS = st.lists(
-    st.builds(lambda coef, mono: Product((Constant(coef), mono)), st.floats(0.01, 100.0),
-              st.sampled_from([Var(1, 1), Power(Var(2), 2), Product((Var(1, 2), Var(3, 1)))])),
+    st.builds(lambda coef, mono: Product((Const(coef), mono)), st.floats(0.01, 100.0),
+              st.sampled_from([Var(1, 1), Power(Var(2, 1), 2), Product((Var(1, 2), Var(3, 1)))])),
     min_size=3, max_size=8).map(lambda terms: Sum(tuple(terms)))
 LIKE_TERMS = st.one_of(LIKE_TERMS, st.builds(Power, LIKE_TERMS, st.integers(2, 4)))
+
+
+
+def nested_powers(trees):
+    """Powers of powers with exponents up to the parser's 10^6 each, so the
+    exponents of the polynomial reach and pass int64."""
+    big = st.integers(2 ** 10, 10 ** 6)
+    return st.recursive(st.builds(Power, trees, big), lambda inner: st.builds(Power, inner, big),
+                        max_leaves=4)
 
 
 # small and huge exponents, and huge powers of whole trees, which end in
 # refusals as well as in polynomials
 @ARITHMETIC
-@given(st.one_of(formula_trees(WIDE, 4, 12), formula_trees(WIDE, 2 ** 62, 12), LIKE_TERMS,
-                 st.builds(Power, formula_trees(WIDE, 2 ** 62, 6), st.integers(2 ** 31, 2 ** 62))))
+@given(st.one_of(formula_trees(WIDE, 4, 12), formula_trees(WIDE, 10 ** 6, 12), LIKE_TERMS,
+                 nested_powers(formula_trees(WIDE, 10 ** 6, 6))))
 def test_compiled_polynomials_match_the_array_arithmetic(tree):
-    got = _outcome(lambda: model._compile(tree))
-    assert got == _outcome(lambda: RefPoly.compile(tree))
-    assert _outcome(lambda: _by_operators(tree)) == got
+    got = outcome(lambda: parse_formula(formula_text(tree), WIDE))
+    assert got == outcome(lambda: RefPoly.compile(tree))
     if not isinstance(got, str):
-        poly, ref = model._compile(tree), RefPoly.compile(tree)
+        poly, ref = parse_formula(formula_text(tree), WIDE), RefPoly.compile(tree)
         for v in range(len(poly.keys)):
-            assert _outcome(lambda: poly.derivative(v)) == _outcome(lambda: ref.derivative(v))
+            assert outcome(lambda: poly.derivative(v)) == outcome(lambda: ref.derivative(v))
 
 
 @ARITHMETIC
@@ -303,46 +190,68 @@ def test_compiled_polynomials_match_the_array_arithmetic(tree):
                 min_size=8, max_size=8))
 def test_substitution_matches_the_array_arithmetic(tree, entries):
     try:
-        poly, ref = model._compile(tree), RefPoly.compile(tree)
+        poly, ref = parse_formula(formula_text(tree), WIDE), RefPoly.compile(tree)
     except RevstackError:
         reject()
     offset = np.array(entries[:2])
     C = [np.array(entries[2:4]).reshape(2, 1), np.array(entries[2:8]).reshape(2, 3)]
     try:
-        want = _outcome(lambda: ref.substitute_top(offset, C))
+        want = outcome(lambda: ref.substitute_top(offset, C))
     except ValueError:
         # the arrays cannot stack zero parts: a level-1 key with no monomial left
         # substitutes to the zero polynomial
-        assert _outcome(lambda: poly.substitute_top(offset, C)) == _outcome(
+        assert outcome(lambda: poly.substitute_top(offset, C)) == outcome(
             lambda: model.Polynomial.from_terms((), np.zeros((0, 0)), []))
         return
-    assert _outcome(lambda: poly.substitute_top(offset, C)) == want
+    assert outcome(lambda: poly.substitute_top(offset, C)) == want
 
 
-@pytest.mark.parametrize("text, message", [
-    ("(u1_1 + u1_2 + u2 + u3_1 + u3_2 + u3_3)^40", _TOO_LARGE),
-    ("1e308*u2^2 + 1e308*u2^2", "polynomial coefficient is not finite"),
-    ("(2*u2)^1100", "polynomial coefficient is not finite"),
-])
-def test_refused_expansions_keep_their_messages(text, message):
+U2_SQUARED = Power(Var(2, 1), 2)
+
+
+REFUSED = [
+    ("(u1_1 + u1_2 + u2 + u3_1 + u3_2 + u3_3)^40",
+     Power(Sum((Var(1, 1), Var(1, 2), Var(2, 1), Var(3, 1), Var(3, 2), Var(3, 3))), 40),
+     TOO_LARGE),
+    ("1e308*u2^2 + 1e308*u2^2", Sum((Product((Const(1e308), U2_SQUARED)),) * 2),
+     "polynomial coefficient is not finite"),
+    ("(2*u2)^1100", Power(Product((Const(2.0), Var(2, 1))), 1100),
+     "polynomial coefficient is not finite"),
+]
+
+
+@pytest.mark.parametrize("text, tree, message", REFUSED,
+                         ids=["%s-%s" % (text, message) for text, _, message in REFUSED])
+def test_refused_expansions_keep_their_messages(text, tree, message):
     with pytest.raises(FormulaError) as err:
-        ExprObjective(parse_formula(text, WIDE))
+        parse_formula(text, WIDE)
     assert str(err.value) == message
     with pytest.raises(RevstackError) as ref_err:
-        RefPoly.compile(parse_formula(text, WIDE))
+        RefPoly.compile(tree)
     assert str(ref_err.value) == message
 
 
+def _power_tower(base, exponents):
+    for k in exponents:
+        base = Power(base, k)
+    return base
+
+
 def test_an_exponent_past_int64_is_refused():
-    tree = Power(Power(Var(2), 2 ** 62), 2)
+    # 2^62 as (((u2^2^18)^2^18)^2^18)^2^8, squared
+    tree = Power(_power_tower(Var(2, 1), (2 ** 18, 2 ** 18, 2 ** 18, 2 ** 8)), 2)
+    start = time.perf_counter()
     with pytest.raises(FormulaError) as err:
-        ExprObjective(tree)
+        parse_formula(formula_text(tree), WIDE)
+    assert time.perf_counter() - start < 0.5
     assert str(err.value) == "polynomial exponent overflows"
     with pytest.raises(RevstackError, match="^polynomial exponent overflows$"):
         RefPoly.compile(tree)
-    # 2^63 - 1 itself is stored
-    top = ExprObjective(Product((Power(Var(2), 2 ** 62), Power(Var(2), 2 ** 62 - 1))))
-    assert top.poly.E.tolist() == [[2 ** 63 - 1]]
+    # 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657 itself is stored, one more is not
+    top = _power_tower(Var(2, 1), (49, 73, 127, 337, 92737, 649657))
+    assert parse_formula(formula_text(top), WIDE).E.tolist() == [[2 ** 63 - 1]]
+    with pytest.raises(FormulaError, match="^polynomial exponent overflows$"):
+        parse_formula(formula_text(Product((Var(2, 1), top))), WIDE)
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +366,40 @@ def test_constraint_magnitudes_end_in_a_documented_exit(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("ladder") / "game.json"
     path.write_text(json.dumps(doc))
     for argv in COMMANDS:
+        code, err = _run_main([argv[0], str(path), *argv[1:]])
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        if code in (2, 4):
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+# ---------------------------------------------------------------------------
+# the command line on follower formulas from the same ladder
+# ---------------------------------------------------------------------------
+
+def ladder_formulas():
+    """Formula text over the README hierarchy: constants from the ladder,
+    small and huge exponents, and the same text cut short."""
+    atoms = st.one_of(st.sampled_from(["u1", "u2", "u3"]), LADDER.map(lambda v: "(%r)" % v))
+    exponents = st.one_of(st.integers(1, 4), st.integers(300, 10 ** 6))
+
+    def extend(kids):
+        return st.one_of(
+            st.tuples(kids, st.sampled_from([" + ", " - ", "*"]), kids).map("".join),
+            st.tuples(kids, exponents).map(lambda t: "(%s)^%d" % t))
+
+    whole = st.recursive(atoms, extend, max_leaves=8)
+    cut = whole.flatmap(lambda t: st.integers(0, len(t) - 1).map(lambda k: t[:k]))
+    return st.one_of(whole, cut)
+
+
+@SETTINGS
+@given(formula=ladder_formulas())
+def test_follower_formulas_end_in_a_documented_exit(tmp_path_factory, formula):
+    doc = {"levels": 3, "dims": [1, 1, 1],
+           "objectives": README_OBJECTIVES[:2] + [{"type": "expr", "formula": formula}]}
+    path = tmp_path_factory.mktemp("formula") / "game.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["solve"], ["family", "--samples", "1"]):
         code, err = _run_main([argv[0], str(path), *argv[1:]])
         assert code in (0, 2, 3, 4), (argv, code, err)
         if code in (2, 4):
