@@ -66,8 +66,9 @@ def _quadratic_system(problem: GameProblem):
 def team_optimum_quadratic(problem: GameProblem) -> EquilibriumResult:
     """Unique global minimizer of a quadratic leader cost, by linear solve.
 
-    Raises NonUniqueOptimumError on a singular stationarity system and
-    NotMinimumError when the stationary point is not a strict minimum.
+    Raises NonUniqueOptimumError on a singular stationarity system,
+    NotMinimumError when the stationary point is not a strict minimum, and
+    EquilibriumError when its cost or stationarity residual is not finite.
     """
     obj, H, l = _quadratic_system(problem)
     try:
@@ -76,8 +77,10 @@ def team_optimum_quadratic(problem: GameProblem) -> EquilibriumResult:
         raise NonUniqueOptimumError(
             "stationarity system is singular: no unique team optimum"
         ) from None
-    residual = float(np.linalg.norm(H @ u + l))
-    if not np.all(np.isfinite(u)) or residual > LINEAR_RESIDUAL_TOL * (1.0 + np.linalg.norm(l)):
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        residual = float(np.linalg.norm(H @ u + l))
+        tol = LINEAR_RESIDUAL_TOL * (1.0 + np.linalg.norm(l))
+    if not np.all(np.isfinite(u)) or residual > tol:
         raise NonUniqueOptimumError(
             "stationarity system is numerically singular (residual %.3g)" % residual
         )
@@ -88,7 +91,12 @@ def team_optimum_quadratic(problem: GameProblem) -> EquilibriumResult:
             "stationary point is not a minimum: leader Hessian is not positive definite"
         ) from None
     point = DecisionPoint.from_concat(problem.dims.m, u)
-    return EquilibriumResult(point, evaluate(obj, point), "linear-solve", residual)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        value = evaluate(obj, point)
+    if not (np.isfinite(value) and np.isfinite(residual)):
+        raise EquilibriumError("the team optimum leaves the double range (its cost %.3g, "
+                               "stationarity residual %.3g)" % (value, residual))
+    return EquilibriumResult(point, value, "linear-solve", residual)
 
 
 def _descend_once(obj, widths, start: np.ndarray):

@@ -14,9 +14,11 @@ orthonormal null-space basis of the leading gradient block times free
 parameter matrices.  ``_stage_family`` builds that family for cascade
 stage s, on the game left once the rules above level s are substituted
 (each substitution drops one level).  The cascade announces each stage's
-particular member; the single-leader rule and the top-level family are the
-stage-1 case.  ``errors.stage_errors``, the one stage wrapper, shared with
-the verifier, names the stage in a refusal.
+particular member, unless it leaves the next stage's announcing player
+without influence while another member would not (``_look_ahead``); the
+single-leader rule and the top-level family are the stage-1 case.
+``errors.stage_errors``, the one stage wrapper, shared with the verifier,
+names the stage in a refusal.
 """
 
 from __future__ import annotations
@@ -345,22 +347,64 @@ def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProble
     return GameProblem(new_dims, tuple(new_objectives), new_cons)
 
 
+def _look_ahead(stage: GameProblem, d: DecisionPoint, rule: AffineStrategy,
+                failure: ExistenceError) -> AffineStrategy:
+    """Stage s's member that leaves stage s+1 the unreduced gradient block.
+
+    Substituting ``rule`` (stage s's rank-one member) adds -Q_{s+1}^T h to
+    stage s+1's existence block, h being level s+2's gradient in u_s at d.
+    The member whose Q_{s+1} is the minimum-norm solution of
+    [g_1 h]^T Q = [g_2^T; 0] (g the level s+1 gradient) keeps the family's
+    condition and cancels that term; the other gains stay rank-one.  When
+    h is parallel to g_1, every member adds the same term, and ``failure``
+    is re-raised saying so.
+    """
+    with stage_errors(rule.level):
+        g = gradient(stage.objective(2), d)
+        h = gradient(stage.objective(3), d).block(1)
+    if not np.isfinite(h).all():
+        raise failure
+    gh = np.column_stack([g.block(1), h])
+    if np.linalg.matrix_rank(gh) < 2:
+        raise ExistenceError(
+            "%s; every member of stage %d's family gives this block, since level %d's "
+            "gradient in u%d is parallel to level %d's: no rule there avoids it"
+            % (failure, rule.level, rule.level + 2, rule.level, rule.level + 1),
+            verdict=failure.verdict, level=failure.level)
+    rhs = np.vstack([g.block(2)[None, :], np.zeros((1, g.block(2).size))])
+    Q = np.linalg.lstsq(gh.T, rhs, rcond=None)[0]
+    return AffineStrategy(rule.level, rule.anchor, (Q,) + rule.coeffs[1:])
+
+
 def synthesize_cascade(problem: GameProblem,
                        desired: DecisionPoint) -> List[AffineStrategy]:
-    """Top-to-bottom synthesis: one rank-one strategy per announcing level.
+    """Top-to-bottom synthesis: one strategy per announcing level.
 
-    Announces the particular member of the stage family anchored at
-    ``desired``, substitutes it to get the one-smaller game, and repeats.
-    Each stage anchors at the corresponding tail of the desired point.
-    Existence failures carry the absolute level at which they occurred, and
-    a reduction whose coefficients overflow is refused naming its stage.
+    Announces the particular (rank-one) member of the stage family anchored
+    at ``desired``, substitutes it to get the one-smaller game, and repeats.
+    Each stage anchors at the corresponding tail of the desired point.  When
+    a stage's existence check fails under the rank-one member above it, that
+    member is replaced once by the one of :func:`_look_ahead`.  Existence
+    failures carry the absolute level at which they occurred, and a
+    reduction whose coefficients overflow is refused naming its stage.
     """
+    def reduced(above: GameProblem, rule: AffineStrategy, s: int) -> GameProblem:
+        with stage_errors(s):  # a substituted coefficient may overflow
+            return reduce_problem(above, rule)
+
     strategies: List[AffineStrategy] = []
-    stage = problem
+    above = stage = problem
     for s in range(1, problem.levels):
         if s > 1:
-            with stage_errors(s):  # a substituted coefficient may overflow
-                stage = reduce_problem(stage, strategies[-1])
-        family = _stage_family(stage, desired.tail(s), s)
+            stage = reduced(above, strategies[-1], s)
+        try:
+            family = _stage_family(stage, desired.tail(s), s)
+        except ExistenceError as err:
+            if s == 1 or err.verdict is None:
+                raise
+            strategies[-1] = _look_ahead(above, desired.tail(s - 1), strategies[-1], err)
+            stage = reduced(above, strategies[-1], s)
+            family = _stage_family(stage, desired.tail(s), s)
         strategies.append(AffineStrategy(s, family.anchor, family.particular))
+        above = stage
     return strategies

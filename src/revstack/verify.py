@@ -11,6 +11,7 @@ A strategy chain is 'verified' when every check lands inside its tolerance.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -23,6 +24,7 @@ from .model import (
     DecisionPoint,
     GameProblem,
     Objective,
+    QuadraticObjective,
     evaluate,
     evaluate_many,
     split_blocks,
@@ -89,9 +91,9 @@ class OracleResult:
     value: float
     grid_argmin: np.ndarray     # flat coordinates of the best grid node
     refinement_drift: float     # max |refined - grid best| per coordinate
-    # grid nodes plus the refinement trials a one-at-a-time search would
-    # make, up to and including each accepted one (batched trials past it
-    # are not counted)
+    # grid nodes, those of slabs a bound skipped included, plus the
+    # refinement trials a one-at-a-time search would make, up to and
+    # including each accepted one (batched trials past it are not counted)
     evaluations: int
 
 
@@ -135,6 +137,77 @@ def _substitute_chain(problem: GameProblem, announced: Sequence[AffineStrategy],
     return blocks  # type: ignore[return-value]
 
 
+def _slab_bounds(problem: GameProblem, announced: Sequence[AffineStrategy], level: int,
+                 center: np.ndarray, axes: List[np.ndarray]) -> Optional[np.ndarray]:
+    """Certified lower bounds on a quadratic's grid values, one per first-axis slab.
+
+    The announced chain maps the free coordinates w affinely to the full
+    decision, x = q + P (w - center); q and P come from ``_substitute_chain``
+    at the center and one step of the window's half-width along each axis.
+    On slab i (first coordinate a_i) the composed cost is a quadratic in the
+    trailing coordinates y with Hessian A.  For any y', the strong-convexity
+    inequality gives min_y f >= f(y') - |grad f(y')|^2 / (2 lambda_min(A)); y'
+    is the minimizer clipped to the window.  Every grid value of the slab is
+    at least that minus a margin ``tol * M``, where M bounds every magnitude
+    the substitution and the evaluation meet on the window (absolute values
+    of the rules and the cost at the largest grid coordinates): the grid
+    values, the map and the composition each round within 16 (N + D + 2)^3
+    ulps of M, and ``tol`` is 512 times that.  Returns None, so that nothing
+    is skipped, for an expression cost, a trailing block that is not
+    positive definite by more than the eigensolver's error, or an M that is
+    not safely finite (every grid value is finite when M is, so no refusal
+    can be skipped).
+    """
+    objective = problem.objective(level)
+    if not isinstance(objective, QuadraticObjective):
+        return None
+    D, N = len(center), len(objective.l)
+    widths = problem.dims.m[level - 1:]
+    tol = 2.0 ** -40 * (N + D + 2) ** 3
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # |x| over the window, through the rules with absolute coefficients
+        magnitude = [AffineStrategy(a.level, DecisionPoint(
+            (np.abs(a.own_anchor),) + tuple(-np.abs(b) for b in a.anchor.blocks[1:])),
+            tuple(-np.abs(Q) for Q in a.coeffs)) for a in announced[:level - 1]]
+        ends = np.array([[a[0], a[-1]] for a in axes])
+        xbar = np.concatenate(_substitute_chain(problem, magnitude, level, split_blocks(
+            widths, np.abs(ends).max(axis=1)[None, :])), axis=1)[0]
+        V = np.abs(objective.H) @ xbar / 2 + np.abs(objective.l)
+        M = V @ xbar + abs(objective.const)
+        if not (np.append(V, M) < 2.0 ** 1000).all():
+            return None
+        W = np.tile(center, (D + 1, 1))
+        W[np.arange(1, D + 1), np.arange(D)] = ends[:, 1]
+        steps = W[1:].diagonal() - center
+        X = np.concatenate(_substitute_chain(
+            problem, announced, level, split_blocks(widths, W)), axis=1)
+        q, P = X[0], (X[1:] - X[0]).T / steps
+        H, l = objective.H, objective.l
+        G, h = P.T @ H @ P, P.T @ (H @ q + l)
+        G = (G + G.T) / 2
+        f0 = q @ H @ q / 2 + l @ q + objective.const
+        if not np.isfinite(np.append(G, h)).all():  # a step lost below the anchor's ulp
+            return None
+        A, B, g0, h0, h1 = G[1:, 1:], G[1:, 0], G[0, 0], h[0], h[1:]
+        lam, vecs = np.linalg.eigh(A)
+        lam_min = lam[0] - tol * np.linalg.norm(A)
+        if not lam_min > 0.0:
+            return None
+        z = axes[0] - center[0]
+        rhs = h1 + z[:, None] * B
+        lo, hi = (ends[1:] - center[1:, None]).T
+        y = np.clip(-(((rhs @ vecs) / lam) @ vecs.T), lo, hi)
+        f = ((y @ A / 2 + rhs) * y).sum(axis=1) + (g0 / 2 * z + h0) * z + f0
+        grad = np.linalg.norm(y @ A + rhs, axis=1)
+        ay, az = np.abs(y), np.abs(z)
+        fmag = ((ay @ np.abs(A) / 2 + np.abs(h1) + az[:, None] * np.abs(B)) * ay).sum(axis=1) \
+            + (abs(g0) / 2 * az + abs(h0)) * az + abs(f0)
+        gmag = np.linalg.norm(ay @ np.abs(A) + az[:, None] * np.abs(B) + np.abs(h1), axis=1)
+        gap = (grad + tol * gmag) ** 2 / (2 * lam_min)
+        bounds = f - gap * (1 + tol) - tol * (M + fmag)
+    return bounds if np.isfinite(bounds).all() else None
+
+
 def oracle_best_response(problem: GameProblem,
                          announced: Sequence[AffineStrategy],
                          level: int,
@@ -145,10 +218,14 @@ def oracle_best_response(problem: GameProblem,
     Substitutes the announced upper strategies, then minimizes that player's
     cost over all free blocks (its own and everything below) on a dense
     grid centred on ``anchor``, refined by shrinking-step coordinate
-    descent.  The grid is walked
-    in chunks of at most ``GRID_CHUNK_NODES`` nodes in node-index order, so
-    memory does not grow with ``points^D``; grid ties go to the
-    lexicographically smallest node index.  Refinement is compass search:
+    descent.  The grid is walked in chunks of at most ``GRID_CHUNK_NODES``
+    nodes in node-index order, so memory does not grow with ``points^D``.
+    A grid of D >= 3 coordinates that fits one chunk is walked as
+    ``points`` slabs along its first axis instead: for a quadratic cost in
+    increasing order of :func:`_slab_bounds`, skipping every slab whose
+    bound is above the best value found, otherwise in node order.  The grid
+    values, and so the best node, are bitwise those of one batch.  Grid ties
+    go to the lexicographically smallest node index.  Refinement is compass search:
     each sweep tries +step, then -step, coordinate by coordinate, moving to
     the first trial that improves; a sweep without a move halves the steps.
     Each batch holds every trial that search would still make if nothing
@@ -182,12 +259,15 @@ def oracle_best_response(problem: GameProblem,
     past_range = ("level %d: the oracle grid leaves the double range (a coordinate or an "
                   "announced rule's value is not finite); lower --grid-radius" % level)
 
-    def values_at(X: np.ndarray) -> np.ndarray:
+    def substituted(X: np.ndarray) -> List[np.ndarray]:
+        return _substitute_chain(problem, announced, level, split_blocks(free_widths, X))
+
+    def values_at(X: np.ndarray, elsewhere=lambda: False) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            blocks = _substitute_chain(problem, announced, level, split_blocks(free_widths, X))
+            blocks = substituted(X)
             values = np.asarray(evaluate_many(objective, blocks), dtype=float)
         if not np.isfinite(values).all():
-            if not all(np.isfinite(b).all() for b in blocks):
+            if not all(np.isfinite(b).all() for b in blocks) or elsewhere():
                 raise RevstackError(past_range)
             if np.isnan(values).any():
                 raise RevstackError("level %d: the oracle found a NaN cost at %s"
@@ -201,25 +281,52 @@ def oracle_best_response(problem: GameProblem,
         raise RevstackError(past_range)
 
     # the trailing r axes form one reusable chunk; the leading ones are walked.
-    # Column-major, each free block is one contiguous slab for the strategies'
+    # Column-major, each free block is contiguous for the strategies'
     # arithmetic (a row-strided view took half the D=4 oracle's time), and a
     # quadratic cost reads its coordinates as the long rows it multiplies and
-    # sums (model._eval_quadratic).
+    # sums (model._eval_quadratic).  A grid of three or more coordinates that
+    # fits one chunk is walked as `points` slabs along its first axis, in
+    # increasing order of their lower bounds, stopping at the first bound
+    # above the best value found; without bounds every slab is walked in order.
     r = 1
     while r < D and grid.points ** (r + 1) <= GRID_CHUNK_NODES:
         r += 1
+    one_chunk = r == D
+    bounds = None
+    if one_chunk and D >= 3:
+        r = D - 1
+        bounds = _slab_bounds(problem, announced, level, center, axes)
     lead = D - r
     chunk = np.empty((grid.points ** r, D), order="F")
     for j, m in enumerate(np.meshgrid(*axes[lead:], indexing="ij")):
         chunk[:, lead + j] = m.ravel()
-    x0, fx = None, np.inf
-    for node in np.ndindex(*[grid.points] * lead):
-        for j, k in enumerate(node):
-            chunk[:, j] = axes[j][k]
-        values = values_at(chunk)
+
+    def fill(buf: np.ndarray, s: int) -> np.ndarray:
+        for j, k in enumerate(np.unravel_index(s, (grid.points,) * lead)):
+            buf[:, j] = axes[j][k]
+        return buf
+
+    @functools.cache
+    def grid_leaves_range() -> bool:
+        # a one-chunk grid keeps the refusal its single batch gave: past the
+        # double range when any node's substituted blocks are
+        if not one_chunk:
+            return False
+        spare = chunk.copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by the caller
+            return not all(np.isfinite(b).all() for s in range(grid.points ** lead)
+                           for b in substituted(fill(spare, s)))
+
+    if bounds is None:
+        bounds = np.full(grid.points ** lead, -np.inf)
+    x0, fx, best = None, np.inf, 0
+    for s in np.argsort(bounds, kind="stable"):
+        if bounds[s] > fx:
+            break  # so is every bound after it: no node there beats or ties fx
+        values = values_at(fill(chunk, s), grid_leaves_range)
         k = int(np.argmin(values))
-        if x0 is None or values[k] < fx:
-            x0, fx = chunk[k].copy(), float(values[k])
+        if x0 is None or values[k] < fx or (values[k] == fx and s < best):
+            x0, fx, best = chunk[k].copy(), float(values[k]), s
     evaluations = grid.points ** D
 
     # one step size per coordinate, starting at the grid spacing; the search

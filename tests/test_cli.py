@@ -578,6 +578,16 @@ def test_feasible_json_matches_the_checked_in_report(capsys):
     assert capsys.readouterr().out == (DATA / "feasible_box.json").read_text()
 
 
+def test_a_game_whose_rank_one_rule_blinds_stage_two_verifies(capsys):
+    # the constrained-feasible benchmark's game 724 of seed 3 (class
+    # c(2,1,1,1)k13), as bench/gen.py's constrained_game wrote it: under the
+    # rank-one top rule stage 2's gradient block has norm 1.26e-06, below
+    # its tolerance 3.2e-06, so the cascade announces the look-ahead member
+    assert main(["solve", str(DATA / "lookahead_c2111k13.json")]) == 0
+    out = capsys.readouterr().out
+    assert "verification: VERIFIED\n" in out
+
+
 def test_too_many_constraint_rows_are_refused(tmp_path):
     doc = json.loads(TRI_PROBLEM)
     doc["constraints"] = {"A": [[[1]] * 21, [[0]] * 21, [[0]] * 21],

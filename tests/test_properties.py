@@ -404,3 +404,54 @@ def test_follower_formulas_end_in_a_documented_exit(tmp_path_factory, formula):
         assert code in (0, 2, 3, 4), (argv, code, err)
         if code in (2, 4):
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+# ---------------------------------------------------------------------------
+# the command line on quadratic coefficients and oracle windows
+# ---------------------------------------------------------------------------
+
+def _squares(targets):
+    """sum_j (u_j - t_j)^2 over four one-wide levels, as a quadratic document."""
+    return {"type": "quadratic", "A": {"%d,%d" % (j, j): [[1.0]] for j in range(1, 5)},
+            "l": [[-2.0 * t] for t in targets], "c": float(sum(t * t for t in targets))}
+
+
+# a (1,1,1,1) game that verifies: level 2's three-coordinate grid is one chunk
+SQUARES = [_squares(t) for t in ((2, 1, 3, 0), (1, 0, 0, 1), (0, 2, 1, 1), (1, 1, 2, 3))]
+
+QUADRATIC_CHANGES = st.one_of(
+    st.tuples(st.just("A"), st.integers(0, 3),
+              st.sampled_from(["1,1", "2,2", "3,3", "4,4", "1,2", "2,3", "3,4", "1,4"]),
+              LADDER),
+    st.tuples(st.just("l"), st.integers(0, 3), st.integers(0, 3), LADDER),
+    st.tuples(st.just("c"), st.integers(0, 3), st.just(None), LADDER))
+
+
+@SETTINGS
+@given(changes=st.lists(QUADRATIC_CHANGES, max_size=2),
+       radius=st.sampled_from([1e-300, 0.5, 10.0, 1e6, 1e150, 1e300, 1.7e308]),
+       points=st.sampled_from([1, 2, 5, 41]))
+@example(changes=[], radius=10.0, points=41)
+# the team optimum's |l| and cost overflow; its stationarity residual is NaN
+@example(changes=[("l", 0, 1, 1e300), ("c", 2, None, -1e300)], radius=1e-300, points=41)
+@example(changes=[("A", 0, "3,4", -1e-300), ("A", 0, "2,3", 2.0)], radius=1.7e308, points=1)
+def test_quadratic_coefficients_and_windows_end_in_a_documented_exit(
+        tmp_path_factory, changes, radius, points):
+    objectives = json.loads(json.dumps(SQUARES))
+    for part, level, where, value in changes:
+        if part == "A":
+            objectives[level]["A"][where] = [[value]]
+        elif part == "l":
+            objectives[level]["l"][where] = [value]
+        else:
+            objectives[level]["c"] = value
+    doc = {"levels": 4, "dims": [1, 1, 1, 1], "objectives": objectives}
+    path = tmp_path_factory.mktemp("quadratic") / "game.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run_main(["solve", str(path), "--grid-radius", repr(radius),
+                           "--grid-points", str(points)])
+    assert code in (0, 2, 3, 4), (code, err)
+    if code in (2, 4):
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    if not changes and (radius, points) == (10.0, 41):
+        assert code == 0

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from revstack import (
     evaluate,
     gradient,
     instantiate,
+    parse_problem,
     quadratic_to_expr,
     reduce_problem,
     synthesize_cascade,
@@ -21,6 +24,7 @@ from revstack import (
     synthesize_single_leader,
     team_optimum,
     team_optimum_quadratic,
+    verify_full,
 )
 from revstack.synthesis import _stage_family
 
@@ -383,6 +387,39 @@ def test_cascade_on_a_four_level_game_matches_manual_reduction():
     for s in cascade:
         assert np.allclose(s.anchor.concat(),
                            eq.point.tail(s.level).concat(), atol=1e-12)
+
+
+def test_look_ahead_member_replaces_a_rank_one_rule_that_blinds_the_next_stage():
+    path = pathlib.Path(__file__).parent / "data" / "lookahead_c2111k13.json"
+    problem = parse_problem(path.read_text())
+    d = team_optimum(problem).point
+    rank_one = synthesize_single_leader(problem, d)
+    with pytest.raises(ExistenceError, match="stage 2 .*cannot influence") as info:
+        _stage_family(reduce_problem(problem, rank_one), d.tail(2), 2)
+    assert info.value.verdict.block_norm == pytest.approx(1.26e-6, rel=0.01)
+    chain = synthesize_cascade(problem, desired=d)
+    # only the top rule's gain on level 2 changed: it is still a stage-1
+    # family member, and it cancels level 3's gradient in u1
+    g = gradient(problem.objective(2), d)
+    h = gradient(problem.objective(3), d).block(1)
+    Q2 = chain[0].coeffs[0]
+    assert np.allclose(g.block(1) @ Q2, g.block(2), rtol=0, atol=1e-12)
+    assert np.abs(h @ Q2).max() <= 1e-12
+    assert all(np.array_equal(a, b) for a, b in zip(chain[0].coeffs[1:], rank_one.coeffs[1:]))
+    assert verify_full(problem, chain, desired=d).verified
+
+
+def test_a_failure_every_member_shares_is_called_a_proof(tri):
+    # one-wide top level: every stage-1 member adds the same term to stage 2
+    prob = GameProblem(tri.dims, (tri.objective(1), tri.objective(2), tri.objective(2)))
+    eq = team_optimum_quadratic(prob)
+    with pytest.raises(ExistenceError) as info:
+        synthesize_cascade(prob, desired=eq.point)
+    assert info.value.level == 2
+    assert str(info.value).startswith("stage 2 (announcing level 2): the announcing player "
+                                      "cannot influence this objective at the anchor")
+    assert ("every member of stage 1's family gives this block, since level 3's gradient "
+            "in u1 is parallel to level 2's" in str(info.value))
 
 
 def test_cascade_annotates_existence_failures(tri):

@@ -28,7 +28,7 @@ from revstack import (
     team_optimum_quadratic,
     verify_full,
 )
-from revstack.model import ExprObjective, split_blocks
+from revstack.model import ExprObjective, quadratic_to_expr, split_blocks
 from revstack.verify import (
     ALGEBRAIC_TOL,
     ARGMIN_TOL,
@@ -236,6 +236,142 @@ def test_grid_ties_across_chunks_go_to_the_smallest_node():
     assert np.array_equal(res.grid_argmin, [-1.0, 0.0, 0.0, 0.0])
     assert res.argmin.concat() == pytest.approx([-1.0, 0.0, 0.0, 0.0], abs=1e-9)
     assert res.value == 0.0
+
+
+def _three_coordinate_cases():
+    """Level 2 of (k,1,1,1) and (k,1,2) games, level 3 of (k,1,1,1,1):
+    cascade and random chains, on the desired tail and shifted off it."""
+    rng = np.random.default_rng(23)
+    for i, widths in enumerate([(1, 1, 1, 1), (2, 1, 1, 1), (6, 1, 1, 1), (9, 1, 1, 1),
+                                (3, 1, 2), (7, 1, 2), (1, 2, 1, 1, 1), (4, 4, 1, 1, 1)]):
+        problem = random_convex_game(60 + i, widths)
+        level = 2 if sum(widths[1:]) == 3 else 3
+        eq, chain = _chain(problem)
+        if i % 2:
+            chain = [AffineStrategy(s.level, s.anchor, tuple(
+                Q + rng.standard_normal(Q.shape) for Q in s.coeffs)) for s in chain]
+        for radius, shift in ((3.0, 0.0), (50.0, 0.37), (10.0, 1.3)):
+            anchor = DecisionPoint.from_concat(
+                problem.dims.m[level - 1:], eq.point.tail(level).concat() + shift)
+            yield problem, chain, level, anchor, GridSpec(radius)
+
+
+def _fields(res):
+    return (res.argmin.concat().tobytes(), res.value, res.grid_argmin.tobytes(),
+            res.refinement_drift, res.evaluations)
+
+
+def test_slab_walk_is_bitwise_the_dense_grid_and_the_node_order_walk(monkeypatch):
+    # total widths 4 to 12; the node-order walk is the same loop with no bound
+    for problem, chain, level, anchor, grid in _three_coordinate_cases():
+        res = oracle_best_response(problem, chain, level, grid, anchor=anchor)
+        with monkeypatch.context() as m:
+            m.setattr(verify_module, "_slab_bounds", lambda *args: None)
+            assert _fields(oracle_best_response(problem, chain, level, grid,
+                                                anchor=anchor)) == _fields(res)
+            m.setattr(verify_module, "REFINE_ITERS", 0)  # the grid's best node
+            node_value = oracle_best_response(problem, chain, level, grid, anchor=anchor).value
+        node, value = _dense_grid_best(problem, chain, level, anchor, grid)
+        assert np.array_equal(res.grid_argmin, node)
+        assert node_value == value
+        assert res.evaluations >= grid.points ** 3
+
+
+def test_slab_bounds_are_below_every_grid_value_of_their_slab():
+    # on the desired tail the grid's best node is the composed cost's exact
+    # minimizer, so the bound of its slab is as tight as it gets
+    for i in range(30):
+        widths = [(1, 1, 1, 1), (2, 1, 1, 1), (1, 1, 2), (5, 2, 1), (9, 1, 1, 1)][i % 5]
+        problem = random_convex_game(90 + i, widths)
+        eq, chain = _chain(problem)
+        center = eq.point.tail(2).concat()
+        radius = [3.0, 10.0, 50.0, 1e3, 1e6][i % 5]
+        axes = [np.linspace(c - radius, c + radius, 41) for c in center]
+        bounds = verify_module._slab_bounds(problem, chain, 2, center, axes)
+        grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        values = _substituted_values(problem, chain, 2, np.asfortranarray(grid))
+        assert (bounds <= values.reshape(41, -1).min(axis=1)).all()
+
+
+def _counted_slabs(monkeypatch, problem, chain, level, anchor, grid=GridSpec()):
+    slabs = []
+
+    def counting(obj, blocks):
+        slabs.append(len(blocks[0]) == grid.points ** 2)
+        return evaluate_many(obj, blocks)
+
+    monkeypatch.setattr(verify_module, "evaluate_many", counting)
+    res = oracle_best_response(problem, chain, level, grid, anchor=anchor)
+    monkeypatch.undo()
+    return sum(slabs), res
+
+
+def test_grid_ties_across_slabs_go_to_the_smallest_node(monkeypatch):
+    # J2 = (u2 - 0.25)^2 + u3^2 + u4^2 ties exactly at the nodes u2 = 0 and
+    # u2 = 0.5, slabs 20 and 21.  Slab 21 is made to be walked first, and
+    # slab 20's bound to equal the value found there: it is still walked
+    dims = Dims.of(1, 1, 1, 1)
+    J2 = QuadraticObjective(2.0 * np.diag([0.0, 1.0, 1.0, 1.0]),
+                            [0.0, -0.5, 0.0, 0.0], 0.0625, dims.m)
+    prob = GameProblem(dims, (J2, J2, J2, J2))
+    chain = [AffineStrategy(1, DecisionPoint.of([0.0], [0.0], [0.0], [0.0]),
+                            (np.zeros((1, 1)),) * 3)]
+    anchor = DecisionPoint.of([0.0], [0.0], [0.0])
+    original = verify_module._slab_bounds
+
+    def later_first(*args):
+        bounds = original(*args)
+        bounds[20], bounds[21] = 0.0625, -np.inf  # still lower bounds
+        return bounds
+
+    monkeypatch.setattr(verify_module, "_slab_bounds", later_first)
+    monkeypatch.setattr(verify_module, "REFINE_ITERS", 0)
+    slabs, res = _counted_slabs(monkeypatch, prob, chain, 2, anchor)
+    assert slabs == 2
+    assert np.array_equal(res.grid_argmin, [0.0, 0.0, 0.0])
+    assert res.value == 0.0625
+
+
+def test_only_a_certified_quadratic_bound_skips_slabs(monkeypatch):
+    problem = random_convex_game(31, (1, 1, 1, 1))
+    eq, chain = _chain(problem)
+    anchor = eq.point.tail(2)
+    slabs, res = _counted_slabs(monkeypatch, problem, chain, 2, anchor)
+    assert slabs < 41
+    assert res.evaluations > 41 ** 3  # a skipped node counts as covered
+    # an expression cost
+    as_expr = GameProblem(problem.dims, tuple(
+        ExprObjective(parse_formula("u1^2 + u2^2 + u3^2 + u4^2", problem.dims))
+        for _ in range(4)))
+    assert _counted_slabs(monkeypatch, as_expr, chain, 2, anchor)[0] == 41
+    # an indefinite trailing block: u3 * u4 is a saddle
+    dims = problem.dims
+    saddle = QuadraticObjective.build(dims, {(2, 2): np.eye(1), (3, 4): np.eye(1)})
+    indefinite = GameProblem(dims, (saddle,) * 4)
+    assert _counted_slabs(monkeypatch, indefinite, chain, 2, anchor)[0] == 41
+    # a window whose magnitudes are not safely below the double range
+    wide = GridSpec(radius=1e150)
+    slabs, res = _counted_slabs(monkeypatch, problem, chain, 2, anchor, wide)
+    assert slabs == 41 and np.isfinite(res.value)
+
+
+def test_a_one_chunk_grid_keeps_the_refusal_of_its_single_batch():
+    # 8e307 * u2 * u3 is NaN at u2 = 0 (slab 0 of the window [0, 20]); u1 =
+    # 1e307 * u2 leaves the double range at u2 = 20 (slab 40).  Walked as one
+    # batch, the grid leaves the double range, and so it still does
+    dims = Dims.of(1, 1, 1, 1)
+    H = np.zeros((4, 4))
+    H[1, 2] = H[2, 1] = 8e307
+    J = QuadraticObjective(H, np.zeros(4), 0.0, dims.m)
+    rule_1 = AffineStrategy(1, DecisionPoint.of([0.0], [0.0], [0.0], [0.0]),
+                            (np.array([[-1e307]]), np.zeros((1, 1)), np.zeros((1, 1))))
+    rule_2 = AffineStrategy(2, DecisionPoint.of([0.0], [0.0], [0.0]), (np.zeros((1, 1)),) * 2)
+    for objective in (J, quadratic_to_expr(J)):
+        prob = GameProblem(dims, (objective,) * 4)
+        with pytest.raises(RevstackError, match="level 2: the oracle grid leaves the "
+                                                "double range.*--grid-radius"):
+            oracle_best_response(prob, [rule_1, rule_2], 2,
+                                 anchor=DecisionPoint.of([10.0], [0.0], [0.0]))
 
 
 def test_oracle_memory_does_not_grow_with_the_grid():
