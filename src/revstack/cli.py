@@ -256,9 +256,7 @@ def cmd_verify(args) -> int:
 def cmd_feasible(args) -> int:
     problem = parse_problem(_read(args.problem))
     if problem.constraints is None or problem.constraints.k == 0:
-        print("nothing to check: the problem document has no constraint rows",
-              file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise RevstackError("nothing to check: the problem document has no constraint rows")
     eq = team_optimum(problem)
     if args.strategies is not None:
         strategies = parse_strategies(_read(args.strategies), problem, eq.point)

@@ -4,14 +4,13 @@ The desired equilibrium is the joint minimizer of the leader's cost over all
 players' variables.  Three routes:
 
 * exact linear solve for quadratic leader costs,
-* multi-start damped Newton with backtracking for expression costs,
+* damped Newton with backtracking from the origin for expression costs,
 * active-set enumeration for quadratic costs under linear inequality rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -40,7 +39,7 @@ __all__ = [
 LINEAR_RESIDUAL_TOL = 1e-9
 ACTIVE_SET_MAX_CONSTRAINTS = 20
 KKT_TOL = 1e-9  # multiplier sign and row slack allowed in an active-set candidate
-DESCENT_TOL = 1e-8  # a descent start converges at this gradient norm
+DESCENT_TOL = 1e-8  # the descent converges at this gradient norm
 DESCENT_MAX_ITERS = 500
 
 
@@ -99,84 +98,54 @@ def team_optimum_quadratic(problem: GameProblem) -> EquilibriumResult:
     return EquilibriumResult(point, value, "linear-solve", residual)
 
 
-def _descend_once(obj, widths, start: np.ndarray):
-    """Damped Newton from one start.  Returns (x, f, gnorm, ok).
+def team_optimum_descent(problem: GameProblem) -> EquilibriumResult:
+    """Local minimizer of the leader cost by damped Newton from the origin.
 
     Cholesky steps on the exact Hessian, gradient steps where it is not
-    positive definite, both shortened by Armijo backtracking.
+    positive definite, both shortened by Armijo backtracking.  Convergence
+    means gradient norm <= ``DESCENT_TOL`` within ``DESCENT_MAX_ITERS``
+    steps, at a point whose Hessian has no eigenvalue below
+    ``-CONVEXITY_TOL``.  Raises NotMinimumError at a stationary point with
+    negative curvature, and ConvergenceError when the run stops short, a
+    gradient past the double range included.
     """
-    x = start.astype(float).copy()
-    f = evaluate(obj, DecisionPoint.from_concat(widths, x))
-    for _ in range(DESCENT_MAX_ITERS):
-        point = DecisionPoint.from_concat(widths, x)
-        g = gradient(obj, point).concat()
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= DESCENT_TOL:
-            return x, f, gnorm, True
-        try:
-            L = np.linalg.cholesky(hessian(obj, point))
-            step = np.linalg.solve(L.T, np.linalg.solve(L, g))
-        except np.linalg.LinAlgError:
-            step = g
-        slope = float(g @ step)
-        t = 1.0
-        for _ in range(60):
-            trial = x - t * step
-            f_trial = evaluate(obj, DecisionPoint.from_concat(widths, trial))
-            if f_trial <= f - 1e-4 * t * slope:
-                x, f = trial, f_trial
-                break
-            t *= 0.5
-        else:
-            # no acceptable step: the decrease is below the roundoff of f
-            return x, f, gnorm, gnorm <= DESCENT_TOL
-    g = gradient(obj, DecisionPoint.from_concat(widths, x)).concat()
-    gnorm = float(np.linalg.norm(g))
-    return x, f, gnorm, gnorm <= DESCENT_TOL
-
-
-def team_optimum_descent(problem: GameProblem,
-                         starts: Sequence[DecisionPoint]) -> EquilibriumResult:
-    """Best local minimizer of the leader cost found from the given starts.
-
-    Convergence means gradient norm <= ``DESCENT_TOL`` within
-    ``DESCENT_MAX_ITERS`` Newton or gradient steps, at a point whose
-    Hessian has no eigenvalue below ``-CONVEXITY_TOL``.  If no start
-    converges, raises NotMinimumError naming the first saddle point a start
-    stopped at, or else ConvergenceError carrying the best iterate seen.
-    """
-    if not starts:
-        raise EquilibriumError("team_optimum_descent needs at least one start")
     obj = problem.objective(1)
     widths = problem.dims.m
-    best = None       # best converged (f, x, gnorm)
-    best_any = None   # best overall, for the failure path
-    saddle = None     # first stationary point with a direction of negative curvature
-    for s in starts:
-        x, f, gnorm, ok = _descend_once(obj, widths, s.concat())
-        if ok and np.linalg.eigvalsh(
-                hessian(obj, DecisionPoint.from_concat(widths, x)))[0] < -CONVEXITY_TOL:
-            ok = False
-            saddle = x if saddle is None else saddle
-        if best_any is None or f < best_any[0]:
-            best_any = (f, x, gnorm)
-        if ok and (best is None or f < best[0]):
-            best = (f, x, gnorm)
-    if best is None and saddle is not None:
-        raise NotMinimumError(
-            "descent stopped at %s, a stationary point that is not a minimum: "
-            "the leader Hessian has a negative eigenvalue there" % saddle.tolist())
-    if best is None:
-        f, x, gnorm = best_any
+    x = np.zeros(problem.dims.total)
+    f = evaluate(obj, DecisionPoint.from_concat(widths, x))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends the run short
+        for it in range(DESCENT_MAX_ITERS + 1):
+            point = DecisionPoint.from_concat(widths, x)
+            g = gradient(obj, point).concat()
+            gnorm = float(np.linalg.norm(g))
+            if gnorm <= DESCENT_TOL or it == DESCENT_MAX_ITERS:
+                break
+            try:
+                L = np.linalg.cholesky(hessian(obj, point))
+                step = np.linalg.solve(L.T, np.linalg.solve(L, g))
+            except np.linalg.LinAlgError:
+                step = g
+            slope = float(g @ step)
+            t = 1.0
+            for _ in range(60):
+                trial = x - t * step
+                f_trial = evaluate(obj, DecisionPoint.from_concat(widths, trial))
+                # a trial whose cost overflows to -inf is no decrease
+                if -np.inf < f_trial <= f - 1e-4 * t * slope:
+                    x, f = trial, f_trial
+                    break
+                t *= 0.5
+            else:
+                break  # no acceptable step: the decrease is below the roundoff of f
+    if not gnorm <= DESCENT_TOL:
         raise ConvergenceError(
             "descent did not reach gradient norm %.1g within %d iterations "
-            "(best gradient norm %.3g)" % (DESCENT_TOL, DESCENT_MAX_ITERS, gnorm),
-            best=DecisionPoint.from_concat(widths, x),
-            value=f,
-            grad_norm=gnorm,
-        )
-    f, x, gnorm = best
-    return EquilibriumResult(DecisionPoint.from_concat(widths, x), f, "descent", gnorm)
+            "(best gradient norm %.3g)" % (DESCENT_TOL, DESCENT_MAX_ITERS, gnorm))
+    if np.linalg.eigvalsh(hessian(obj, point))[0] < -CONVEXITY_TOL:
+        raise NotMinimumError(
+            "descent stopped at %s, a stationary point that is not a minimum: "
+            "the leader Hessian has a negative eigenvalue there" % x.tolist())
+    return EquilibriumResult(point, f, "descent", gnorm)
 
 
 def _sets_without_pairs(clash, r, start, barred):
@@ -290,5 +259,4 @@ def team_optimum(problem: GameProblem) -> EquilibriumResult:
         return team_optimum_constrained(problem)
     if isinstance(problem.objective(1), QuadraticObjective):
         return team_optimum_quadratic(problem)
-    origin = DecisionPoint.from_concat(problem.dims.m, np.zeros(problem.dims.total))
-    return team_optimum_descent(problem, [origin])
+    return team_optimum_descent(problem)

@@ -31,13 +31,7 @@ class NotMinimumError(EquilibriumError):
 
 
 class ConvergenceError(EquilibriumError):
-    """Descent ran out of iterations.  Carries the best iterate seen."""
-
-    def __init__(self, message, best=None, value=None, grad_norm=None):
-        super().__init__(message)
-        self.best = best
-        self.value = value
-        self.grad_norm = grad_norm
+    """Descent stopped short of a stationary point."""
 
 
 class InfeasibleError(EquilibriumError):

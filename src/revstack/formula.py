@@ -5,8 +5,7 @@ Tokens: decimal numbers (optional fraction/exponent), variables
 ``+ - * ^`` and parentheses.  Precedence, tightest first: ``^`` (integer
 exponents only, right-associative), unary minus, ``*``, then ``+``/``-``.
 The parser expands as it reads: every constant, variable, sum, product,
-power and negation becomes the plain terms of its polynomial, and the
-formula's :class:`~revstack.model.Polynomial` is built once, at the end.
+power and negation becomes its :class:`~revstack.model.Polynomial`.
 ``-2`` is the constant 2 with its coefficient negated.
 """
 
@@ -18,7 +17,7 @@ import re
 from typing import List, Optional, Tuple
 
 from .errors import DocumentError, FormulaError, RevstackError, UnknownVariableError
-from .model import Dims, Polynomial, _merged, _power, _product, _sum, _Terms
+from .model import Dims, Polynomial, _merged, _power, _product, _sum
 
 __all__ = ["parse_formula"]
 
@@ -73,27 +72,26 @@ def _too_large(tok: Tuple[str, str, int]) -> FormulaError:
                         column=tok[2] + 1)
 
 
-def _negated(terms: _Terms) -> _Terms:
-    keys, rows, coefs = terms
-    return keys, rows, [-coef for coef in coefs]
+def _negated(poly: Polynomial) -> Polynomial:
+    return Polynomial(poly.keys, poly.rows, [-coef for coef in poly.coefs])
 
 
 class _Parser:
-    """Recursive descent; each rule returns the plain terms of what it read.
-    Sums and products combine their terms once all are read, left to right."""
+    """Recursive descent; each rule returns the polynomial of what it read.
+    Sums and products combine their parts once all are read, left to right."""
 
     def __init__(self, text: str, dims: Dims):
         self.tokens = _Tokens(text)
         self.dims = dims
 
-    def parse(self) -> _Terms:
-        terms = self.expr()
+    def parse(self) -> Polynomial:
+        poly = self.expr()
         left = self.tokens.peek()
         if left is not None:
             raise FormulaError("trailing input %r" % left[1], column=left[2] + 1)
-        return terms
+        return poly
 
-    def expr(self) -> _Terms:
+    def expr(self) -> Polynomial:
         terms = [self.term()]
         while True:
             tok = self.tokens.peek()
@@ -104,7 +102,7 @@ class _Parser:
             terms.append(_negated(nxt) if tok[1] == "-" else nxt)
         return terms[0] if len(terms) == 1 else _sum(terms)
 
-    def term(self) -> _Terms:
+    def term(self) -> Polynomial:
         factors = [self.factor()]
         while True:
             tok = self.tokens.peek()
@@ -114,14 +112,14 @@ class _Parser:
             factors.append(self.factor())
         return functools.reduce(_product, factors)
 
-    def factor(self) -> _Terms:
+    def factor(self) -> Polynomial:
         tok = self.tokens.peek()
         if tok is not None and tok[0] == "op" and tok[1] == "-":
             self.tokens.next()
             return _negated(self.factor())
         return self.power()
 
-    def power(self) -> _Terms:
+    def power(self) -> Polynomial:
         base = self.atom()
         tok = self.tokens.peek()
         if tok is not None and tok[0] == "op" and tok[1] == "^":
@@ -153,7 +151,7 @@ class _Parser:
             raise _too_large(tok)
         return value
 
-    def atom(self) -> _Terms:
+    def atom(self) -> Polynomial:
         tok = self.tokens.next()
         kind, text, pos = tok
         if kind == "number":
@@ -171,7 +169,7 @@ class _Parser:
             return inner
         raise FormulaError("unexpected token %r" % text, column=pos + 1)
 
-    def variable(self, text: str, pos: int) -> _Terms:
+    def variable(self, text: str, pos: int) -> Polynomial:
         if "_" in text:
             lev_s, idx_s = text[1:].split("_")
             level, index = int(lev_s), int(idx_s)
@@ -195,7 +193,7 @@ class _Parser:
                 "variable %r: level %d has width %d" % (text, level, width),
                 column=pos + 1,
             )
-        return ((level, index),), [(1,)], [1.0]
+        return Polynomial(((level, index),), [(1,)], [1.0])
 
 
 def parse_formula(text: str, dims: Dims) -> Polynomial:
@@ -206,7 +204,7 @@ def parse_formula(text: str, dims: Dims) -> Polynomial:
     UnknownVariableError.
     """
     try:
-        return Polynomial._of(_Parser(text, dims).parse())
+        return _Parser(text, dims).parse()
     except DocumentError:
         raise
     except RevstackError as exc:

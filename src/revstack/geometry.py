@@ -60,7 +60,7 @@ def _term_scale(obj: Objective, p: DecisionPoint, level: int) -> float:
             terms = np.abs(obj.H) @ np.abs(p.concat()) + np.abs(obj.l)
             return float(np.linalg.norm(split_blocks(p.widths, terms)[level - 1]))
         at = [np.abs(b) for b in p.blocks]
-        terms = [Polynomial(d.keys, d.E, np.abs(d.c))(at)
+        terms = [Polynomial(d.keys, d.rows, list(map(abs, d.coefs)))(at)
                  for (lev, _), d in zip(obj.poly.keys, obj.poly.derivatives[0])
                  if lev == level]
         return float(np.linalg.norm(terms))

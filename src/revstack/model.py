@@ -9,7 +9,8 @@ in two flavours:
   concatenated decision x, built from upper-triangular blocks,
 * :class:`ExprObjective` — a formula over the scalar decision variables
   (sums, products, positive integer powers, negation), held as the sparse
-  :class:`Polynomial` it expands to, which evaluates and differentiates it.
+  :class:`Polynomial` it expands to (int exponent rows, float
+  coefficients), which evaluates, differentiates and substitutes it.
 
 Evaluation works on single decision points and, for the brute-force checks
 elsewhere in the package, on stacked batches of points.  A
@@ -152,18 +153,11 @@ class DecisionPoint:
 # Monomials that one product or sum may build before like terms are merged.
 _MAX_MONOMIALS = 100_000
 _TOO_LARGE = "polynomial expansion exceeds %d monomials" % _MAX_MONOMIALS
-# Exponents are stored as int64; plain ints do not wrap, so a sum past this is refused.
+# Exponents are Python ints, which do not wrap; one past int64 is refused all the same.
 _MAX_EXPONENT = 2 ** 63 - 1
 
-# A polynomial as plain Python: sorted keys, exponent rows as tuples of ints,
-# float coefficients.  Arithmetic works on this form, so a parsed formula or
-# a substitution builds numpy arrays once, for its result.
-_Terms = Tuple[Tuple[Tuple[int, int], ...], Sequence[Tuple[int, ...]], Sequence[float]]
 
-_ONE: _Terms = ((), ((),), (1.0,))
-
-
-def _merged(keys, rows: Sequence[Tuple[int, ...]], coefs: Sequence[float]) -> _Terms:
+def _merged(keys, rows: Sequence[Tuple[int, ...]], coefs: Sequence[float]) -> "Polynomial":
     """The terms ``coefs[m] * x ** rows[m]``, like rows summed in order of
     appearance from 0.0, zero sums dropped and rows sorted."""
     if len(coefs) > _MAX_MONOMIALS:
@@ -174,7 +168,7 @@ def _merged(keys, rows: Sequence[Tuple[int, ...]], coefs: Sequence[float]) -> _T
     if not all(map(math.isfinite, merged.values())):
         raise RevstackError("polynomial coefficient is not finite")
     order = sorted(row for row, coef in merged.items() if coef != 0.0)
-    return keys, order, [merged[row] for row in order]
+    return Polynomial(keys, order, [merged[row] for row in order])
 
 
 def _on_keys(rows: Sequence[Tuple[int, ...]], keys, wider) -> Sequence[Tuple[int, ...]]:
@@ -186,29 +180,28 @@ def _on_keys(rows: Sequence[Tuple[int, ...]], keys, wider) -> Sequence[Tuple[int
     return [tuple(map((row + (0,)).__getitem__, pick)) for row in rows]
 
 
-def _sum(parts: Sequence[_Terms]) -> _Terms:
+def _sum(parts: Sequence["Polynomial"]) -> "Polynomial":
     """The terms of every part in turn, over the union of their keys, merged."""
-    keys = tuple(sorted(set().union(*(p[0] for p in parts))))
-    return _merged(keys, [row for k, rows, _ in parts for row in _on_keys(rows, k, keys)],
-                   [coef for _, _, coefs in parts for coef in coefs])
+    keys = tuple(sorted(set().union(*(p.keys for p in parts))))
+    return _merged(keys, [row for p in parts for row in _on_keys(p.rows, p.keys, keys)],
+                   [coef for p in parts for coef in p.coefs])
 
 
-def _product(a: _Terms, b: _Terms) -> _Terms:
+def _product(a: "Polynomial", b: "Polynomial") -> "Polynomial":
     """Every term of ``a`` times every term of ``b``, ``a``'s terms outermost."""
-    (ka, ra, ca), (kb, rb, cb) = a, b
-    if len(ca) * len(cb) > _MAX_MONOMIALS:
+    if len(a.coefs) * len(b.coefs) > _MAX_MONOMIALS:
         raise RevstackError(_TOO_LARGE)
-    keys = tuple(sorted(set(ka) | set(kb)))
-    ra, rb = _on_keys(ra, ka, keys), _on_keys(rb, kb, keys)
+    keys = tuple(sorted(set(a.keys) | set(b.keys)))
+    ra, rb = _on_keys(a.rows, a.keys, keys), _on_keys(b.rows, b.keys, keys)
     rows = [tuple(map(operator.add, x, y)) for x in ra for y in rb]
     if max(itertools.chain.from_iterable(rows), default=0) > _MAX_EXPONENT:
         raise RevstackError("polynomial exponent overflows")
-    return _merged(keys, rows, [x * y for x in ca for y in cb])
+    return _merged(keys, rows, [x * y for x in a.coefs for y in b.coefs])
 
 
-def _power(a: _Terms, k: int) -> _Terms:
+def _power(a: "Polynomial", k: int) -> "Polynomial":
     """``a ** k`` for an integer k >= 0, by repeated squaring."""
-    result, base = _ONE, a
+    result, base = Polynomial((), [()], [1.0]), a
     while k:
         if k & 1:
             result = _product(result, base)
@@ -220,42 +213,32 @@ def _power(a: _Terms, k: int) -> _Terms:
 
 @dataclass(frozen=True, eq=False)
 class Polynomial:
-    """Sparse polynomial ``sum_m c[m] * prod_v x_v ** E[m, v]``.
+    """Sparse polynomial ``sum_m coefs[m] * prod_v x_v ** rows[m][v]``.
 
-    Column v of the integer exponent matrix ``E`` (M, V) is the scalar
-    ``keys[v] = (level, index)``.  Keys are sorted, rows distinct and sorted,
-    coefficients nonzero and finite.  Arithmetic works on plain Python rows
-    and coefficients and builds ``E`` and ``c`` once per result.  It raises
-    RevstackError on a non-finite coefficient, an exponent past int64, or a
-    step building more than ``_MAX_MONOMIALS`` monomials.
+    Position v of every exponent row is the scalar ``keys[v] = (level,
+    index)``.  Keys are sorted; rows are distinct, sorted tuples of ints;
+    coefficients are nonzero, finite floats.  Arithmetic builds each result
+    in this form and raises RevstackError on a non-finite coefficient, an
+    exponent past int64, or a step building more than ``_MAX_MONOMIALS``
+    monomials.
     """
 
     keys: Tuple[Tuple[int, int], ...]
-    E: np.ndarray
-    c: np.ndarray
+    rows: Sequence[Tuple[int, ...]]
+    coefs: Sequence[float]
 
     @classmethod
-    def _of(cls, terms: _Terms) -> "Polynomial":
-        keys, rows, coefs = terms
-        return cls(keys, np.array(rows, dtype=np.int64).reshape(len(rows), len(keys)),
-                   np.array(coefs, dtype=float))
-
-    @cached_property
-    def _plain(self) -> _Terms:
-        return self.keys, list(map(tuple, self.E.tolist())), self.c.tolist()
-
-    @classmethod
-    def from_terms(cls, keys, E, c) -> "Polynomial":
-        """Sum of the terms ``c[m] * x ** E[m]`` over sorted ``keys``, like monomials merged."""
-        rows = np.asarray(E, dtype=np.int64).reshape(len(c), len(keys)).tolist()
-        return cls._of(_merged(tuple(keys), list(map(tuple, rows)),
-                               np.asarray(c, dtype=float).tolist()))
+    def from_terms(cls, keys, rows, coefs) -> "Polynomial":
+        """Sum of the terms ``coefs[m] * x ** rows[m]`` over sorted ``keys``,
+        like monomials merged; exponents become ints and coefficients floats."""
+        return _merged(tuple(keys), [tuple(map(int, row)) for row in rows],
+                       list(map(float, coefs)))
 
     @cached_property
     def _terms(self) -> List[Tuple[float, Tuple[Tuple[int, int], ...]]]:
-        """Per monomial, its coefficient and its (column, exponent) factors."""
+        """Per monomial, its coefficient and its (position, exponent) factors."""
         return [(coef, tuple((v, e) for v, e in enumerate(row) if e))
-                for coef, row in zip(self.c.tolist(), self.E.tolist())]
+                for coef, row in zip(self.coefs, self.rows)]
 
     def __call__(self, blocks: Sequence[np.ndarray]):
         """Values at stacked points, each block shaped ``(..., m_level)``.
@@ -280,16 +263,14 @@ class Polynomial:
         return total if np.shape(total) == shape else np.full(shape, total)
 
     def derivative(self, v: int) -> "Polynomial":
-        """Partial derivative along column ``v``, by exponent shifting."""
-        keys, rows, coefs = self._plain
-        hit = [(row, coef) for row, coef in zip(rows, coefs) if row[v]]
-        return Polynomial._of(_merged(keys, [row[:v] + (row[v] - 1,) + row[v + 1:]
-                                             for row, _ in hit],
-                                      [coef * row[v] for row, coef in hit]))
+        """Partial derivative along position ``v``, by exponent shifting."""
+        hit = [(row, coef) for row, coef in zip(self.rows, self.coefs) if row[v]]
+        return _merged(self.keys, [row[:v] + (row[v] - 1,) + row[v + 1:] for row, _ in hit],
+                       [coef * row[v] for row, coef in hit])
 
     @cached_property
     def derivatives(self) -> Tuple[List["Polynomial"], Dict[Tuple[int, int], "Polynomial"]]:
-        """First partials by column, and second partials by columns a <= b; built once."""
+        """First partials by position, and second partials by positions a <= b; built once."""
         first = [self.derivative(v) for v in range(len(self.keys))]
         V = len(first)
         return first, {(a, b): first[a].derivative(b) for a in range(V) for b in range(a, V)}
@@ -301,10 +282,9 @@ class Polynomial:
         rule_rows = [(0,) * len(lower)] + [tuple(int(a == b) for b in range(len(lower)))
                                            for a in range(len(lower))]
         # level 1 is level 0 until it is substituted; the key order is kept
-        _, rows, coefs = self._plain
-        poly: _Terms = (tuple((lev - 1, idx) for lev, idx in self.keys), rows, coefs)
+        poly = Polynomial(tuple((lev - 1, idx) for lev, idx in self.keys), self.rows, self.coefs)
         for i in range(offset.size):
-            keys, rows, coefs = poly
+            keys, rows, coefs = poly.keys, poly.rows, poly.coefs
             if (0, i + 1) in keys:
                 rule = _merged(lower, rule_rows,
                                np.concatenate([[offset[i]]] + [M[i] for M in C]).tolist())
@@ -315,7 +295,7 @@ class Polynomial:
                     _merged(rest, [row[:v] + row[v + 1:] for row in rows if row[v] == k],
                             [coef for row, coef in zip(rows, coefs) if row[v] == k]),
                     _power(rule, k)) for k in sorted({row[v] for row in rows})])
-        return Polynomial._of(poly)
+        return poly
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +595,11 @@ class GameProblem:
 
 def quadratic_to_expr(obj: QuadraticObjective) -> ExprObjective:
     """The same cost as an expression: ``x'Hx/2 + l'x + const`` monomial by monomial."""
-    H = obj.H
     keys = [(lev, i + 1) for lev, w in enumerate(obj.widths, start=1) for i in range(w)]
-    rows, cols = np.triu_indices(len(keys))
-    eye = np.eye(len(keys), dtype=np.int64)
-    E = np.vstack([eye[rows] + eye[cols], eye, np.zeros((1, len(keys)), dtype=np.int64)])
-    c = np.concatenate([np.where(rows == cols, 0.5, 1.0) * H[rows, cols], obj.l, [obj.const]])
-    return ExprObjective(Polynomial.from_terms(keys, E, c))
+    V = len(keys)
+    unit = [tuple(int(a == b) for b in range(V)) for a in range(V)]
+    pairs = [(a, b) for a in range(V) for b in range(a, V)]
+    H = obj.H.tolist()
+    rows = [tuple(map(operator.add, unit[a], unit[b])) for a, b in pairs] + unit + [(0,) * V]
+    coefs = [(0.5 if a == b else 1.0) * H[a][b] for a, b in pairs] + obj.l.tolist() + [obj.const]
+    return ExprObjective(Polynomial.from_terms(keys, rows, coefs))

@@ -135,7 +135,8 @@ class AffineStrategy:
         """Build from offset form, anchored at the given lower-level point.
 
         The strategy's own anchor block is its value at ``anchor_lower``, so
-        a map that misses the desired point keeps its realization error.
+        a map that misses the desired point keeps its realization error.  A
+        value that is not finite raises RevstackError.
         """
         offset = np.atleast_1d(np.asarray(offset, dtype=float))
         C = [np.atleast_2d(np.asarray(M, dtype=float)) for M in linear]
@@ -151,7 +152,11 @@ class AffineStrategy:
                     "coefficient block has shape %s, expected (%d, %d)"
                     % (M.shape, offset.size, dj.size)
                 )
-            own += M @ dj
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                own += M @ dj
+        if not np.isfinite(own).all():
+            raise RevstackError("the level %d rule is not finite at the desired lower blocks"
+                                % level)
         anchor = DecisionPoint((own,) + anchor_lower.blocks)
         return cls(level, anchor, tuple(-M for M in C))
 

@@ -84,6 +84,11 @@ class GridSpec:
             raise DimensionError("oracle grid radius must be finite and > 0, got %r"
                                  % self.radius)
 
+    @property
+    def spacing(self) -> float:
+        """Node distance; 1.0, the refinement's first step, on a one-node grid."""
+        return 2.0 * self.radius / (self.points - 1) if self.points > 1 else 1.0
+
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
@@ -381,8 +386,7 @@ def response_passes(level: int, distance: float, tol: float, grid: GridSpec) -> 
     ``--grid-radius``."""
     if distance <= tol:
         return True
-    spacing = 2.0 * grid.radius / (grid.points - 1) if grid.points > 1 else 1.0
-    finest = spacing * REFINE_SHRINK ** (REFINE_ITERS - 1)
+    finest = grid.spacing * REFINE_SHRINK ** (REFINE_ITERS - 1)
     if finest > max(tol, REFINE_FLOOR):
         raise RevstackError(
             "level %d: the oracle's finest step %.3g cannot resolve the tolerance %.3g "
@@ -406,7 +410,6 @@ def sublevel_inequality_check(objective: Objective, anchor: DecisionPoint,
     lower_anchor = anchor.blocks[1:]
     if len(lower_anchor) != len(strategy.coeffs):
         raise DimensionError("anchor and strategy disagree on lower levels")
-    threshold = evaluate(objective, anchor)
     base = np.concatenate(lower_anchor)
     rng = np.random.default_rng(seed)
     pts = base + rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (count, base.size))
@@ -414,6 +417,7 @@ def sublevel_inequality_check(objective: Objective, anchor: DecisionPoint,
     lower = split_blocks([b.size for b in lower_anchor], pts)
     own = strategy.batch(lower)
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN is refused below
+        threshold = evaluate(objective, anchor)
         values = np.asarray(evaluate_many(objective, [own] + lower), dtype=float)
     if np.isnan(values).any():
         raise RevstackError("level %d: the sublevel check found a NaN cost at %s"
@@ -573,14 +577,13 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
         ))
 
     response_checks: List[ResponseCheck] = []
-    spacing = 2.0 * grid.radius / max(grid.points - 1, 1)
     for lev in range(2, n + 1):
         target = desired.tail(lev)
         oracle = oracle_best_response(problem, strategies, lev, grid, anchor=target)
         distance = float(
             np.abs(oracle.argmin.concat() - target.concat()).max(initial=0.0)
         )
-        low_conf = oracle.refinement_drift > 2.0 * spacing
+        low_conf = oracle.refinement_drift > 2.0 * grid.spacing
         passed = response_passes(lev, distance, tol, grid)
         if not passed:
             reasons.append(

@@ -202,12 +202,17 @@ class RefPoly:
 
 
 def outcome(build):
-    """The bits of the polynomial ``build()`` returns, or the message it raises."""
+    """The keys, exponent rows and coefficient bits of the polynomial
+    ``build()`` returns, with the types its terms hold, or the message it
+    raises.  A :class:`RefPoly` reads as the plain terms of its arrays."""
     try:
         p = build()
     except RevstackError as err:
         return str(err)
-    return (p.keys, p.E.dtype, p.E.shape, p.E.tobytes(), p.c.dtype, p.c.shape, p.c.tobytes())
+    rows, coefs = (p.E.tolist(), p.c.tolist()) if isinstance(p, RefPoly) else (p.rows, p.coefs)
+    rows = [tuple(row) for row in rows]
+    types = {type(e) for row in rows for e in row} | set(map(type, coefs))
+    return p.keys, rows, types, np.array(coefs, dtype=float).tobytes()
 
 
 def fd_gradient(obj, p: DecisionPoint) -> DecisionPoint:
@@ -256,7 +261,7 @@ def problem_text(widths, objectives, constraints=None) -> str:
 
 def _expr(tree) -> ExprObjective:
     ref = RefPoly.compile(tree)
-    return ExprObjective(Polynomial(ref.keys, ref.E, ref.c))
+    return ExprObjective(Polynomial.from_terms(ref.keys, ref.E, ref.c))
 
 
 def build_game(widths, objectives, constraints=None) -> GameProblem:

@@ -170,6 +170,17 @@ def test_verify_rejects_corrupted_strategies(tri_doc, tmp_path, capsys):
     assert rep["strategy_checks"][0]["realization_residual"] == pytest.approx(2.0)
 
 
+def test_one_node_grid_flags_a_drift_of_two_spacings(tri_doc, tmp_path, capsys):
+    # one node per axis: the spacing is the refinement's first step, 1.0, so
+    # the refinement's walk of about 10 to the argmin is low confidence
+    spath = _write(tmp_path, "good.json", GOOD_STRATEGIES)
+    assert main(["verify", tri_doc, "--strategies", spath, "--grid-points", "1",
+                 "--output", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["verification"]["response_checks"]
+    assert [2.0 < c["refinement_drift"] < 40.0 for c in checks] == [True, True]
+    assert all(c["low_confidence"] for c in checks)
+
+
 def test_verify_requires_the_strategies_flag(tri_doc, capsys):
     assert main(["verify", tri_doc]) == 4
 

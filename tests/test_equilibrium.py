@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from revstack import (
+    ConvergenceError,
     DecisionPoint,
     Dims,
     EquilibriumError,
@@ -61,18 +62,6 @@ def test_newton_solves_the_expression_form_of_a_convex_game():
                        rtol=0, atol=1e-9)
 
 
-def test_descent_handles_two_basins():
-    dims = Dims.of(1, 1)
-    J1 = ExprObjective(parse_formula("(u1^2 - 1)^2 + u2^2", dims))
-    J2 = ExprObjective(parse_formula("u1^2 + u2^2", dims))
-    prob = GameProblem(dims, (J1, J2))
-    starts = [DecisionPoint.of([-2.0], [0.5]), DecisionPoint.of([2.0], [0.5])]
-    eq = team_optimum_descent(prob, starts)
-    assert abs(abs(eq.point.concat()[0]) - 1.0) <= 1e-6
-    assert abs(eq.point.concat()[1]) <= 1e-6
-    assert eq.value == pytest.approx(0.0, abs=1e-10)
-
-
 def test_descent_does_not_report_a_saddle_as_the_optimum():
     # the gradient vanishes at the origin start, where the Hessian is
     # diag(-4, 2); the minima are (+-1, 0)
@@ -82,10 +71,16 @@ def test_descent_does_not_report_a_saddle_as_the_optimum():
     prob = GameProblem(dims, (J1, J2))
     with pytest.raises(NotMinimumError, match=r"stopped at \[0\.0, 0\.0\]"):
         team_optimum(prob)
-    # a start that reaches a minimum still wins
-    origin = DecisionPoint.of([0.0], [0.0])
-    eq = team_optimum_descent(prob, [origin, DecisionPoint.of([2.0], [0.5])])
-    assert eq.point.concat() == pytest.approx([1.0, 0.0], abs=1e-6)
+
+
+def test_descent_that_runs_out_of_iterations_is_a_convergence_error():
+    # a cost linear in u1 has gradient norm 1 at every iterate
+    dims = Dims.of(1, 1)
+    J = ExprObjective(parse_formula("u1 + u2^2", dims))
+    with pytest.raises(ConvergenceError) as err:
+        team_optimum_descent(GameProblem(dims, (J, J)))
+    assert str(err.value) == ("descent did not reach gradient norm 1e-08 within 500 "
+                              "iterations (best gradient norm 1)")
 
 
 def test_descent_accepts_a_semidefinite_minimum():
@@ -97,11 +92,6 @@ def test_descent_accepts_a_semidefinite_minimum():
     assert eq.method == "descent"
     assert eq.point.concat().tolist() == [0.0, 0.0]
     assert eq.value == 0.0
-
-
-def test_descent_requires_starts(tri_expr):
-    with pytest.raises(EquilibriumError):
-        team_optimum_descent(tri_expr, [])
 
 
 def test_singular_stationarity_system_is_an_error():

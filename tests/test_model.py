@@ -20,7 +20,7 @@ from revstack import (
     quadratic_to_expr,
 )
 
-from revstack import model
+from revstack import formula, model
 from revstack.model import split_blocks
 
 from conftest import build_game, problem_text, random_convex_data, random_convex_game
@@ -183,7 +183,29 @@ def test_quadratic_expansion_to_expression_tree(wide):
                 evaluate(wide.objective(lev), p), rel=1e-12, abs=1e-12)
 
 
-def test_compiling_a_flat_formula_builds_one_polynomial(monkeypatch):
+def _python_terms(poly) -> bool:
+    return (all(type(row) is tuple and all(type(e) is int for e in row) for row in poly.rows)
+            and all(type(coef) is float for coef in poly.coefs))
+
+
+def test_every_polynomial_holds_python_ints_and_floats():
+    dims = Dims.of(2, 1, 3)
+    poly = parse_formula("(u1_1 - 2*u2)^3 * u3_2 + 0.5*u1_2^2 - u3_3 + 7", dims)
+    first, second = poly.derivatives
+    # numpy offsets and gains, as the cascade's rules hold them
+    offset = np.array([0.5, -1.25])
+    gains = [np.array([[2.0], [-1.0]]), np.arange(6.0).reshape(2, 3)]
+    built = [poly, *first, *second.values(), poly.substitute_top(offset, gains),
+             quadratic_to_expr(random_convex_game(3, (2, 1, 3)).objective(1)).poly,
+             model.Polynomial.from_terms([(1, 1)], np.array([[2]]), np.array([1.5]))]
+    assert all(map(_python_terms, built))
+    # a numpy product that overflows would warn, not give the inf that is refused
+    big = model.Polynomial.from_terms([(1, 1)], np.array([[1]]), np.array([1e200]))
+    with pytest.raises(RevstackError, match="^polynomial coefficient is not finite$"):
+        model._product(big, big)
+
+
+def test_a_flat_formula_is_summed_once(monkeypatch):
     # a quadratic written out monomial by monomial, as documents state one:
     # 36 squares and products of 8 scalars, then 8 linear terms, signs mixed
     names = ["u%d_%d" % (lev, i) for lev in (1, 2, 3, 4) for i in (1, 2)]
@@ -192,17 +214,16 @@ def test_compiling_a_flat_formula_builds_one_polynomial(monkeypatch):
     text = "0.75*" + monomials[0] + "".join(
         " %s %r*%s" % ("-+"[k % 2], 0.25 + k / 8, mono)
         for k, mono in enumerate(monomials[1:], start=1))
-    built = []
-    init = model.Polynomial.__init__
+    sums = []
 
-    def counted(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
+    def counted(parts):
+        sums.append(len(parts))
+        return model._sum(parts)
 
-    monkeypatch.setattr(model.Polynomial, "__init__", counted)
+    monkeypatch.setattr(formula, "_sum", counted)
     poly = parse_formula(text, Dims.of(2, 2, 2, 2))
-    assert len(built) == 1
-    assert poly.c.size == 44
+    assert sums == [44]
+    assert len(poly.coefs) == 44
 
 
 def test_lower_triangular_keys_rejected():

@@ -137,8 +137,7 @@ def test_document_round_trip(drawn):
                 _bits(want.H), _bits(want.l), _bits(want.const)]
         else:
             assert got.poly.keys == want.poly.keys
-            assert (got.poly.E.tobytes(), _bits(got.poly.c)) == (want.poly.E.tobytes(),
-                                                                 _bits(want.poly.c))
+            assert outcome(lambda: got.poly) == outcome(lambda: want.poly)
     if game.constraints is None:
         assert parsed.constraints is None
     else:
@@ -249,7 +248,7 @@ def test_an_exponent_past_int64_is_refused():
         RefPoly.compile(tree)
     # 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657 itself is stored, one more is not
     top = _power_tower(Var(2, 1), (49, 73, 127, 337, 92737, 649657))
-    assert parse_formula(formula_text(top), WIDE).E.tolist() == [[2 ** 63 - 1]]
+    assert parse_formula(formula_text(top), WIDE).rows == [(2 ** 63 - 1,)]
     with pytest.raises(FormulaError, match="^polynomial exponent overflows$"):
         parse_formula(formula_text(Product((Var(2, 1), top))), WIDE)
 
@@ -376,10 +375,11 @@ def test_constraint_magnitudes_end_in_a_documented_exit(tmp_path_factory, rows):
 # the command line on follower formulas from the same ladder
 # ---------------------------------------------------------------------------
 
-def ladder_formulas():
-    """Formula text over the README hierarchy: constants from the ladder,
-    small and huge exponents, and the same text cut short."""
-    atoms = st.one_of(st.sampled_from(["u1", "u2", "u3"]), LADDER.map(lambda v: "(%r)" % v))
+def ladder_formulas(names=("u1", "u2", "u3"), cut=True):
+    """Formula text over the variables ``names`` (the README hierarchy's by
+    default): constants from the ladder, small and huge exponents, and, with
+    ``cut``, the same text cut short."""
+    atoms = st.one_of(st.sampled_from(names), LADDER.map(lambda v: "(%r)" % v))
     exponents = st.one_of(st.integers(1, 4), st.integers(300, 10 ** 6))
 
     def extend(kids):
@@ -388,8 +388,10 @@ def ladder_formulas():
             st.tuples(kids, exponents).map(lambda t: "(%s)^%d" % t))
 
     whole = st.recursive(atoms, extend, max_leaves=8)
-    cut = whole.flatmap(lambda t: st.integers(0, len(t) - 1).map(lambda k: t[:k]))
-    return st.one_of(whole, cut)
+    if not cut:
+        return whole
+    return st.one_of(whole, whole.flatmap(lambda t: st.integers(0, len(t) - 1).map(
+        lambda k: t[:k])))
 
 
 @SETTINGS
@@ -410,10 +412,14 @@ def test_follower_formulas_end_in_a_documented_exit(tmp_path_factory, formula):
 # the command line on quadratic coefficients and oracle windows
 # ---------------------------------------------------------------------------
 
-def _squares(targets):
-    """sum_j (u_j - t_j)^2 over four one-wide levels, as a quadratic document."""
-    return {"type": "quadratic", "A": {"%d,%d" % (j, j): [[1.0]] for j in range(1, 5)},
-            "l": [[-2.0 * t] for t in targets], "c": float(sum(t * t for t in targets))}
+def _squares(targets, widths=(1, 1, 1, 1)):
+    """sum_v (u_v - t_v)^2 over the scalars of levels ``widths`` wide, as a
+    quadratic document."""
+    at = np.cumsum((0,) + tuple(widths))
+    return {"type": "quadratic",
+            "A": {"%d,%d" % (j, j): np.eye(w).tolist() for j, w in enumerate(widths, start=1)},
+            "l": [[-2.0 * t for t in targets[a:b]] for a, b in zip(at, at[1:])],
+            "c": float(sum(t * t for t in targets))}
 
 
 # a (1,1,1,1) game that verifies: level 2's three-coordinate grid is one chunk
@@ -455,3 +461,98 @@ def test_quadratic_coefficients_and_windows_end_in_a_documented_exit(
         assert err.startswith("error: ") and err.count("\n") == 1, err
     if not changes and (radius, points) == (10.0, 41):
         assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# the command line on formula widths and on its options
+# ---------------------------------------------------------------------------
+
+def _scalars(widths):
+    return ["u%d_%d" % (lev, i) for lev, w in enumerate(widths, start=1)
+            for i in range(1, w + 1)]
+
+
+def _game(widths, targets, extras, rows=None):
+    """A game whose level-j cost is the bowl around ``targets[j]`` plus the
+    formula text ``extras[j]``, or the quadratic bowl, which constraint rows
+    need of the leader, where that is None."""
+    objectives = [_squares(t, widths) if extra is None else
+                  {"type": "expr", "formula": " + ".join(
+                      "(%s - %r)^2" % vt for vt in zip(_scalars(widths), t)) + extra}
+                  for t, extra in zip(targets, extras)]
+    doc = {"levels": len(widths), "dims": list(widths), "objectives": objectives}
+    if rows is not None:
+        doc["constraints"] = rows
+    return doc
+
+
+def _rules(*rules):
+    """A strategy document of ``(offset, coeffs)`` rules from level 1 down."""
+    return {"strategies": [{"level": lev, "offset": offset, "coeffs": list(coeffs)}
+                           for lev, (offset, coeffs) in enumerate(rules, start=1)]}
+
+
+@st.composite
+def option_cases(draw):
+    """A game over drawn widths whose every cost is a bowl plus, maybe, a
+    ladder formula (the leader's may be a quadratic bowl); maybe constraint
+    rows; a strategy document of the right shapes; and ``--tol``,
+    ``--samples`` and ``--params`` values."""
+    widths = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    targets = [[draw(st.integers(-2, 2)) for _ in range(sum(widths))] for _ in widths]
+    entries = st.one_of(st.integers(-2, 2).map(float), LADDER)
+    k = draw(st.integers(0, 2))
+    rows = {"A": [[[draw(entries) for _ in range(w)] for _ in range(k)] for w in widths],
+            "b": [draw(entries) for _ in range(k)]} if k else None
+    extras = [None if j == 0 and (k or draw(st.booleans())) else draw(st.one_of(
+        st.just(""), st.tuples(st.sampled_from([" + ", " - "]),
+                               ladder_formulas(_scalars(widths), cut=False)).map("".join)))
+        for j in range(len(widths))]
+
+    def matrix(r, c):
+        return [[draw(LADDER) for _ in range(c)] for _ in range(r)]
+
+    rules = [([draw(LADDER) for _ in range(widths[lev])],
+              [matrix(widths[lev], w) for w in widths[lev + 1:]])
+             for lev in range(len(widths) - 1)]
+    params = draw(st.one_of(
+        st.none(),
+        st.builds(lambda: ";".join(json.dumps(matrix(widths[0] - 1, w)) for w in widths[1:])),
+        st.sampled_from(["", "[[1]]", "[[NaN]]", "[]", "1;2;3", "[[1e999]]", "[[0.5, 1]]"])))
+    tol = draw(st.sampled_from(["0", "1e-300", "1e-9", "1e-4", "0.5", "1e300"]))
+    return _game(widths, targets, extras, rows), _rules(*rules), tol, draw(
+        st.integers(0, 3)), params
+
+
+@settings(SETTINGS, max_examples=25)
+@given(case=option_cases())
+# no constraint rows: feasible printed its refusal without "error: "; the
+# descent's line search took a trial whose cost overflowed to -inf
+@example(case=(_game((1, 1), [(-1, 0), (0, 0)], [" + (u1_1)^301", ""]),
+               _rules(([0.0], [[[0.0]]])), "0", 0, None))
+# the rule's value at the desired point overflowed when the document was read
+@example(case=(_game((2, 2), [(-1, 0, 2, -2), (-2, 0, -1, -2)], [None, ""],
+                     {"A": [[[-1e-300, 1e-160]], [[0.0, -1.0]]], "b": [-1e300]}),
+               _rules(([1e-160, -1e300], [[[-1e-160, -2.0], [-1e-160, 1e300]]])),
+               "1e-300", 1, None))
+# the follower's cost at the desired point overflowed in the sublevel check
+@example(case=(_game((1, 2), [(2, -2, 0), (-1, -2, 1)], [None, ""],
+                     {"A": [[[-2.0], [-1e-300]], [[-1.0, 1.0], [2.0, 2.0]]],
+                      "b": [1e154, -1e300]}),
+               _rules(([-2.0], [[[1e-160, -1.0]]])), "0.5", 3, None))
+def test_formula_widths_and_options_end_in_a_documented_exit(tmp_path_factory, case):
+    doc, strategies, tol, samples, params = case
+    where = tmp_path_factory.mktemp("options")
+    path, spath = where / "game.json", where / "strategies.json"
+    path.write_text(json.dumps(doc))
+    spath.write_text(json.dumps(strategies))
+    # a coarse oracle grid keeps each run short; the window has its own property
+    grid = ["--tol", tol, "--grid-points", "9"]
+    family = ["--samples", str(samples)] + ([] if params is None else ["--params", params])
+    for argv in (["verify", str(path), "--strategies", str(spath), *grid],
+                 ["feasible", str(path), "--samples", str(samples)],
+                 ["family", str(path), *family, *grid]):
+        code, err = _run_main(argv)
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        if code in (2, 4):
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
