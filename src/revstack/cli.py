@@ -14,10 +14,11 @@ Exit codes: 0 success/verified, 2 precondition or existence failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -161,11 +162,11 @@ def _parse_param_arg(text: str, family: StrategyFamily) -> List[np.ndarray]:
 
 
 def _sample_members(family: StrategyFamily, count: int,
-                    seed: int) -> List[AffineStrategy]:
-    """``count`` family members with standard-normal parameters drawn from ``seed``."""
+                    seed: int) -> Iterator[AffineStrategy]:
+    """``count`` members with standard-normal parameters from ``seed``, built one by one."""
     rng = np.random.default_rng(seed)
-    return [instantiate(family, [rng.standard_normal(s) for s in family.param_shapes])
-            for _ in range(count)]
+    for _ in range(count):
+        yield instantiate(family, [rng.standard_normal(s) for s in family.param_shapes])
 
 
 def _check_member(problem: GameProblem, family: StrategyFamily,
@@ -213,13 +214,11 @@ def cmd_family(args) -> int:
                      % ", ".join("T%d of shape %dx%d" % (i + 2, s[0], s[1])
                                  for i, s in enumerate(family.param_shapes)))
 
-    checks: List[Dict[str, Any]] = []
-    members: List[AffineStrategy] = []
+    members = _sample_members(family, args.samples, args.seed)
     if args.params is not None:
-        members.append(instantiate(family, _parse_param_arg(args.params, family)))
-    members += _sample_members(family, args.samples, args.seed)
-    for member in members:
-        checks.append(_check_member(problem, family, member, args))
+        members = itertools.chain(
+            [instantiate(family, _parse_param_arg(args.params, family))], members)
+    checks = [_check_member(problem, family, member, args) for member in members]
     if checks:
         doc["member_checks"] = checks
         for i, c in enumerate(checks):

@@ -106,8 +106,8 @@ def team_optimum_descent(problem: GameProblem) -> EquilibriumResult:
     means gradient norm <= ``DESCENT_TOL`` within ``DESCENT_MAX_ITERS``
     steps, at a point whose Hessian has no eigenvalue below
     ``-CONVEXITY_TOL``.  Raises NotMinimumError at a stationary point with
-    negative curvature, and ConvergenceError when the run stops short, a
-    gradient past the double range included.
+    negative curvature, EquilibriumError at a gradient norm past the double
+    range, and ConvergenceError when the run stops short otherwise.
     """
     obj = problem.objective(1)
     widths = problem.dims.m
@@ -137,6 +137,9 @@ def team_optimum_descent(problem: GameProblem) -> EquilibriumResult:
                 t *= 0.5
             else:
                 break  # no acceptable step: the decrease is below the roundoff of f
+    if not np.isfinite(gnorm):
+        raise EquilibriumError("descent left the double range: the leader cost's "
+                               "gradient norm is %.3g at %s" % (gnorm, x.tolist()))
     if not gnorm <= DESCENT_TOL:
         raise ConvergenceError(
             "descent did not reach gradient norm %.1g within %d iterations "

@@ -416,77 +416,31 @@ class ExprObjective:
 Objective = Union[QuadraticObjective, ExprObjective]
 
 
-# Stacked coordinates (points x total width) a quadratic evaluates at once,
-# so its chunk buffers stay a fixed size however many points a batch has.
-_CHUNK = 65_536
-
-
-def _sum_rows(Z: np.ndarray, out: np.ndarray) -> None:
-    """``out = Z.T.sum(axis=1)`` bit for bit, summing whole rows of Z; overwrites Z.
-
-    numpy sums each row of ``Z.T`` pairwise: fewer than 8 terms one after
-    another; up to 128 terms into 8 accumulators, combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` before the remainder is added;
-    longer rows as the sum of two halves split at a multiple of 8.  Adding
-    the long contiguous rows of Z in that order gives the same bits without
-    numpy's slow loop along a short row.  From 8 rows on, the total starts
-    from a row instead of numpy's +0.0, so where every term is -0.0 it is
-    -0.0 instead of +0.0.
-    """
-    n = len(Z)
-    if n > 128:
-        split = n // 2 - n // 2 % 8
-        _sum_rows(Z[split:], out)
-        right = out.copy()
-        _sum_rows(Z[:split], out)
-        out += right
-        return
-    if n < 8:
-        Z.sum(axis=0, out=out)  # numpy adds the rows of Z one after another
-        return
-    tail = n - n % 8
-    for j in range(8, tail):
-        Z[j % 8] += Z[j]
-    for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6)):
-        Z[a] += Z[b]
-    np.add(Z[0], Z[4], out=out)
-    for row in Z[tail:]:
-        out += row
-
-
 def _eval_quadratic(obj: QuadraticObjective, blocks: Sequence[np.ndarray]):
-    """``((X @ (H/2) + l) * X).sum(axis=1) + const`` at the stacked points X, bit for bit.
+    """``x'Hx/2 + l'x + const`` at stacked points, coordinate by coordinate.
 
-    The points are stacked ``_CHUNK // width`` at a time by ``np.concatenate``
-    and multiplied as ``X @ (H/2)``: the memory layout numpy picks there
-    decides which BLAS kernel runs, and kernels round differently for some
-    widths.  The rest is coordinate-major, in one (width, points) buffer per
-    call: ``+ l`` as the product is copied in, ``* X`` along whole
-    coordinate rows, and the sum of :func:`_sum_rows`, so no numpy loop runs
-    along a point's short row.
+    From ``const + 0.0``, adds ``x_i * (H_ii/2 * x_i + sum_{j>i} H_ij * x_j
+    + l_i)`` for each concatenated coordinate i in turn, every sum left to
+    right by elementwise numpy operations on coordinate columns, into three
+    buffers of the batch's shape.  A point's value is thus one fixed sequence
+    of IEEE operations whatever its batch, position, memory layout or BLAS
+    build; a zero value is +0.0.
     """
     widths = tuple(np.shape(b)[-1] for b in blocks)
     if widths != obj.widths:
         raise DimensionError("blocks of widths %s for an objective over widths %s"
                              % (widths, obj.widths))
-    shape = np.shape(blocks[0])[:-1]
-    rows = [np.reshape(b, (-1, w)) for b, w in zip(blocks, widths)]
-    half = 0.5 * obj.H
-    lin = obj.l[:, None]
-    width = len(obj.l)
-    out = np.empty(rows[0].shape[0])
-    step = max(1, _CHUNK // width)
-    buf = np.empty(width * min(step, out.size))
-    for at in range(0, out.size, step):
-        X = np.concatenate([r[at:at + step] for r in rows], axis=1)
-        Z = buf[:X.size].reshape(width, -1)
-        np.add((X @ half).T, lin, out=Z)
-        Z *= X.T
-        _sum_rows(Z, out[at:at + step])
-    # numpy's row sum adds its total to +0.0; adding that zero to const
-    # instead gives the same bits, a -0.0 total included
-    out += obj.const + 0.0
-    return out.reshape(shape)
+    x = [b[..., k] for b in blocks for k in range(np.shape(b)[-1])]
+    H, l = obj.H.tolist(), obj.l.tolist()
+    shape = np.broadcast_shapes(*(np.shape(c) for c in x))
+    total, inner, term = np.full(shape, obj.const + 0.0), np.empty(shape), np.empty(shape)
+    for i, xi in enumerate(x):
+        np.multiply(H[i][i] / 2, xi, out=inner)
+        for j in range(i + 1, len(x)):
+            inner += np.multiply(H[i][j], x[j], out=term)
+        inner += l[i]
+        total += np.multiply(xi, inner, out=inner)
+    return total
 
 
 def evaluate_many(obj: Objective, blocks: Sequence[np.ndarray]):

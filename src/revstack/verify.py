@@ -69,9 +69,9 @@ SAMPLE_RADIUS = 5.0
 class GridSpec:
     """Search window for the brute-force oracle.
 
-    Axes are anchor +- radius with ``points`` nodes each.  Refinement is
-    coordinate descent from the best node: steps start at the grid spacing
-    and halve after every sweep without improvement.
+    Axes are anchor +- radius with ``points`` nodes each, or the anchor alone
+    for one node.  Refinement is coordinate descent from the best node: steps
+    start at the grid spacing and halve after every sweep without improvement.
     """
 
     radius: float = 10.0
@@ -155,13 +155,17 @@ def _slab_bounds(problem: GameProblem, announced: Sequence[AffineStrategy], leve
     is the minimizer clipped to the window.  Every grid value of the slab is
     at least that minus a margin ``tol * M``, where M bounds every magnitude
     the substitution and the evaluation meet on the window (absolute values
-    of the rules and the cost at the largest grid coordinates): the grid
-    values, the map and the composition each round within 16 (N + D + 2)^3
-    ulps of M, and ``tol`` is 512 times that.  Returns None, so that nothing
-    is skipped, for an expression cost, a trailing block that is not
-    positive definite by more than the eigensolver's error, or an M that is
-    not safely finite (every grid value is finite when M is, so no refusal
-    can be skipped).
+    of the rules and the cost at the largest grid coordinates).  A grid value
+    adds ``const`` and x_i * s_i, i = 1..N, left to right, each s_i a
+    left-to-right sum of N - i + 2 terms (``model._eval_quadratic``), so each
+    monomial meets at most 2N + 3 roundings; as their absolute values add up
+    to at most M, the value is within gamma_(2N+3) M <= 2 (N + 2) units of
+    roundoff (2^-53) of M.  The map and the composition round within
+    16 (N + D + 2)^3 units of M each, and ``tol`` is 512 times that.  Returns
+    None, so that nothing is skipped, for an expression cost, a trailing block
+    that is not positive definite by more than the eigensolver's error, or an
+    M that is not safely finite (every grid value is finite when M is, so no
+    refusal can be skipped).
     """
     objective = problem.objective(level)
     if not isinstance(objective, QuadraticObjective):
@@ -281,15 +285,15 @@ def oracle_best_response(problem: GameProblem,
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         axes = [np.linspace(center[i] - grid.radius, center[i] + grid.radius, grid.points)
-                for i in range(D)]
+                if grid.points > 1 else center[i:i + 1] for i in range(D)]
     if not all(np.isfinite(a).all() for a in axes):
         raise RevstackError(past_range)
 
     # the trailing r axes form one reusable chunk; the leading ones are walked.
     # Column-major, each free block is contiguous for the strategies'
     # arithmetic (a row-strided view took half the D=4 oracle's time), and a
-    # quadratic cost reads its coordinates as the long rows it multiplies and
-    # sums (model._eval_quadratic).  A grid of three or more coordinates that
+    # quadratic cost reads each coordinate as one contiguous column
+    # (model._eval_quadratic).  A grid of three or more coordinates that
     # fits one chunk is walked as `points` slabs along its first axis, in
     # increasing order of their lower bounds, stopping at the first bound
     # above the best value found; without bounds every slab is walked in order.

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import revstack
+from revstack import cli
 from revstack.cli import main
 
 from conftest import problem_text, wide_leader_data
@@ -171,14 +172,23 @@ def test_verify_rejects_corrupted_strategies(tri_doc, tmp_path, capsys):
 
 
 def test_one_node_grid_flags_a_drift_of_two_spacings(tri_doc, tmp_path, capsys):
-    # one node per axis: the spacing is the refinement's first step, 1.0, so
-    # the refinement's walk of about 10 to the argmin is low confidence
+    # one node per axis, at the anchor; the spacing is the refinement's first
+    # step, 1.0.  The good chain's responses are the anchor: nothing moves
     spath = _write(tmp_path, "good.json", GOOD_STRATEGIES)
     assert main(["verify", tri_doc, "--strategies", spath, "--grid-points", "1",
                  "--output", "json"]) == 0
     checks = json.loads(capsys.readouterr().out)["verification"]["response_checks"]
+    assert [(c["refinement_drift"], c["low_confidence"]) for c in checks] == [(0.0, False)] * 2
+    # a leader offset of 30 instead of 12 moves both responses more than two
+    # spacings away, and the refinement's walk there is low confidence
+    rules = json.loads(json.dumps(GOOD_STRATEGIES))
+    rules["strategies"][0]["offset"] = [30.0]
+    spath = _write(tmp_path, "far.json", rules)
+    assert main(["verify", tri_doc, "--strategies", spath, "--grid-points", "1",
+                 "--output", "json"]) == 3
+    checks = json.loads(capsys.readouterr().out)["verification"]["response_checks"]
     assert [2.0 < c["refinement_drift"] < 40.0 for c in checks] == [True, True]
-    assert all(c["low_confidence"] for c in checks)
+    assert all(c["low_confidence"] and not c["passed"] for c in checks)
 
 
 def test_verify_requires_the_strategies_flag(tri_doc, capsys):
@@ -216,6 +226,26 @@ def test_family_checks_random_members(wide_doc, capsys):
     assert main(["family", wide_doc, "--samples", "3"]) == 0
     out = capsys.readouterr().out
     assert out.count("[ok]") == 3
+
+
+@pytest.mark.parametrize("command, check", [("family", "_check_member"),
+                                            ("feasible", "feasibility_check")])
+def test_sampled_members_are_checked_as_they_are_drawn(tmp_path, wide_doc, monkeypatch,
+                                                       command, check):
+    events = []
+
+    def logged(name, call):
+        def run(*args, **kwargs):
+            events.append(name)
+            return call(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(cli, "instantiate", logged("build", cli.instantiate))
+    monkeypatch.setattr(cli, check, logged("check", getattr(cli, check)))
+    path = wide_doc if command == "family" else _constrained_doc(tmp_path, ceiling=18)
+    assert main([command, path, "--samples", "2"]) == 0
+    # family builds its rank-one member for the text first
+    assert events[-4:] == ["build", "check", "build", "check"]
 
 
 def test_family_json_matches_the_checked_in_report(wide_doc, capsys):
@@ -507,6 +537,19 @@ def test_saddle_point_of_the_leader_cost_is_not_the_team_optimum(tmp_path):
     assert proc.stderr == ("error: descent stopped at [0.0, 0.0], a stationary point "
                            "that is not a minimum: the leader Hessian has a negative "
                            "eigenvalue there\n")
+
+
+def test_a_descent_that_leaves_the_double_range_says_so(tmp_path):
+    # u1^301 makes the leader cost unbounded below; the descent follows it
+    # until the gradient overflows, which is no failure to converge
+    doc = {"levels": 2, "dims": [1, 1], "objectives": [
+        {"type": "expr", "formula": "(u1_1 + 1)^2 + u2_1^2 + u1_1^301"},
+        {"type": "expr", "formula": "(u1_1 - 1)^2 + (u2_1 - 1)^2"}]}
+    proc = _run_cli("solve", _write(tmp_path, "unbounded.json", doc))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: descent left the double range: the leader "
+                                  "cost's gradient norm is inf at [")
+    assert proc.stderr.count("\n") == 1
 
 
 # the README game in the box |u1| <= 100, |u2| <= 5, |u3| <= 5 plus the row

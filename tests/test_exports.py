@@ -1,5 +1,8 @@
 import importlib
+import importlib.util
+import pathlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -13,3 +16,22 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing
+
+
+def _traced_names():
+    """``TARGETS`` of the benchmark's tracer, ``bench/tracer.py``, loaded by path."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tracer  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(tracer)
+    finally:
+        del sys.modules[spec.name]
+    return tracer.TARGETS
+
+
+@pytest.mark.parametrize("module, attr, span", _traced_names())
+def test_every_name_the_benchmark_traces_is_callable(module, attr, span):
+    # the traced benchmark wraps these by name; dropping one breaks it
+    assert callable(getattr(importlib.import_module(module), attr, None))

@@ -97,24 +97,22 @@ def test_batched_evaluation_matches_pointwise(tri):
         assert batched[i] == pytest.approx(evaluate(tri.objective(2), p))
 
 
-def _row_major_value(obj, blocks):
-    """The quadratic in numpy's own arithmetic on the row-stacked points.
-
-    The points are stacked in chunks of ``_CHUNK // width`` as the evaluation
-    stacks them: BLAS may round a one-row product differently from the same
-    row inside a larger one.
-    """
-    rows = [np.reshape(b, (-1, np.shape(b)[-1])) for b in blocks]
-    step = model._CHUNK // len(obj.l)
-    sums = []
-    for at in range(0, max(len(rows[0]), 1), step):
-        X = np.concatenate([r[at:at + step] for r in rows], axis=1)
-        sums.append(((X @ (obj.H / 2) + obj.l) * X).sum(axis=1))
-    return np.concatenate(sums) + obj.const
+def _reference_value(obj, x):
+    """The quadratic at one point x (concatenated coordinates) in Python floats,
+    in the evaluation's order: ``const + 0.0``, then coordinate by coordinate
+    ``x_i * (H_ii/2 * x_i + sum_{j>i} H_ij * x_j + l_i)``, left to right."""
+    H, l = obj.H.tolist(), obj.l.tolist()
+    total = obj.const + 0.0
+    for i, xi in enumerate(x):
+        inner = H[i][i] / 2 * xi
+        for j in range(i + 1, len(x)):
+            inner = inner + H[i][j] * x[j]
+        total = total + xi * (inner + l[i])
+    return total
 
 
 def _same_bits(a, b):
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @pytest.mark.parametrize("width", list(range(1, 25)) + [130])
@@ -126,16 +124,26 @@ def test_quadratic_batch_is_bitwise_the_row_major_formula(width):
     H = rng.standard_normal((width, width)) * 10.0 ** rng.integers(-3, 4, (width, width))
     l = rng.standard_normal(width) * 10.0 ** rng.integers(-3, 4, width)
     obj = QuadraticObjective(H, l, rng.standard_normal(), widths)
-    step = model._CHUNK // width
-    for P in (0, 1, 2, step, step + 1):
-        X = rng.standard_normal((P, width)) * 10.0 ** rng.integers(-2, 3, (P, width))
+    # the batches are prefixes of X: a point's value must not depend on the
+    # batch.  `step` rows filled the 65,536-coordinate chunks of an earlier
+    # evaluation; 14,000 rows is past one such chunk from width 5 on
+    step = 65_536 // width
+    sizes = (0, 1, 2, step, step + 1, 14_000)
+    X = rng.standard_normal((max(sizes), width)) * 10.0 ** rng.integers(-2, 3, (max(sizes), width))
+    whole = evaluate_many(obj, split_blocks(widths, X))
+    # rows evaluated alone, and in Python floats, at a few positions
+    for k in {0, 1, step - 1, step, len(X) - 1} | set(rng.integers(0, len(X), 8).tolist()):
+        alone = evaluate_many(obj, split_blocks(widths, X[k]))
+        assert _same_bits(whole[k], alone)
+        assert _same_bits(alone, _reference_value(obj, X[k].tolist()))
+    for P in sizes:
         # row-major, column-major like the oracle's chunk, and a separate
         # first block beside column-major slices like a substituted chain
-        for layout in (split_blocks(widths, X),
-                       split_blocks(widths, np.asfortranarray(X)),
-                       [X[:, :widths[0]].copy()]
-                       + split_blocks(widths[1:], np.asfortranarray(X[:, widths[0]:]))):
-            assert _same_bits(evaluate_many(obj, layout), _row_major_value(obj, layout))
+        for layout in (split_blocks(widths, X[:P]),
+                       split_blocks(widths, np.asfortranarray(X[:P])),
+                       [X[:P, :widths[0]].copy()]
+                       + split_blocks(widths[1:], np.asfortranarray(X[:P, widths[0]:]))):
+            assert _same_bits(evaluate_many(obj, layout), whole[:P])
 
 
 def test_quadratic_batch_keeps_leading_axes_and_the_sign_of_zero():
@@ -145,9 +153,10 @@ def test_quadratic_batch_keeps_leading_axes_and_the_sign_of_zero():
     blocks = [rng.standard_normal((3, 4, w)) for w in (1, 2, 2)]
     values = evaluate_many(obj, blocks)
     assert values.shape == (3, 4)
-    assert _same_bits(values, _row_major_value(obj, blocks).reshape(3, 4))
-    # every term -0.0: numpy's row sum gives +0.0, and so must the evaluation,
-    # in the sequential order below 8 coordinates and the pairwise one above
+    X = np.concatenate(blocks, axis=-1)
+    assert _same_bits(values, np.array([[_reference_value(obj, x) for x in row]
+                                        for row in X.tolist()]))
+    # every term -0.0: the value starts from const + 0.0, so it is +0.0
     for widths in ((1, 2, 2), (1, 4, 4)):
         obj = QuadraticObjective(np.eye(sum(widths)), -np.ones(sum(widths)), -0.0, widths)
         zero = evaluate_many(obj, [np.zeros((2, w)) for w in widths])

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -520,8 +521,33 @@ def option_cases(draw):
         st.builds(lambda: ";".join(json.dumps(matrix(widths[0] - 1, w)) for w in widths[1:])),
         st.sampled_from(["", "[[1]]", "[[NaN]]", "[]", "1;2;3", "[[1e999]]", "[[0.5, 1]]"])))
     tol = draw(st.sampled_from(["0", "1e-300", "1e-9", "1e-4", "0.5", "1e300"]))
+    # the default grid where the oracle's largest grid is at most 41^3 nodes
+    points = draw(st.sampled_from([None, 9])) if sum(widths[1:]) <= 3 else 9
     return _game(widths, targets, extras, rows), _rules(*rules), tol, draw(
-        st.integers(0, 3)), params
+        st.integers(0, 3)), params, points
+
+
+# Caps on one `cli.main` run of the property below: its wall time under
+# tracemalloc, and the peak of the memory tracemalloc traces.  The slowest of
+# its 112 runs took 0.08-0.11 s and the largest peak was 1.03 MiB, on one core
+# of a shared Xeon VM, so the caps leave about 20x and 16x headroom.
+RUN_SECONDS = 2.0
+RUN_PEAK_BYTES = 16 << 20
+
+
+def _run_capped(argv):
+    """``_run_main`` under tracemalloc, with its time and peak checked."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, err = _run_main(argv)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < RUN_SECONDS, (argv, seconds)
+    assert peak < RUN_PEAK_BYTES, (argv, peak)
+    return code, err
 
 
 @settings(SETTINGS, max_examples=25)
@@ -529,30 +555,31 @@ def option_cases(draw):
 # no constraint rows: feasible printed its refusal without "error: "; the
 # descent's line search took a trial whose cost overflowed to -inf
 @example(case=(_game((1, 1), [(-1, 0), (0, 0)], [" + (u1_1)^301", ""]),
-               _rules(([0.0], [[[0.0]]])), "0", 0, None))
+               _rules(([0.0], [[[0.0]]])), "0", 0, None, 9))
 # the rule's value at the desired point overflowed when the document was read
 @example(case=(_game((2, 2), [(-1, 0, 2, -2), (-2, 0, -1, -2)], [None, ""],
                      {"A": [[[-1e-300, 1e-160]], [[0.0, -1.0]]], "b": [-1e300]}),
                _rules(([1e-160, -1e300], [[[-1e-160, -2.0], [-1e-160, 1e300]]])),
-               "1e-300", 1, None))
+               "1e-300", 1, None, 9))
 # the follower's cost at the desired point overflowed in the sublevel check
 @example(case=(_game((1, 2), [(2, -2, 0), (-1, -2, 1)], [None, ""],
                      {"A": [[[-2.0], [-1e-300]], [[-1.0, 1.0], [2.0, 2.0]]],
                       "b": [1e154, -1e300]}),
-               _rules(([-2.0], [[[1e-160, -1.0]]])), "0.5", 3, None))
+               _rules(([-2.0], [[[1e-160, -1.0]]])), "0.5", 3, None, 9))
 def test_formula_widths_and_options_end_in_a_documented_exit(tmp_path_factory, case):
-    doc, strategies, tol, samples, params = case
+    doc, strategies, tol, samples, params, points = case
     where = tmp_path_factory.mktemp("options")
     path, spath = where / "game.json", where / "strategies.json"
     path.write_text(json.dumps(doc))
     spath.write_text(json.dumps(strategies))
-    # a coarse oracle grid keeps each run short; the window has its own property
-    grid = ["--tol", tol, "--grid-points", "9"]
+    # a coarse oracle grid keeps a wide run short; the window has its own property
+    grid = ["--tol", tol] + ([] if points is None else ["--grid-points", str(points)])
     family = ["--samples", str(samples)] + ([] if params is None else ["--params", params])
-    for argv in (["verify", str(path), "--strategies", str(spath), *grid],
+    for argv in (["solve", str(path), *grid],
+                 ["verify", str(path), "--strategies", str(spath), *grid],
                  ["feasible", str(path), "--samples", str(samples)],
                  ["family", str(path), *family, *grid]):
-        code, err = _run_main(argv)
+        code, err = _run_capped(argv)
         assert code in (0, 2, 3, 4), (argv, code, err)
         if code in (2, 4):
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)

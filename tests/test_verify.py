@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 import pathlib
 import time
@@ -155,17 +156,11 @@ def test_batched_refinement_follows_the_one_at_a_time_sweep(name, tri, tri_expr,
             problem, chain, level, center, node.grid_argmin, node.value, grid)
         res = oracle_best_response(problem, chain, level, grid, anchor=anchor)
         assert res.refinement_drift > 0.0
-        if name == "tri_expr":
-            # elementwise arithmetic: a batched row equals a one-row call,
-            # so the accepted path and its trial count are the same
-            assert np.array_equal(res.argmin.concat(), x)
-            assert res.value == fx
-            assert res.evaluations == node.evaluations + trials
-        else:
-            # a batched matrix product may differ from a one-row call in the
-            # last bit, which can move a trial's acceptance by one sweep
-            assert np.abs(res.argmin.concat() - x).max() <= 1e-7
-            assert res.value == pytest.approx(fx, rel=1e-12, abs=1e-12)
+        # elementwise arithmetic: a batched row equals a one-row call, so
+        # the accepted path and its trial count are the same
+        assert np.array_equal(res.argmin.concat(), x)
+        assert res.value == fx
+        assert res.evaluations == node.evaluations + trials
 
 
 @pytest.mark.parametrize("refine_iters", [1, 2, 3, 5, 44, 60])
@@ -176,15 +171,15 @@ def test_refinement_cap_and_floor_follow_the_one_at_a_time_sweep(
     eq, chain = _chain(tri)
     grid = GridSpec()
     monkeypatch.setattr(verify_module, "REFINE_ITERS", refine_iters)
-    for level in (2, 3):
+    for problem, level in itertools.product((tri, tri_expr), (2, 3)):
         center = eq.point.tail(level).concat() + 0.123
         anchor = DecisionPoint.from_concat(tri.dims.m[level - 1:], center)
         with monkeypatch.context() as m:
             m.setattr(verify_module, "REFINE_ITERS", 0)  # the grid's best node
-            node = oracle_best_response(tri_expr, chain, level, grid, anchor=anchor)
+            node = oracle_best_response(problem, chain, level, grid, anchor=anchor)
         x, fx, trials = _one_at_a_time_refinement(
-            tri_expr, chain, level, center, node.grid_argmin, node.value, grid)
-        res = oracle_best_response(tri_expr, chain, level, grid, anchor=anchor)
+            problem, chain, level, center, node.grid_argmin, node.value, grid)
+        res = oracle_best_response(problem, chain, level, grid, anchor=anchor)
         assert np.array_equal(res.argmin.concat(), x)
         assert res.value == fx
         assert res.evaluations == node.evaluations + trials
