@@ -25,6 +25,7 @@ strategies and verdicts, so no problem is ever written back.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -60,7 +61,7 @@ def _reject_constant(token: str) -> float:
 
 def _finite_float(token: str) -> float:
     value = float(token)  # any digit count; out of range gives inf
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         shown = token if len(token) <= 24 else token[:24] + "..."
         raise DocumentError("number %s overflows a double" % shown)
     return value

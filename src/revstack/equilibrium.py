@@ -56,8 +56,8 @@ def _quadratic_system(problem: GameProblem):
     obj = problem.objective(1)
     if not isinstance(obj, QuadraticObjective):
         raise EquilibriumError(
-            "exact equilibrium solves need a quadratic top objective; "
-            "for expression costs use team_optimum_descent (unconstrained only)"
+            "level 1's cost is a formula, and the exact team optimum, the only one "
+            "solved for a game with constraint rows, needs a quadratic leader cost"
         )
     return obj, obj.H, obj.l
 

@@ -355,8 +355,9 @@ class QuadraticObjective:
         sparse ``{level: vector}`` dict; missing parts default to zero.  Bad
         keys and shapes raise DimensionError.
         """
-        at = np.cumsum((0,) + dims.m)
-        H = np.zeros((dims.total, dims.total))
+        # assembled in Python floats, whose sums round as numpy's do
+        at = list(itertools.accumulate(dims.m, initial=0))
+        H = [[0.0] * dims.total for _ in range(dims.total)]
         for key, mat in A.items():
             j, k = int(key[0]), int(key[1])
             if j < 1 or k < 1:
@@ -374,13 +375,13 @@ class QuadraticObjective:
             if mat.shape != want:
                 raise DimensionError(
                     "block (%d,%d) has shape %s, expected %s" % (j, k, mat.shape, want))
-            rows, cols = slice(at[j - 1], at[j]), slice(at[k - 1], at[k])
-            if j == k:
-                with np.errstate(over="ignore", invalid="ignore"):  # refused in __post_init__
-                    H[rows, rows] = mat + mat.T
-            else:
-                H[rows, cols] = mat
-                H[cols, rows] = mat.T
+            rows, r0, c0 = mat.tolist(), at[j - 1], at[k - 1]
+            for r, row in enumerate(rows):
+                for c, v in enumerate(row):
+                    if j == k:  # an overflow is refused in __post_init__
+                        H[r0 + r][r0 + c] = v + rows[c][r]
+                    else:
+                        H[r0 + r][c0 + c] = H[c0 + c][r0 + r] = v
         lin = [np.zeros(w) for w in dims.m]
         if isinstance(l, dict):
             for lev, vec in l.items():
@@ -397,7 +398,7 @@ class QuadraticObjective:
             if vec.size != w:
                 raise DimensionError("linear vector for level %d has length %d, expected %d"
                                      % (lev, vec.size, w))
-        return cls(H, np.concatenate(lin), const, dims.m)
+        return cls(np.array(H), np.concatenate(lin), const, dims.m)
 
 
 class ExprObjective:
@@ -424,15 +425,27 @@ def _eval_quadratic(obj: QuadraticObjective, blocks: Sequence[np.ndarray]):
     right by elementwise numpy operations on coordinate columns, into three
     buffers of the batch's shape.  A point's value is thus one fixed sequence
     of IEEE operations whatever its batch, position, memory layout or BLAS
-    build; a zero value is +0.0.
+    build; a zero value is +0.0.  One point (every block 1-D) runs that
+    sequence in Python floats, which round alike, and gives a float.
     """
-    widths = tuple(np.shape(b)[-1] for b in blocks)
+    widths = tuple(b.shape[-1] for b in blocks)
     if widths != obj.widths:
         raise DimensionError("blocks of widths %s for an objective over widths %s"
                              % (widths, obj.widths))
-    x = [b[..., k] for b in blocks for k in range(np.shape(b)[-1])]
     H, l = obj.H.tolist(), obj.l.tolist()
-    shape = np.broadcast_shapes(*(np.shape(c) for c in x))
+    if all(b.ndim == 1 for b in blocks):
+        x = [v for b in blocks for v in np.asarray(b, dtype=float).tolist()]
+        value = obj.const + 0.0
+        for i, xi in enumerate(x):
+            inner = H[i][i] / 2 * xi
+            for j in range(i + 1, len(x)):
+                inner += H[i][j] * x[j]
+            inner += l[i]
+            value += xi * inner
+        return value
+    x = [b[..., k] for b in blocks for k in range(b.shape[-1])]
+    shapes = {c.shape for c in x}
+    shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
     total, inner, term = np.full(shape, obj.const + 0.0), np.empty(shape), np.empty(shape)
     for i, xi in enumerate(x):
         np.multiply(H[i][i] / 2, xi, out=inner)

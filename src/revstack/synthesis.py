@@ -108,8 +108,8 @@ class AffineStrategy:
 
     def batch(self, lower: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized evaluation: lower blocks shaped (P, m_j) -> (P, m_own)."""
-        P = lower[0].shape[0]
-        out = np.tile(self.own_anchor, (P, 1))
+        out = np.empty((lower[0].shape[0], self.own_anchor.size))
+        out[...] = self.own_anchor
         for Q, xj, dj in zip(self.coeffs, lower, self.anchor.blocks[1:]):
             out -= (xj - dj) @ Q.T
         return out
@@ -258,6 +258,8 @@ def _stage_family(stage: GameProblem, d: DecisionPoint, s: int) -> StrategyFamil
                                for j in range(2, stage.levels + 1))
         if not all(np.isfinite(Q).all() for Q in particular):
             raise RevstackError("the rank-one deviation gains are not finite")
+    if g1.size == 1:  # R^1 has no direction orthogonal to g_1
+        return StrategyFamily(s, d, particular, np.zeros((1, 0)))
     Q_full, _ = np.linalg.qr(g1.reshape(-1, 1), mode="complete")
     return StrategyFamily(s, d, particular, Q_full[:, 1:])
 

@@ -175,17 +175,20 @@ def _slab_bounds(problem: GameProblem, announced: Sequence[AffineStrategy], leve
     tol = 2.0 ** -40 * (N + D + 2) ** 3
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # |x| over the window, through the rules with absolute coefficients
-        magnitude = [AffineStrategy(a.level, DecisionPoint(
-            (np.abs(a.own_anchor),) + tuple(-np.abs(b) for b in a.anchor.blocks[1:])),
-            tuple(-np.abs(Q) for Q in a.coeffs)) for a in announced[:level - 1]]
         ends = np.array([[a[0], a[-1]] for a in axes])
-        xbar = np.concatenate(_substitute_chain(problem, magnitude, level, split_blocks(
-            widths, np.abs(ends).max(axis=1)[None, :])), axis=1)[0]
+        xbar = [None] * (level - 1) + split_blocks(widths, np.abs(ends).max(axis=1))
+        for a in reversed(announced[:level - 1]):
+            own = np.abs(a.own_anchor)
+            for Q, xj, dj in zip(a.coeffs, xbar[a.level:], a.anchor.blocks[1:]):
+                own = own + np.abs(Q) @ (xj + np.abs(dj))
+            xbar[a.level - 1] = own
+        xbar = np.concatenate(xbar)
         V = np.abs(objective.H) @ xbar / 2 + np.abs(objective.l)
         M = V @ xbar + abs(objective.const)
         if not (np.append(V, M) < 2.0 ** 1000).all():
             return None
-        W = np.tile(center, (D + 1, 1))
+        W = np.empty((D + 1, D))
+        W[...] = center
         W[np.arange(1, D + 1), np.arange(D)] = ends[:, 1]
         steps = W[1:].diagonal() - center
         X = np.concatenate(_substitute_chain(
@@ -209,9 +212,9 @@ def _slab_bounds(problem: GameProblem, announced: Sequence[AffineStrategy], leve
         f = ((y @ A / 2 + rhs) * y).sum(axis=1) + (g0 / 2 * z + h0) * z + f0
         grad = np.linalg.norm(y @ A + rhs, axis=1)
         ay, az = np.abs(y), np.abs(z)
-        fmag = ((ay @ np.abs(A) / 2 + np.abs(h1) + az[:, None] * np.abs(B)) * ay).sum(axis=1) \
-            + (abs(g0) / 2 * az + abs(h0)) * az + abs(f0)
-        gmag = np.linalg.norm(ay @ np.abs(A) + az[:, None] * np.abs(B) + np.abs(h1), axis=1)
+        ayA, azB = ay @ np.abs(A), az[:, None] * np.abs(B) + np.abs(h1)
+        fmag = ((ayA / 2 + azB) * ay).sum(axis=1) + (abs(g0) / 2 * az + abs(h0)) * az + abs(f0)
+        gmag = np.linalg.norm(ayA + azB, axis=1)
         gap = (grad + tol * gmag) ** 2 / (2 * lam_min)
         bounds = f - gap * (1 + tol) - tol * (M + fmag)
     return bounds if np.isfinite(bounds).all() else None
@@ -286,7 +289,7 @@ def oracle_best_response(problem: GameProblem,
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         axes = [np.linspace(center[i] - grid.radius, center[i] + grid.radius, grid.points)
                 if grid.points > 1 else center[i:i + 1] for i in range(D)]
-    if not all(np.isfinite(a).all() for a in axes):
+    if not np.isfinite(axes).all():
         raise RevstackError(past_range)
 
     # the trailing r axes form one reusable chunk; the leading ones are walked.
@@ -307,8 +310,8 @@ def oracle_best_response(problem: GameProblem,
         bounds = _slab_bounds(problem, announced, level, center, axes)
     lead = D - r
     chunk = np.empty((grid.points ** r, D), order="F")
-    for j, m in enumerate(np.meshgrid(*axes[lead:], indexing="ij")):
-        chunk[:, lead + j] = m.ravel()
+    for j in range(lead, D):  # node-index order: the last axis varies fastest
+        chunk[:, j].reshape((grid.points,) * r)[...] = axes[j].reshape((-1,) + (1,) * (D - 1 - j))
 
     def fill(buf: np.ndarray, s: int) -> np.ndarray:
         for j, k in enumerate(np.unravel_index(s, (grid.points,) * lead)):
@@ -343,6 +346,10 @@ def oracle_best_response(problem: GameProblem,
     # whether that sweep has accepted a trial yet
     steps = np.array([(axes[i][-1] - axes[i][0]) / (grid.points - 1) if grid.points > 1
                       else 1.0 for i in range(D)])
+    # a sweep's trials, +step before -step coordinate by coordinate: row 2c + k
+    # moves coordinate c by +1 or -1 (k = 0, 1) times its scaled step, and adds
+    # -0.0 to every other coordinate, which leaves it as it is, -0.0 included
+    moves = np.where(np.eye(D, dtype=bool)[:, None, :], np.array([[1.0], [-1.0]]), -0.0)
     x, sweep, start, improved = x0, 0, 0, False
     while True:
         # the sweeps a one-at-a-time search would still make if nothing
@@ -357,25 +364,23 @@ def oracle_best_response(problem: GameProblem,
             scales.append(scale)
             if not (improved and later == sweep):
                 scale *= REFINE_SHRINK
-        # +step before -step, coordinate by coordinate, sweep by sweep
-        rows = np.arange(2 * start, 2 * D * len(scales))
-        if rows.size == 0:
+        # sweep by sweep, from coordinate `start` of this one
+        first, rows = 2 * start, 2 * D * len(scales)
+        if rows <= first:
             break
-        of_sweep, within = np.divmod(rows, 2 * D)
-        coords, signs = within // 2, np.where(within % 2 == 0, 1.0, -1.0)
-        row_steps = steps[coords] * np.asarray(scales)[of_sweep]
-        trials = np.repeat(x[None, :], rows.size, axis=0)
-        trials[np.arange(rows.size), coords] += signs * row_steps
+        trials = (x + np.multiply.outer(scales, steps)[:, :, None, None] * moves
+                  ).reshape(rows, D)[first:]
         values = values_at(trials)
         better = np.flatnonzero(values < fx)
         if better.size == 0:
-            evaluations += rows.size
+            evaluations += rows - first
             break
         k = int(better[0])
         evaluations += k + 1
         x, fx = trials[k].copy(), float(values[k])
-        steps = steps * scales[of_sweep[k]]
-        sweep, start, improved = sweep + int(of_sweep[k]), int(coords[k]) + 1, True
+        ahead, coord = divmod((first + k) // 2, D)
+        steps = steps * scales[ahead]
+        sweep, start, improved = sweep + ahead, coord + 1, True
     drift = float(np.abs(x - x0).max(initial=0.0))
     argmin = DecisionPoint.from_concat(free_widths, x)
     return OracleResult(argmin, fx, x0, drift, evaluations)
@@ -416,7 +421,10 @@ def sublevel_inequality_check(objective: Objective, anchor: DecisionPoint,
         raise DimensionError("anchor and strategy disagree on lower levels")
     base = np.concatenate(lower_anchor)
     rng = np.random.default_rng(seed)
-    pts = base + rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (count, base.size))
+    # column-major, so that each coordinate is one contiguous column for the
+    # rule and the cost (model._eval_quadratic)
+    pts = np.add(base, rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (count, base.size)),
+                 order="F")
     pts[0] = base
     lower = split_blocks([b.size for b in lower_anchor], pts)
     own = strategy.batch(lower)

@@ -132,6 +132,40 @@ def test_solve_json_matches_the_checked_in_report(tri_doc, capsys):
     _approx_tree(got, want)
 
 
+def test_one_process_answers_each_command_as_a_fresh_process(tri_doc, tmp_path, capsys,
+                                                             monkeypatch):
+    # main parses with one parser built at import; a usage error must leave
+    # it as it was for the commands after it
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the terminal width
+    strategies = _write(tmp_path, "good.json", GOOD_STRATEGIES)
+    runs = [(["solve", tri_doc, "--bogus"], 4),
+            (["solve", tri_doc, "--output", "json"], 0),
+            (["solve", tri_doc], 0),
+            (["verify", tri_doc, "--strategies", strategies], 0)]
+    for argv, code in runs:
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        proc = _run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        if argv[-1] == "json":
+            assert json.loads(out) == json.loads((DATA / "solve_tri.json").read_text())
+    # the command is looked up when main runs, so a replaced one is the one run
+    calls = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: calls.append(args.problem) or 0)
+    assert main(["solve", tri_doc]) == 0
+    assert calls == [tri_doc]
+
+
+def test_constraint_rows_under_a_formula_leader_cost_are_refused(tmp_path, capsys):
+    doc = json.loads(TRI_PROBLEM)
+    doc["constraints"] = FEASIBLE_CONSTRAINTS
+    doc["objectives"][0] = {"type": "expr", "formula": "(u1 - 2)^2 + (u2 - 1)^2 + (u3 - 3)^2"}
+    assert main(["solve", _write(tmp_path, "formula_rows.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: level 1's cost is a formula")
+    assert "constraint rows" in err and "team_optimum" not in err
+
+
 @pytest.mark.parametrize("argv", [["solve"], ["family"], ["feasible", "--samples", "2"]],
                          ids=["solve", "family", "feasible-samples"])
 def test_solve_reports_existence_failures(tmp_path, capsys, argv):

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import pathlib
 import pkgutil
+import subprocess
 import sys
 
 import pytest
@@ -35,3 +36,14 @@ def _traced_names():
 def test_every_name_the_benchmark_traces_is_callable(module, attr, span):
     # the traced benchmark wraps these by name; dropping one breaks it
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_importing_the_package_leaves_the_command_line_unloaded():
+    # the benchmark's setup_s times `import revstack`; the CLI's parser is
+    # built when revstack.cli is imported, so it must not be on that path
+    src = pathlib.Path(revstack.__file__).resolve().parent.parent
+    probe = ("import sys, revstack; "
+             "print(sorted({'argparse', 'revstack.cli'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          cwd=str(src), timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

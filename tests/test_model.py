@@ -163,6 +163,34 @@ def test_quadratic_batch_keeps_leading_axes_and_the_sign_of_zero():
         assert _same_bits(zero, np.zeros(2))
 
 
+@pytest.mark.parametrize("widths", [(1,), (2, 1), (1, 2, 2), (3, 1, 2)])
+def test_one_point_is_its_batch_row_past_the_double_range_and_at_minus_zero(widths):
+    # a point alone is summed in Python floats: its overflows, infinities,
+    # NaNs (payload and sign included) and zeros must be the batch row's bits
+    rng = np.random.default_rng(len(widths))
+    N = sum(widths)
+    obj = QuadraticObjective(np.clip(rng.standard_normal((N, N)) * 1e300, -1e307, 1e307),
+                             rng.standard_normal(N) * 1e300, 1e300, widths)
+    X = np.array([[1e300] * N,                      # every product overflows
+                  [np.inf] + [0.0] * (N - 1),       # inf * 0 is NaN
+                  [np.nan] + [1.0] * (N - 1),
+                  [-np.inf] * N,
+                  [1.0] * (N - 1) + [np.nan],
+                  [-0.0] * N,
+                  [1e-300] * N])
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = evaluate_many(obj, split_blocks(widths, X))
+        for k, x in enumerate(X):
+            alone = evaluate_many(obj, split_blocks(widths, x))
+            assert _same_bits(whole[k], alone)
+            assert _same_bits(alone, _reference_value(obj, x.tolist()))
+    # every term -0.0 from a -0.0 constant: +0.0 alone as in a batch
+    zero = QuadraticObjective(-np.eye(N), np.zeros(N), -0.0, widths)
+    alone = evaluate_many(zero, split_blocks(widths, X[5]))
+    assert _same_bits(alone, 0.0)
+    assert _same_bits(evaluate_many(zero, split_blocks(widths, X[5:6])), np.zeros(1))
+
+
 def test_expression_batch_memory_is_linear_in_the_batch():
     quad = random_convex_game(3, (2, 2, 2)).objective(1)
     expr = quadratic_to_expr(quad)
