@@ -33,7 +33,6 @@ from .model import (
     QuadraticObjective,
     evaluate,
     evaluate_many,
-    quadratic_to_expr,
 )
 from .calculus import (
     gradient,
@@ -116,7 +115,6 @@ __all__ = [
     "parse_formula",
     "parse_problem",
     "parse_strategies",
-    "quadratic_to_expr",
     "reduce_problem",
     "simplex_maximize",
     "strategies_to_document",

@@ -43,6 +43,7 @@ class ExistenceVerdict:
     passed: bool
     block_norm: float
     tol: float
+    gradient: DecisionPoint  # the second objective's gradient at the anchor
     reasons: Tuple[str, ...] = ()
     convexity: str = "not-certified"
 
@@ -108,6 +109,7 @@ def leader_existence_check(problem: GameProblem, d: DecisionPoint) -> ExistenceV
         passed=block > threshold,
         block_norm=block,
         tol=threshold,
+        gradient=g,
         reasons=tuple(reasons),
         convexity=convexity,
     )

@@ -44,7 +44,6 @@ __all__ = [
     "GameProblem",
     "evaluate",
     "evaluate_many",
-    "quadratic_to_expr",
 ]
 
 # ---------------------------------------------------------------------------
@@ -404,8 +403,8 @@ class QuadraticObjective:
 class ExprObjective:
     """Cost given by a formula, held as the polynomial ``poly`` it expands to.
 
-    ``formula.parse_formula`` reads formula text into that polynomial;
-    substitution and :func:`quadratic_to_expr` derive one.
+    ``formula.parse_formula`` reads formula text into that polynomial, and
+    substituting a rule derives a new one.
     """
 
     def __init__(self, poly: Polynomial):
@@ -554,19 +553,3 @@ class GameProblem:
     def objective(self, level: int) -> Objective:
         """1-based accessor; level 1 is the leader."""
         return self.objectives[level - 1]
-
-
-# ---------------------------------------------------------------------------
-# conversion
-# ---------------------------------------------------------------------------
-
-def quadratic_to_expr(obj: QuadraticObjective) -> ExprObjective:
-    """The same cost as an expression: ``x'Hx/2 + l'x + const`` monomial by monomial."""
-    keys = [(lev, i + 1) for lev, w in enumerate(obj.widths, start=1) for i in range(w)]
-    V = len(keys)
-    unit = [tuple(int(a == b) for b in range(V)) for a in range(V)]
-    pairs = [(a, b) for a in range(V) for b in range(a, V)]
-    H = obj.H.tolist()
-    rows = [tuple(map(operator.add, unit[a], unit[b])) for a, b in pairs] + unit + [(0,) * V]
-    coefs = [(0.5 if a == b else 1.0) * H[a][b] for a, b in pairs] + obj.l.tolist() + [obj.const]
-    return ExprObjective(Polynomial.from_terms(keys, rows, coefs))

@@ -10,15 +10,16 @@ construction.  The deviation gains Q_j come from the follower-objective
 gradient at d: the rank-one choice Q_j = g_1 g_j^T / <g_1, g_1> places the
 whole graph of the strategy inside the follower's supporting hyperplane,
 and the full solution set is the rank-one particular solution plus an
-orthonormal null-space basis of the leading gradient block times free
-parameter matrices.  ``_stage_family`` builds that family for cascade
-stage s, on the game left once the rules above level s are substituted
-(each substitution drops one level).  The cascade announces each stage's
-particular member, unless it leaves the next stage's announcing player
-without influence while another member would not (``_look_ahead``); the
-single-leader rule and the top-level family are the stage-1 case.
-``errors.stage_errors``, the one stage wrapper, shared with the verifier,
-names the stage in a refusal.
+orthonormal null-space basis N of the leading gradient block times free
+parameter matrices T (Q = Q^0 + N T).  ``_stage_family`` builds that family
+for cascade stage s, on the game left once the rules above level s are
+substituted (each substitution drops one level).  Each stage announces a
+member of its family: the particular member itself, or the one named by
+the T that ``_look_ahead`` picks when the particular member would leave
+the next stage's announcing player without influence while another member
+would not.  The single-leader rule and the top-level family are the
+stage-1 case.  ``errors.stage_errors``, the one stage wrapper, shared with
+the verifier, names the stage in a refusal.
 """
 
 from __future__ import annotations
@@ -241,8 +242,8 @@ class StrategyFamily:
 def _stage_family(stage: GameProblem, d: DecisionPoint, s: int) -> StrategyFamily:
     """Family of optimal gains of cascade stage ``s`` at ``d``, labelled with level s.
 
-    ``stage``'s top player is the one at level s.  One existence check and one
-    gradient g give the rank-one particular member and, by Householder QR,
+    ``stage``'s top player is the one at level s.  The existence check's
+    gradient g gives the rank-one particular member and, by Householder QR,
     an orthonormal basis of g_1's orthogonal complement; refusals, gains
     that overflow included, name the stage.
     """
@@ -250,7 +251,7 @@ def _stage_family(stage: GameProblem, d: DecisionPoint, s: int) -> StrategyFamil
         verdict = leader_existence_check(stage, d)
         if not verdict.passed:
             raise ExistenceError("; ".join(verdict.reasons), verdict=verdict)
-        g = gradient(stage.objective(2), d)
+        g = verdict.gradient
         g1 = g.block(1)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             denom = float(g1 @ g1)
@@ -354,64 +355,68 @@ def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProble
     return GameProblem(new_dims, tuple(new_objectives), new_cons)
 
 
-def _look_ahead(stage: GameProblem, d: DecisionPoint, rule: AffineStrategy,
-                failure: ExistenceError) -> AffineStrategy:
-    """Stage s's member that leaves stage s+1 the unreduced gradient block.
+def _look_ahead(stage: GameProblem, family: StrategyFamily,
+                failure: ExistenceError) -> Tuple[np.ndarray, ...]:
+    """Parameters T of stage s's member that leaves stage s+1 its gradient block.
 
-    Substituting ``rule`` (stage s's rank-one member) adds -Q_{s+1}^T h to
-    stage s+1's existence block, h being level s+2's gradient in u_s at d.
-    The member whose Q_{s+1} is the minimum-norm solution of
-    [g_1 h]^T Q = [g_2^T; 0] (g the level s+1 gradient) keeps the family's
-    condition and cancels that term; the other gains stay rank-one.  When
-    h is parallel to g_1, every member adds the same term, and ``failure``
-    is re-raised saying so.
+    Substituting a member adds -Q_{s+1}^T h to stage s+1's existence block
+    (``failure`` under the particular member), h being level s+2's gradient
+    in u_s at d.  N is orthogonal to g_1 (level s+1's gradient in u_s) and
+    Q^0 parallel to it, so |Q|^2 = |Q^0|^2 + |T|^2, and the least-norm member
+    with h^T Q_{s+1} = 0 has T_{s+1} = -v (h^T Q^0_{s+1}) / (v^T v), v = N^T h;
+    every other T_j is zero.  When h is parallel to g_1, every member adds
+    the same term, and ``failure`` is re-raised saying so.
     """
-    with stage_errors(rule.level):
-        g = gradient(stage.objective(2), d)
+    s, d = family.level, family.anchor
+    with stage_errors(s):
+        g1 = gradient(stage.objective(2), d).block(1)
         h = gradient(stage.objective(3), d).block(1)
     if not np.isfinite(h).all():
         raise failure
-    gh = np.column_stack([g.block(1), h])
-    if np.linalg.matrix_rank(gh) < 2:
+    if np.linalg.matrix_rank(np.column_stack([g1, h])) < 2:
         raise ExistenceError(
             "%s; every member of stage %d's family gives this block, since level %d's "
             "gradient in u%d is parallel to level %d's: no rule there avoids it"
-            % (failure, rule.level, rule.level + 2, rule.level, rule.level + 1),
+            % (failure, s, s + 2, s, s + 1),
             verdict=failure.verdict, level=failure.level)
-    rhs = np.vstack([g.block(2)[None, :], np.zeros((1, g.block(2).size))])
-    Q = np.linalg.lstsq(gh.T, rhs, rcond=None)[0]
-    return AffineStrategy(rule.level, rule.anchor, (Q,) + rule.coeffs[1:])
+    # T does not change when h is scaled; a power of two scales exactly and
+    # keeps v^T v inside the double range
+    h = np.ldexp(h, -np.frexp(np.abs(h).max())[1])
+    v = family.null_basis.T @ h
+    params = [np.zeros(shape) for shape in family.param_shapes]
+    with np.errstate(over="ignore", invalid="ignore"):  # reduce_problem refuses the member
+        params[0] = -np.outer(v, h @ family.particular[0]) / (v @ v)
+    return tuple(params)
 
 
 def synthesize_cascade(problem: GameProblem,
                        desired: DecisionPoint) -> List[AffineStrategy]:
     """Top-to-bottom synthesis: one strategy per announcing level.
 
-    Announces the particular (rank-one) member of the stage family anchored
-    at ``desired``, substitutes it to get the one-smaller game, and repeats.
-    Each stage anchors at the corresponding tail of the desired point.  When
-    a stage's existence check fails under the rank-one member above it, that
-    member is replaced once by the one of :func:`_look_ahead`.  Existence
-    failures carry the absolute level at which they occurred, and a
-    reduction whose coefficients overflow is refused naming its stage.
+    Stage s's family is anchored at ``desired.tail(s)``.  The stage announces
+    its particular (rank-one) member, or ``instantiate(family, T)`` once
+    :func:`_look_ahead` has picked T because the next stage's existence check
+    failed under the particular member.  Substituting the announced rule
+    gives the next stage's game.  Existence failures carry the absolute level
+    at which they occurred, and a reduction whose coefficients overflow is
+    refused naming its stage.
     """
-    def reduced(above: GameProblem, rule: AffineStrategy, s: int) -> GameProblem:
-        with stage_errors(s):  # a substituted coefficient may overflow
-            return reduce_problem(above, rule)
-
     strategies: List[AffineStrategy] = []
-    above = stage = problem
-    for s in range(1, problem.levels):
-        if s > 1:
-            stage = reduced(above, strategies[-1], s)
+    stage, family, params = problem, _stage_family(problem, desired, 1), None
+    while True:
+        s = family.level + 1  # the stage left once this rule is substituted
+        rule = (AffineStrategy(family.level, family.anchor, family.particular)
+                if params is None else instantiate(family, params))
+        if s == problem.levels:
+            return strategies + [rule]
+        with stage_errors(s):  # a substituted coefficient may overflow
+            below = reduce_problem(stage, rule)
         try:
-            family = _stage_family(stage, desired.tail(s), s)
+            below_family = _stage_family(below, desired.tail(s), s)
         except ExistenceError as err:
-            if s == 1 or err.verdict is None:
+            if params is not None or err.verdict is None:
                 raise
-            strategies[-1] = _look_ahead(above, desired.tail(s - 1), strategies[-1], err)
-            stage = reduced(above, strategies[-1], s)
-            family = _stage_family(stage, desired.tail(s), s)
-        strategies.append(AffineStrategy(s, family.anchor, family.particular))
-        above = stage
-    return strategies
+            params = _look_ahead(stage, family, err)
+            continue
+        strategies.append(rule)
+        stage, family, params = below, below_family, None

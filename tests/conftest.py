@@ -215,6 +215,20 @@ def outcome(build):
     return p.keys, rows, types, np.array(coefs, dtype=float).tobytes()
 
 
+def quadratic_to_expr(obj: QuadraticObjective) -> ExprObjective:
+    """The same cost as an expression: ``x'Hx/2 + l'x + const`` monomial by
+    monomial, each pair of scalars a <= b in row-major order, then the
+    linear terms, then the constant."""
+    keys = [(lev, i + 1) for lev, w in enumerate(obj.widths, start=1) for i in range(w)]
+    V = len(keys)
+    unit = [tuple(int(a == b) for b in range(V)) for a in range(V)]
+    pairs = [(a, b) for a in range(V) for b in range(a, V)]
+    H = obj.H.tolist()
+    rows = [tuple(map(operator.add, unit[a], unit[b])) for a, b in pairs] + unit + [(0,) * V]
+    coefs = [(0.5 if a == b else 1.0) * H[a][b] for a, b in pairs] + obj.l.tolist() + [obj.const]
+    return ExprObjective(Polynomial.from_terms(keys, rows, coefs))
+
+
 def fd_gradient(obj, p: DecisionPoint) -> DecisionPoint:
     """Central finite differences with per-coordinate step ``1e-6 * (1 + |p_i|)``."""
     flat = p.concat()

@@ -17,7 +17,6 @@ from revstack import (
     QuadraticObjective,
     evaluate,
     parse_formula,
-    quadratic_to_expr,
     team_optimum,
     team_optimum_constrained,
     team_optimum_descent,
@@ -25,7 +24,7 @@ from revstack import (
 )
 from revstack.model import split_blocks
 
-from conftest import random_convex_game
+from conftest import quadratic_to_expr, random_convex_game
 
 
 def test_scalar_trilevel_optimum_is_exact(tri):

@@ -38,6 +38,16 @@ def test_every_name_the_benchmark_traces_is_callable(module, attr, span):
     assert callable(getattr(importlib.import_module(module), attr, None))
 
 
+@pytest.mark.parametrize("module, attr", [
+    (module, "gradient") for module in ("revstack", "revstack.equilibrium", "revstack.synthesis",
+                                        "revstack.geometry", "revstack.verify", "revstack.calculus")
+] + [(module, "reduce_problem") for module in ("revstack", "revstack.synthesis", "revstack.verify")])
+def test_every_module_the_benchmark_rebinds_holds_the_name(module, attr):
+    # the benchmark's tracer wraps these names module by module, and its own
+    # tests require each binding; a module that stops importing one breaks it
+    assert callable(vars(importlib.import_module(module)).get(attr))
+
+
 def test_importing_the_package_leaves_the_command_line_unloaded():
     # the benchmark's setup_s times `import revstack`; the CLI's parser is
     # built when revstack.cli is imported, so it must not be on that path

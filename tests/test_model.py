@@ -17,13 +17,13 @@ from revstack import (
     hessian,
     parse_formula,
     parse_problem,
-    quadratic_to_expr,
 )
 
 from revstack import formula, model
 from revstack.model import split_blocks
 
-from conftest import build_game, problem_text, random_convex_data, random_convex_game
+from conftest import (build_game, problem_text, quadratic_to_expr, random_convex_data,
+                      random_convex_game)
 
 
 def test_dims_basics():

@@ -17,7 +17,6 @@ from revstack import (
     gradient,
     instantiate,
     parse_problem,
-    quadratic_to_expr,
     reduce_problem,
     synthesize_cascade,
     synthesize_family_leader,
@@ -26,9 +25,9 @@ from revstack import (
     team_optimum_quadratic,
     verify_full,
 )
-from revstack.synthesis import _stage_family
+from revstack.synthesis import _look_ahead, _stage_family
 
-from conftest import outcome, random_convex_game
+from conftest import outcome, quadratic_to_expr, random_convex_game
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +419,84 @@ def test_a_failure_every_member_shares_is_called_a_proof(tri):
                                       "cannot influence this objective at the anchor")
     assert ("every member of stage 1's family gives this block, since level 3's gradient "
             "in u1 is parallel to level 2's" in str(info.value))
+
+
+def _least_squares_look_ahead(stage, d):
+    """The look-ahead gain on level 2 as least squares builds it: the
+    minimum-norm Q with [g_1 h]^T Q = [g_2^T; 0], g being level 2's
+    gradient and h level 3's gradient in u1."""
+    g = gradient(stage.objective(2), d)
+    h = gradient(stage.objective(3), d).block(1)
+    rhs = np.vstack([g.block(2)[None, :], np.zeros((1, g.block(2).size))])
+    return np.linalg.lstsq(np.column_stack([g.block(1), h]).T, rhs, rcond=None)[0]
+
+
+@pytest.mark.parametrize("seed, widths", [(51, (2, 1, 1)), (52, (3, 2, 1)),
+                                          (53, (4, 1, 2, 1)), (54, (4, 3, 2))])
+def test_look_ahead_parameters_name_the_least_norm_member_that_cancels_h(seed, widths):
+    stage = random_convex_game(seed, widths)
+    d = team_optimum_quadratic(stage).point
+    family = _stage_family(stage, d, 1)
+    assert family.null_basis.shape[1] == widths[0] - 1
+    params = _look_ahead(stage, family, ExistenceError("blocked", verdict=object(), level=2))
+    member = instantiate(family, params)
+    Q = member.coeffs[0]
+    reference = _least_squares_look_ahead(stage, d)
+    assert np.linalg.norm(Q - reference) <= 1e-12 * np.linalg.norm(reference)
+    h = gradient(stage.objective(3), d).block(1)
+    assert np.abs(h @ Q).max() <= 1e-12 * np.linalg.norm(h) * np.linalg.norm(Q)
+    # only T on level 2 is chosen; the member lies in the family under it
+    assert all(not T.any() for T in params[1:])
+    back, residual = family.membership(member)
+    assert residual <= 1e-12
+    for T, T_back in zip(params, back):
+        assert np.allclose(T_back, T, rtol=1e-12, atol=1e-12)
+    # scaling level 2 by 2^480 and level 3 by 2^520 leaves Q^0 and T bit for
+    # bit, though v^T v would then overflow
+    def scaled(J, e):
+        return QuadraticObjective(np.ldexp(J.H, e), np.ldexp(J.l, e), J.const, J.widths)
+
+    far = GameProblem(stage.dims, (stage.objective(1), scaled(stage.objective(2), 480),
+                                   scaled(stage.objective(3), 520)) + stage.objectives[3:])
+    far_family = _stage_family(far, d, 1)
+    assert all(np.array_equal(a, b) for a, b in zip(far_family.particular, family.particular))
+    again = _look_ahead(far, far_family, ExistenceError("blocked", verdict=object(), level=2))
+    assert all(np.array_equal(a, b) for a, b in zip(again, params))
+
+
+@pytest.mark.parametrize("widths, parallel", [((2, 1, 1), True), ((3, 2, 1), True),
+                                              ((1, 2, 1), False), ((1, 1, 2, 1), False)])
+def test_look_ahead_refuses_when_every_member_adds_the_same_term(widths, parallel):
+    # h parallel to g_1 (level 3 copies level 2's cost), or a one-wide top
+    # level, where every h is parallel to g_1
+    base = random_convex_game(55, widths)
+    stage = GameProblem(base.dims, base.objectives[:2]
+                        + (base.objective(2) if parallel else base.objective(3),)
+                        + base.objectives[3:])
+    d = team_optimum_quadratic(base).point
+    family = _stage_family(stage, d, 1)
+    verdict = object()
+    failure = ExistenceError("stage 2 (announcing level 2): blocked", verdict=verdict, level=2)
+    with pytest.raises(ExistenceError) as info:
+        _look_ahead(stage, family, failure)
+    assert str(info.value) == (
+        "stage 2 (announcing level 2): blocked; every member of stage 1's family gives this "
+        "block, since level 3's gradient in u1 is parallel to level 2's: no rule there "
+        "avoids it")
+    assert info.value.verdict is verdict and info.value.level == 2
+
+
+def test_cascade_announces_the_member_the_look_ahead_names():
+    path = pathlib.Path(__file__).parent / "data" / "lookahead_c2111k13.json"
+    problem = parse_problem(path.read_text())
+    d = team_optimum(problem).point
+    family = _stage_family(problem, d, 1)
+    with pytest.raises(ExistenceError) as info:
+        _stage_family(reduce_problem(problem, synthesize_single_leader(problem, d)), d.tail(2), 2)
+    member = instantiate(family, _look_ahead(problem, family, info.value))
+    chain = synthesize_cascade(problem, desired=d)
+    assert all(np.array_equal(a, b) for a, b in zip(chain[0].coeffs, member.coeffs))
+    assert np.array_equal(chain[0].anchor.concat(), member.anchor.concat())
 
 
 def test_cascade_annotates_existence_failures(tri):

@@ -29,7 +29,7 @@ from revstack import (
     team_optimum_quadratic,
     verify_full,
 )
-from revstack.model import ExprObjective, quadratic_to_expr, split_blocks
+from revstack.model import ExprObjective, split_blocks
 from revstack.verify import (
     ALGEBRAIC_TOL,
     ARGMIN_TOL,
@@ -40,7 +40,7 @@ from revstack.verify import (
 )
 
 import revstack.verify as verify_module
-from conftest import random_convex_game
+from conftest import quadratic_to_expr, random_convex_game
 
 
 def _chain(problem):
