@@ -4,7 +4,8 @@ The synthesis machinery rests on one geometric picture: at the desired
 equilibrium d, the gradient of a follower's cost defines a hyperplane that
 supports the follower's sublevel set.  A strategy exists when the gradient
 block belonging to the announcing player is nonzero — otherwise that player
-cannot steer the follower at all.  Strict convexity is certified from the
+cannot steer the follower at all; "nonzero" is judged against the scale the
+objective's own ``term_scale`` gives.  Strict convexity is certified from the
 Hessian; for nonconvex sublevel sets the support property is not certified
 here, and only the verifier's sampling of the follower cost on the
 strategy's graph (``verify.sublevel_inequality_check``) tests it.
@@ -19,14 +20,7 @@ import numpy as np
 
 from .calculus import gradient, strict_convexity_probe
 from .errors import DimensionError, ExistenceError
-from .model import (
-    DecisionPoint,
-    GameProblem,
-    Objective,
-    Polynomial,
-    QuadraticObjective,
-    split_blocks,
-)
+from .model import DecisionPoint, GameProblem
 
 __all__ = [
     "ExistenceVerdict",
@@ -34,7 +28,7 @@ __all__ = [
 ]
 
 # A gradient block counts as zero up to GRAD_TOL_FACTOR * (1 + the norm of
-# the absolute terms that sum to it); see _term_scale.
+# the absolute terms that sum to it); see QuadraticObjective.term_scale.
 GRAD_TOL_FACTOR = 1e-8
 
 
@@ -46,25 +40,6 @@ class ExistenceVerdict:
     gradient: DecisionPoint  # the second objective's gradient at the anchor
     reasons: Tuple[str, ...] = ()
     convexity: str = "not-certified"
-
-
-def _term_scale(obj: Objective, p: DecisionPoint, level: int) -> float:
-    """Norm of the absolute terms that sum to the gradient block of ``level`` at ``p``.
-
-    A gradient entry is a sum of terms that may cancel, and its rounding
-    error scales with their magnitudes, not with the other entries: for a
-    quadratic ``|H||p| + |l|``, for a polynomial each partial derivative
-    with absolute coefficients at ``|p|``.
-    """
-    with np.errstate(over="ignore"):  # an infinite scale counts every block as zero
-        if isinstance(obj, QuadraticObjective):
-            terms = np.abs(obj.H) @ np.abs(p.concat()) + np.abs(obj.l)
-            return float(np.linalg.norm(split_blocks(p.widths, terms)[level - 1]))
-        at = [np.abs(b) for b in p.blocks]
-        terms = [Polynomial(d.keys, d.rows, list(map(abs, d.coefs)))(at)
-                 for (lev, _), d in zip(obj.poly.keys, obj.poly.derivatives[0])
-                 if lev == level]
-        return float(np.linalg.norm(terms))
 
 
 def leader_existence_check(problem: GameProblem, d: DecisionPoint) -> ExistenceVerdict:
@@ -92,7 +67,8 @@ def leader_existence_check(problem: GameProblem, d: DecisionPoint) -> ExistenceV
     if not np.isfinite(block):
         raise ExistenceError("the announcing player's gradient block overflows its norm "
                              "at the anchor")
-    threshold = GRAD_TOL_FACTOR * (1.0 + _term_scale(obj, d, 1))
+    with np.errstate(over="ignore"):  # an infinite scale counts every block as zero
+        threshold = GRAD_TOL_FACTOR * (1.0 + obj.term_scale(d, 1))
     convexity = strict_convexity_probe(obj, d)
     reasons = []
     if block <= threshold:

@@ -12,11 +12,14 @@ in two flavours:
   :class:`Polynomial` it expands to (int exponent rows, float
   coefficients), which evaluates, differentiates and substitutes it.
 
-Evaluation works on single decision points and, for the brute-force checks
-elsewhere in the package, on stacked batches of points.  A
-:class:`GameProblem` refuses an objective or constraint block that does not
-fit its hierarchy when it is built, so code that takes a game need not
-check its shape again.
+Each cost type owns its algebra, and no other module branches on the type
+to do it: ``values`` at stacked points, ``gradient`` and ``hessian`` at a
+point (for ``calculus``), ``term_scale`` for ``geometry``'s tolerance, and
+``substitute_top`` for ``synthesis.reduce_problem``.  Evaluation works on
+single decision points and, for the brute-force checks elsewhere in the
+package, on stacked batches of points.  A :class:`GameProblem` refuses an
+objective or constraint block that does not fit its hierarchy when it is
+built, so code that takes a game need not check its shape again.
 """
 
 from __future__ import annotations
@@ -399,6 +402,85 @@ class QuadraticObjective:
                                      % (lev, vec.size, w))
         return cls(np.array(H), np.concatenate(lin), const, dims.m)
 
+    def check_dims(self, dims: Dims, level: int) -> None:
+        """Raise DimensionError unless the block widths are ``dims``'s."""
+        if self.widths != dims.m:
+            raise DimensionError("objective %d has block widths %s, expected %s"
+                                 % (level, self.widths, dims.m))
+
+    def values(self, blocks: Sequence[np.ndarray]):
+        """``x'Hx/2 + l'x + const`` at stacked points, coordinate by coordinate.
+
+        From ``const + 0.0``, adds ``x_i * (H_ii/2 * x_i + sum_{j>i} H_ij * x_j
+        + l_i)`` for each concatenated coordinate i in turn, every sum left to
+        right by elementwise numpy operations on coordinate columns, into three
+        buffers of the batch's shape.  A point's value is thus one fixed sequence
+        of IEEE operations whatever its batch, position, memory layout or BLAS
+        build; a zero value is +0.0.  One point (every block 1-D) runs that
+        sequence in Python floats, which round alike, and gives a float.
+        """
+        widths = tuple(b.shape[-1] for b in blocks)
+        if widths != self.widths:
+            raise DimensionError("blocks of widths %s for an objective over widths %s"
+                                 % (widths, self.widths))
+        H, l = self.H.tolist(), self.l.tolist()
+        if all(b.ndim == 1 for b in blocks):
+            x = [v for b in blocks for v in np.asarray(b, dtype=float).tolist()]
+            value = self.const + 0.0
+            for i, xi in enumerate(x):
+                inner = H[i][i] / 2 * xi
+                for j in range(i + 1, len(x)):
+                    inner += H[i][j] * x[j]
+                inner += l[i]
+                value += xi * inner
+            return value
+        x = [b[..., k] for b in blocks for k in range(b.shape[-1])]
+        shapes = {c.shape for c in x}
+        shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+        total, inner, term = np.full(shape, self.const + 0.0), np.empty(shape), np.empty(shape)
+        for i, xi in enumerate(x):
+            np.multiply(H[i][i] / 2, xi, out=inner)
+            for j in range(i + 1, len(x)):
+                inner += np.multiply(H[i][j], x[j], out=term)
+            inner += l[i]
+            total += np.multiply(xi, inner, out=inner)
+        return total
+
+    def gradient(self, p: DecisionPoint) -> DecisionPoint:
+        """``H x + l`` at ``p``, split into level blocks."""
+        if self.widths != p.widths:
+            raise DimensionError(
+                "objective has block widths %s, point has %s" % (self.widths, p.widths))
+        return DecisionPoint.from_concat(p.widths, self.H @ p.concat() + self.l)
+
+    def hessian(self, p: DecisionPoint) -> np.ndarray:
+        """The stored, read-only ``H``, whatever the point."""
+        return self.H
+
+    def term_scale(self, p: DecisionPoint, level: int) -> float:
+        """Norm of the absolute terms that sum to the gradient block of ``level`` at ``p``.
+
+        A gradient entry is a sum of terms that may cancel, and its rounding
+        error scales with their magnitudes, not with the other entries: for a
+        quadratic ``|H||p| + |l|``, for a polynomial each partial derivative
+        with absolute coefficients at ``|p|``.
+        """
+        terms = np.abs(self.H) @ np.abs(p.concat()) + np.abs(self.l)
+        return float(np.linalg.norm(split_blocks(p.widths, terms)[level - 1]))
+
+    def substitute_top(self, offset: np.ndarray, C: Sequence[np.ndarray]):
+        """The cost over the lower blocks z once the top rule ``offset + sum_j C[j] z_j``
+        is put in: for x = q + P z, Hessian P'HP, linear part P'(Hq + l) and
+        constant J(q).  An overflow is refused by the constructor with RevstackError.
+        """
+        lower = self.widths[1:]
+        P = np.vstack([np.hstack(C), np.eye(sum(lower))])
+        q = np.concatenate([offset, np.zeros(sum(lower))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            Hq = self.H @ q
+            return QuadraticObjective(P.T @ self.H @ P, P.T @ (Hq + self.l),
+                                      0.5 * (q @ Hq) + self.l @ q + self.const, lower)
+
 
 class ExprObjective:
     """Cost given by a formula, held as the polynomial ``poly`` it expands to.
@@ -412,56 +494,55 @@ class ExprObjective:
             raise TypeError("ExprObjective wants a Polynomial, got %r" % (poly,))
         self.poly = poly
 
+    def check_dims(self, dims: Dims, level: int) -> None:
+        """Raise DimensionError for a variable outside ``dims``."""
+        for lev, idx in self.poly.keys:
+            if not (1 <= lev <= dims.levels and 1 <= idx <= dims.m[lev - 1]):
+                raise DimensionError("objective %d: variable u%d_%d is outside "
+                                     "the hierarchy %s" % (level, lev, idx, dims.m))
+
+    def values(self, blocks: Sequence[np.ndarray]):
+        """The polynomial at stacked points."""
+        return self.poly(blocks)
+
+    def gradient(self, p: DecisionPoint) -> DecisionPoint:
+        """Every first partial at ``p``, split into level blocks."""
+        g = [np.zeros(b.size) for b in p.blocks]
+        for (level, index), d in zip(self.poly.keys, self.poly.derivatives[0]):
+            # evaluated first: a key outside p raises DimensionError
+            g[level - 1][index - 1] = d(p.blocks)
+        return DecisionPoint(tuple(g))
+
+    def hessian(self, p: DecisionPoint) -> np.ndarray:
+        """Every second partial at ``p``, over the concatenated decision."""
+        keys, (_, second) = self.poly.keys, self.poly.derivatives
+        values = {ab: d(p.blocks) for ab, d in second.items()}
+        coords = [(lev, i + 1) for lev, b in enumerate(p.blocks, start=1) for i in range(b.size)]
+        at = {key: k for k, key in enumerate(coords)}
+        H = np.zeros((len(at), len(at)))
+        for (a, b), value in values.items():
+            H[at[keys[a]], at[keys[b]]] = H[at[keys[b]], at[keys[a]]] = value
+        return H
+
+    def term_scale(self, p: DecisionPoint, level: int) -> float:
+        """As :meth:`QuadraticObjective.term_scale`, from the partials' absolute terms."""
+        at = [np.abs(b) for b in p.blocks]
+        terms = [Polynomial(d.keys, d.rows, list(map(abs, d.coefs)))(at)
+                 for (lev, _), d in zip(self.poly.keys, self.poly.derivatives[0])
+                 if lev == level]
+        return float(np.linalg.norm(terms))
+
+    def substitute_top(self, offset: np.ndarray, C: Sequence[np.ndarray]):
+        """As :meth:`QuadraticObjective.substitute_top`, into the polynomial."""
+        return ExprObjective(self.poly.substitute_top(offset, C))
+
 
 Objective = Union[QuadraticObjective, ExprObjective]
 
 
-def _eval_quadratic(obj: QuadraticObjective, blocks: Sequence[np.ndarray]):
-    """``x'Hx/2 + l'x + const`` at stacked points, coordinate by coordinate.
-
-    From ``const + 0.0``, adds ``x_i * (H_ii/2 * x_i + sum_{j>i} H_ij * x_j
-    + l_i)`` for each concatenated coordinate i in turn, every sum left to
-    right by elementwise numpy operations on coordinate columns, into three
-    buffers of the batch's shape.  A point's value is thus one fixed sequence
-    of IEEE operations whatever its batch, position, memory layout or BLAS
-    build; a zero value is +0.0.  One point (every block 1-D) runs that
-    sequence in Python floats, which round alike, and gives a float.
-    """
-    widths = tuple(b.shape[-1] for b in blocks)
-    if widths != obj.widths:
-        raise DimensionError("blocks of widths %s for an objective over widths %s"
-                             % (widths, obj.widths))
-    H, l = obj.H.tolist(), obj.l.tolist()
-    if all(b.ndim == 1 for b in blocks):
-        x = [v for b in blocks for v in np.asarray(b, dtype=float).tolist()]
-        value = obj.const + 0.0
-        for i, xi in enumerate(x):
-            inner = H[i][i] / 2 * xi
-            for j in range(i + 1, len(x)):
-                inner += H[i][j] * x[j]
-            inner += l[i]
-            value += xi * inner
-        return value
-    x = [b[..., k] for b in blocks for k in range(b.shape[-1])]
-    shapes = {c.shape for c in x}
-    shape = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
-    total, inner, term = np.full(shape, obj.const + 0.0), np.empty(shape), np.empty(shape)
-    for i, xi in enumerate(x):
-        np.multiply(H[i][i] / 2, xi, out=inner)
-        for j in range(i + 1, len(x)):
-            inner += np.multiply(H[i][j], x[j], out=term)
-        inner += l[i]
-        total += np.multiply(xi, inner, out=inner)
-    return total
-
-
 def evaluate_many(obj: Objective, blocks: Sequence[np.ndarray]):
     """Evaluate at stacked points: each block shaped ``(..., m_level)``."""
-    if isinstance(obj, QuadraticObjective):
-        return _eval_quadratic(obj, blocks)
-    if isinstance(obj, ExprObjective):
-        return obj.poly(blocks)
-    raise TypeError("not an objective: %r" % (obj,))
+    return obj.values(blocks)
 
 
 def evaluate(obj: Objective, point: DecisionPoint) -> float:
@@ -527,17 +608,9 @@ class GameProblem:
                 "%d objectives for %d levels" % (len(self.objectives), dims.levels)
             )
         for i, obj in enumerate(self.objectives, start=1):
-            if isinstance(obj, QuadraticObjective):
-                if obj.widths != dims.m:
-                    raise DimensionError("objective %d has block widths %s, expected %s"
-                                         % (i, obj.widths, dims.m))
-            elif isinstance(obj, ExprObjective):
-                for lev, idx in obj.poly.keys:
-                    if not (1 <= lev <= dims.levels and 1 <= idx <= dims.m[lev - 1]):
-                        raise DimensionError("objective %d: variable u%d_%d is outside "
-                                             "the hierarchy %s" % (i, lev, idx, dims.m))
-            else:
+            if not isinstance(obj, (QuadraticObjective, ExprObjective)):
                 raise TypeError("not an objective: %r" % (obj,))
+            obj.check_dims(dims, i)
         cons = self.constraints
         if cons is not None:
             shapes = tuple(mat.shape for mat in cons.A)

@@ -13,7 +13,8 @@ and the full solution set is the rank-one particular solution plus an
 orthonormal null-space basis N of the leading gradient block times free
 parameter matrices T (Q = Q^0 + N T).  ``_stage_family`` builds that family
 for cascade stage s, on the game left once the rules above level s are
-substituted (each substitution drops one level).  Each stage announces a
+substituted (each substitution drops one level, and each objective puts the
+rule in itself: ``substitute_top`` in ``model``).  Each stage announces a
 member of its family: the particular member itself, or the one named by
 the T that ``_look_ahead`` picks when the particular member would leave
 the next stage's announcing player without influence while another member
@@ -32,13 +33,7 @@ import numpy as np
 from .calculus import gradient
 from .errors import DimensionError, ExistenceError, RevstackError, stage_errors
 from .geometry import leader_existence_check
-from .model import (
-    DecisionPoint,
-    ExprObjective,
-    GameProblem,
-    LinearConstraints,
-    QuadraticObjective,
-)
+from .model import DecisionPoint, GameProblem, LinearConstraints
 
 __all__ = [
     "AffineStrategy",
@@ -301,27 +296,15 @@ def instantiate(family: StrategyFamily,
 # reduction and the cascade
 # ---------------------------------------------------------------------------
 
-def _substitute_quadratic(obj: QuadraticObjective, q: np.ndarray, P: np.ndarray,
-                          widths: Sequence[int]) -> QuadraticObjective:
-    """Congruence for x = q + P z: Hessian P'HP, linear P'(Hq + l), constant J(q).
-
-    An overflow is refused by the constructor with RevstackError.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        Hq = obj.H @ q
-        return QuadraticObjective(P.T @ obj.H @ P, P.T @ (Hq + obj.l),
-                                  0.5 * (q @ Hq) + obj.l @ q + obj.const, widths)
-
-
 def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProblem:
     """Substitute the top strategy and drop the top level.
 
     The strategy is the rule of the problem's top player, whatever absolute
     level it is labelled with (a cascade stage's game is the original game
     below that level); it must map every lower level of this problem.
-    Quadratic objectives stay quadratic (one congruence of H);
-    expression objectives substitute the rule into their polynomial and
-    merge monomials; constraint rows absorb the substitution as well.  The
+    Each lower objective substitutes the rule itself (``substitute_top`` in
+    ``model``: a quadratic by one congruence of H, an expression into its
+    polynomial); constraint rows absorb the substitution as well.  The
     result has n-1 levels with level indices shifted down by one.  A
     substituted coefficient that overflows is refused with RevstackError.
     """
@@ -333,16 +316,7 @@ def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProble
             % (strategy.anchor.widths, problem.dims.m)
         )
     offset, C = strategy.as_affine()
-    new_dims = problem.dims.drop_top()
-    # the full decision is q + P z over the lower blocks z
-    P = np.vstack([np.hstack(C), np.eye(new_dims.total)])
-    q = np.concatenate([offset, np.zeros(new_dims.total)])
-    new_objectives = []
-    for obj in problem.objectives[1:]:
-        if isinstance(obj, QuadraticObjective):
-            new_objectives.append(_substitute_quadratic(obj, q, P, new_dims.m))
-        else:
-            new_objectives.append(ExprObjective(obj.poly.substitute_top(offset, C)))
+    new_objectives = tuple(obj.substitute_top(offset, C) for obj in problem.objectives[1:])
     new_cons = None
     cons = problem.constraints
     if cons is not None:
@@ -352,7 +326,7 @@ def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProble
                 cons.A[m - 1] + A_top @ C[m - 2] for m in range(2, problem.levels + 1)
             )
             new_cons = LinearConstraints(new_A, cons.b - A_top @ offset)
-    return GameProblem(new_dims, tuple(new_objectives), new_cons)
+    return GameProblem(problem.dims.drop_top(), new_objectives, new_cons)
 
 
 def _look_ahead(stage: GameProblem, family: StrategyFamily,
@@ -373,15 +347,15 @@ def _look_ahead(stage: GameProblem, family: StrategyFamily,
         h = gradient(stage.objective(3), d).block(1)
     if not np.isfinite(h).all():
         raise failure
+    # neither the rank test nor T changes when g1 or h is scaled; a power of
+    # two scales exactly and keeps v^T v inside the double range
+    g1, h = (np.ldexp(x, -np.frexp(np.abs(x).max())[1]) for x in (g1, h))
     if np.linalg.matrix_rank(np.column_stack([g1, h])) < 2:
         raise ExistenceError(
             "%s; every member of stage %d's family gives this block, since level %d's "
             "gradient in u%d is parallel to level %d's: no rule there avoids it"
             % (failure, s, s + 2, s, s + 1),
             verdict=failure.verdict, level=failure.level)
-    # T does not change when h is scaled; a power of two scales exactly and
-    # keeps v^T v inside the double range
-    h = np.ldexp(h, -np.frexp(np.abs(h).max())[1])
     v = family.null_basis.T @ h
     params = [np.zeros(shape) for shape in family.param_shapes]
     with np.errstate(over="ignore", invalid="ignore"):  # reduce_problem refuses the member

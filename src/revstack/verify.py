@@ -157,7 +157,7 @@ def _slab_bounds(problem: GameProblem, announced: Sequence[AffineStrategy], leve
     the substitution and the evaluation meet on the window (absolute values
     of the rules and the cost at the largest grid coordinates).  A grid value
     adds ``const`` and x_i * s_i, i = 1..N, left to right, each s_i a
-    left-to-right sum of N - i + 2 terms (``model._eval_quadratic``), so each
+    left-to-right sum of N - i + 2 terms (``QuadraticObjective.values``), so each
     monomial meets at most 2N + 3 roundings; as their absolute values add up
     to at most M, the value is within gamma_(2N+3) M <= 2 (N + 2) units of
     roundoff (2^-53) of M.  The map and the composition round within
@@ -296,7 +296,7 @@ def oracle_best_response(problem: GameProblem,
     # Column-major, each free block is contiguous for the strategies'
     # arithmetic (a row-strided view took half the D=4 oracle's time), and a
     # quadratic cost reads each coordinate as one contiguous column
-    # (model._eval_quadratic).  A grid of three or more coordinates that
+    # (QuadraticObjective.values).  A grid of three or more coordinates that
     # fits one chunk is walked as `points` slabs along its first axis, in
     # increasing order of their lower bounds, stopping at the first bound
     # above the best value found; without bounds every slab is walked in order.
@@ -422,7 +422,7 @@ def sublevel_inequality_check(objective: Objective, anchor: DecisionPoint,
     base = np.concatenate(lower_anchor)
     rng = np.random.default_rng(seed)
     # column-major, so that each coordinate is one contiguous column for the
-    # rule and the cost (model._eval_quadratic)
+    # rule and the cost (QuadraticObjective.values)
     pts = np.add(base, rng.uniform(-SAMPLE_RADIUS, SAMPLE_RADIUS, (count, base.size)),
                  order="F")
     pts[0] = base

@@ -17,6 +17,8 @@ from revstack import (
     hessian,
     parse_formula,
     parse_problem,
+    synthesize_cascade,
+    team_optimum_quadratic,
 )
 
 from revstack import formula, model
@@ -84,6 +86,33 @@ def test_expr_and_quadratic_forms_agree(tri, tri_expr):
         for lev in (1, 2, 3):
             assert evaluate(tri.objective(lev), p) == pytest.approx(
                 evaluate(tri_expr.objective(lev), p), rel=1e-12, abs=1e-12)
+
+
+TWIN_GAME = random_convex_game(61, (2, 2, 1))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_a_quadratic_and_its_formula_twin_answer_every_method_alike(level):
+    # each cost type owns its algebra; both must give the same cost
+    quad = TWIN_GAME.objective(level)
+    twin = quadratic_to_expr(quad)
+    rng = np.random.default_rng(level)
+
+    def close(a, b):
+        return np.linalg.norm(np.subtract(a, b)) <= 1e-12 * np.linalg.norm(a)
+
+    blocks = [rng.uniform(-3, 3, (40, w)) for w in quad.widths]
+    assert close(quad.values(blocks), twin.values(blocks))
+    p = DecisionPoint.from_concat(quad.widths, rng.uniform(-3, 3, sum(quad.widths)))
+    assert close(quad.gradient(p).concat(), twin.gradient(p).concat())
+    assert close(quad.hessian(p), twin.hessian(p))
+    assert close(quad.term_scale(p, 1), twin.term_scale(p, 1))
+    # the same rule, put in by a congruence and into the polynomial
+    rule = synthesize_cascade(TWIN_GAME, team_optimum_quadratic(TWIN_GAME).point)[0]
+    offset, C = rule.as_affine()
+    lower = [rng.uniform(-3, 3, (40, w)) for w in quad.widths[1:]]
+    assert close(quad.substitute_top(offset, C).values(lower),
+                 twin.substitute_top(offset, C).values(lower))
 
 
 def test_batched_evaluation_matches_pointwise(tri):

@@ -583,3 +583,21 @@ def test_formula_widths_and_options_end_in_a_documented_exit(tmp_path_factory, c
         assert code in (0, 2, 3, 4), (argv, code, err)
         if code in (2, 4):
             assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_a_quartic_follower_over_four_coordinates_ends_in_a_documented_exit(tmp_path):
+    # level 2's subtree has four coordinates, so at the default grid the
+    # oracle walks its degree-4 polynomial over 41^4 nodes in 41 chunks
+    doc = _game((1, 2, 2), [[1, 0, -1, 2, 0], [0, 1, 1, -1, 0], [-1, 0, 2, 0, 1]],
+                [None, " + (u2_1 - u3_1)^4 + (u2_2 + u3_2)^4", None])
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, err = _run_main(["solve", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 2, 3), (code, err)
+    assert code != 2 or (err.startswith("error: ") and err.count("\n") == 1), err
+    assert peak < RUN_PEAK_BYTES, peak

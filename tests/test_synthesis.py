@@ -462,6 +462,12 @@ def test_look_ahead_parameters_name_the_least_norm_member_that_cancels_h(seed, w
     assert all(np.array_equal(a, b) for a, b in zip(far_family.particular, family.particular))
     again = _look_ahead(far, far_family, ExistenceError("blocked", verdict=object(), level=2))
     assert all(np.array_equal(a, b) for a, b in zip(again, params))
+    # level 3 alone by 2^600: h keeps its direction, so T keeps its bits and
+    # h is not taken for parallel to g_1
+    steep = GameProblem(stage.dims, stage.objectives[:2] + (scaled(stage.objective(3), 600),)
+                        + stage.objectives[3:])
+    again = _look_ahead(steep, family, ExistenceError("blocked", verdict=object(), level=2))
+    assert all(np.array_equal(a, b) for a, b in zip(again, params))
 
 
 @pytest.mark.parametrize("widths, parallel", [((2, 1, 1), True), ((3, 2, 1), True),

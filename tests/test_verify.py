@@ -607,6 +607,20 @@ def test_verifier_imports_only_the_strategy_type_and_the_reduction_from_synthesi
     assert imported <= {"AffineStrategy", "reduce_problem"}
 
 
+def test_calculus_geometry_and_synthesis_name_no_concrete_cost_type():
+    # each cost type answers its own algebra in model; these modules ask the
+    # objective and never branch on which type it is
+    import revstack.calculus
+    import revstack.geometry
+    import revstack.synthesis
+    for module in (revstack.calculus, revstack.geometry, revstack.synthesis):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text())
+        named = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not named & {"QuadraticObjective", "ExprObjective", "Polynomial"}, module
+
+
 def test_synthesis_and_the_verifier_take_the_desired_point_from_their_caller():
     # neither computes the team optimum itself, and feasibility needs only
     # the strategy type
