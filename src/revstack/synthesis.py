@@ -70,6 +70,8 @@ class AffineStrategy:
             )
         m_own = self.anchor.blocks[0].size
         for Q, dj in zip(coeffs, self.anchor.blocks[1:]):
+            if dj.size == 0:  # a level has at least one coordinate (Dims)
+                raise DimensionError("every lower block must have a coordinate")
             if Q.shape != (m_own, dj.size):
                 raise DimensionError(
                     "deviation gain has shape %s, expected (%d, %d)"
@@ -92,22 +94,50 @@ class AffineStrategy:
             raise DimensionError(
                 "expected %d lower blocks, got %d" % (len(self.coeffs), len(blocks))
             )
+        if tuple(b.shape for b in blocks) != tuple(d.shape for d in self.anchor.blocks[1:]):
+            raise DimensionError("lower blocks of shapes %s, expected widths %s"
+                                 % ([b.shape for b in blocks], self.lower_anchor.widths))
         return blocks
 
     def __call__(self, lower) -> np.ndarray:
-        """Announced own block for the given lower-level blocks."""
-        blocks = self._lower_blocks(lower)
-        out = self.own_anchor.copy()
-        for Q, xj, dj in zip(self.coeffs, blocks, self.anchor.blocks[1:]):
-            out -= Q @ (xj - dj)
-        return out
+        """Announced own block for the given lower-level blocks.
+
+        The sequence of :meth:`batch`, run in Python floats, which round
+        alike: the result equals that point's row of any batch, bit for bit.
+        """
+        blocks = [b.tolist() for b in self._lower_blocks(lower)]
+        out = self.own_anchor.tolist()
+        for r in range(len(out)):
+            for Q, xj, dj in zip(self.coeffs, blocks, self.anchor.blocks[1:]):
+                terms = [(x - d) * q for x, d, q in zip(xj, dj.tolist(), Q[r].tolist())]
+                total = terms[0]
+                for term in terms[1:]:
+                    total += term
+                out[r] -= total
+        return np.array(out)
 
     def batch(self, lower: Sequence[np.ndarray]) -> np.ndarray:
-        """Vectorized evaluation: lower blocks shaped (P, m_j) -> (P, m_own)."""
-        out = np.empty((lower[0].shape[0], self.own_anchor.size))
-        out[...] = self.own_anchor
-        for Q, xj, dj in zip(self.coeffs, lower, self.anchor.blocks[1:]):
-            out -= (xj - dj) @ Q.T
+        """Vectorized evaluation: lower blocks shaped (P, m_j) -> (P, m_own).
+
+        Own coordinate r starts from its anchor, and for each lower block in
+        turn subtracts the left-to-right sum over that block's coordinates k
+        of ``(x_k - d_k) * Q[r, k]``, by elementwise numpy operations on
+        coordinate columns.  A point's value is thus one fixed sequence of
+        IEEE operations whatever its batch, position or BLAS build.  The
+        result is column-major, each own coordinate one contiguous column.
+        """
+        P = lower[0].shape[0]
+        out = np.empty((P, self.own_anchor.size), order="F")
+        total, term = np.empty(P), np.empty(P)
+        for r, a in enumerate(self.own_anchor.tolist()):
+            out[:, r] = a
+            for Q, xj, dj in zip(self.coeffs, lower, self.anchor.blocks[1:]):
+                for k, (d, q) in enumerate(zip(dj.tolist(), Q[r].tolist())):
+                    buf = term if k else total
+                    np.multiply(np.subtract(xj[:, k], d, out=buf), q, out=buf)
+                    if k:
+                        total += term
+                out[:, r] -= total
         return out
 
     def as_affine(self) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:

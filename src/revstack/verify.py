@@ -1,7 +1,7 @@
 """Verification of announced strategies.
 
 Best responses are found by brute force (a dense grid, walked in bounded
-chunks, plus shrinking-step coordinate descent) on the objectives with the
+windows, plus shrinking-step coordinate descent) on the objectives with the
 announced strategies substituted here, independently of synthesis.
 Hyperplane membership and sublevel one-sidedness are checked by seeded
 sampling, and realization is evaluated directly; for levels 2 and below
@@ -50,9 +50,16 @@ ALGEBRAIC_TOL = 1e-9   # scale-normalized residuals (realization, membership)
 # walks on a four-coordinate level; larger grids are refused, not walked, as
 # the walk's time grows with the node count.
 MAX_GRID_NODES = 41 ** 4
-# The grid is evaluated in chunks of at most this many nodes (or one axis, when
-# a single axis is longer), so the oracle's memory does not grow with points^D.
+# A grid of at most this many nodes, or of one axis, is one chunk: walked as
+# one batch, or with three or more coordinates as bounded first-axis slabs.
 GRID_CHUNK_NODES = 41 ** 3
+# A larger grid is walked in windows of at most this many nodes (whole slabs
+# of its longest run of trailing axes that fits), so the oracle's memory does
+# not grow with points^D.  On a four-coordinate level, 12 slabs of 41^2 nodes:
+# its coordinates, substituted blocks, the kernel's buffers and the values,
+# about nine columns of 161 KB or 1.4 MB, stay inside a 2 MiB per-core L2
+# cache, where the 68,921-node chunk streamed about 5 MB through it.
+GRID_WINDOW_NODES = 12 * 41 ** 2
 # Refinement halves every step after a sweep without improvement and stops
 # after REFINE_ITERS sweeps or once all steps are below the floor.
 REFINE_ITERS = 60
@@ -160,8 +167,11 @@ def _slab_bounds(problem: GameProblem, announced: Sequence[AffineStrategy], leve
     left-to-right sum of N - i + 2 terms (``QuadraticObjective.values``), so each
     monomial meets at most 2N + 3 roundings; as their absolute values add up
     to at most M, the value is within gamma_(2N+3) M <= 2 (N + 2) units of
-    roundoff (2^-53) of M.  The map and the composition round within
-    16 (N + D + 2)^3 units of M each, and ``tol`` is 512 times that.  Returns
+    roundoff (2^-53) of M.  A rule coordinate subtracts from its anchor, block
+    by block, left-to-right sums of (x_k - d_k) Q_rk (``AffineStrategy.batch``),
+    so each term meets at most N + 2 roundings per rule, as in any order of
+    those sums; the map and the composition round within 16 (N + D + 2)^3
+    units of M each, and ``tol`` is 512 times that.  Returns
     None, so that nothing is skipped, for an expression cost, a trailing block
     that is not positive definite by more than the eigensolver's error, or an
     M that is not safely finite (every grid value is finite when M is, so no
@@ -230,14 +240,18 @@ def oracle_best_response(problem: GameProblem,
     Substitutes the announced upper strategies, then minimizes that player's
     cost over all free blocks (its own and everything below) on a dense
     grid centred on ``anchor``, refined by shrinking-step coordinate
-    descent.  The grid is walked in chunks of at most ``GRID_CHUNK_NODES``
-    nodes in node-index order, so memory does not grow with ``points^D``.
-    A grid of D >= 3 coordinates that fits one chunk is walked as
-    ``points`` slabs along its first axis instead: for a quadratic cost in
+    descent.  A grid of at most ``GRID_CHUNK_NODES`` nodes, or of one axis,
+    is one chunk: with D <= 2 coordinates one batch; with D >= 3 it is
+    walked as ``points`` slabs along its first axis, for a quadratic cost in
     increasing order of :func:`_slab_bounds`, skipping every slab whose
-    bound is above the best value found, otherwise in node order.  The grid
-    values, and so the best node, are bitwise those of one batch.  Grid ties
-    go to the lexicographically smallest node index.  Refinement is compass search:
+    bound is above the best value found, otherwise in node order.  A larger
+    grid is walked in node-index order in windows of at most
+    ``GRID_WINDOW_NODES`` nodes, each a run of whole slabs over the longest
+    run of trailing axes that fits one window, so memory does not grow with
+    ``points^D``.  A rule and a cost give each point one fixed sequence of
+    IEEE operations, so the grid values, and so the best node, are bitwise
+    those of one batch.  Grid ties go to the lexicographically smallest
+    node index.  Refinement is compass search:
     each sweep tries +step, then -step, coordinate by coordinate, moving to
     the first trial that improves; a sweep without a move halves the steps.
     Each batch holds every trial that search would still make if nothing
@@ -292,31 +306,43 @@ def oracle_best_response(problem: GameProblem,
     if not np.isfinite(axes).all():
         raise RevstackError(past_range)
 
-    # the trailing r axes form one reusable chunk; the leading ones are walked.
-    # Column-major, each free block is contiguous for the strategies'
-    # arithmetic (a row-strided view took half the D=4 oracle's time), and a
-    # quadratic cost reads each coordinate as one contiguous column
-    # (QuadraticObjective.values).  A grid of three or more coordinates that
-    # fits one chunk is walked as `points` slabs along its first axis, in
-    # increasing order of their lower bounds, stopping at the first bound
-    # above the best value found; without bounds every slab is walked in order.
-    r = 1
-    while r < D and grid.points ** (r + 1) <= GRID_CHUNK_NODES:
-        r += 1
-    one_chunk = r == D
-    bounds = None
-    if one_chunk and D >= 3:
-        r = D - 1
+    # The grid is walked in windows of `per_window` whole slabs, a slab being
+    # its trailing t axes, in one reusable buffer: the trailing columns are
+    # filled once, the leading ones per window.  Column-major, each free
+    # block is contiguous for the strategies' arithmetic (a row-strided view
+    # took half the D=4 oracle's time), and a quadratic cost reads each
+    # coordinate as one contiguous column (QuadraticObjective.values).  A
+    # one-chunk grid is one window, or with three or more coordinates
+    # `points` windows of one first-axis slab, walked in increasing order of
+    # their lower bounds and stopping at the first bound above the best value
+    # found; without bounds every window is walked in order.
+    one_chunk = D == 1 or grid.points ** D <= GRID_CHUNK_NODES
+    t, per_window, bounds = D, 1, None
+    if not one_chunk:
+        t = 0
+        while grid.points ** (t + 1) <= GRID_WINDOW_NODES:
+            t += 1
+        per_window = GRID_WINDOW_NODES // grid.points ** t
+    elif D >= 3:
+        t = D - 1
         bounds = _slab_bounds(problem, announced, level, center, axes)
-    lead = D - r
-    chunk = np.empty((grid.points ** r, D), order="F")
+    lead, slab = D - t, grid.points ** t
+    slabs = grid.points ** lead
+    windows = -(-slabs // per_window)
+    window = np.empty((per_window * slab, D), order="F")
     for j in range(lead, D):  # node-index order: the last axis varies fastest
-        chunk[:, j].reshape((grid.points,) * r)[...] = axes[j].reshape((-1,) + (1,) * (D - 1 - j))
+        window[:, j].reshape((per_window,) + (grid.points,) * t)[...] = \
+            axes[j].reshape((-1,) + (1,) * (D - 1 - j))
 
-    def fill(buf: np.ndarray, s: int) -> np.ndarray:
-        for j, k in enumerate(np.unravel_index(s, (grid.points,) * lead)):
-            buf[:, j] = axes[j][k]
-        return buf
+    def fill(buf: np.ndarray, w: int) -> np.ndarray:
+        """The rows of window ``w``, slabs ``w * per_window`` on (fewer in the last)."""
+        first = w * per_window
+        count = min(per_window, slabs - first)
+        X, index = buf[:count * slab], np.arange(first, first + count)
+        for j in range(lead):
+            X[:, j].reshape(count, slab)[...] = \
+                axes[j][index // grid.points ** (lead - 1 - j) % grid.points, None]
+        return X
 
     @functools.cache
     def grid_leaves_range() -> bool:
@@ -324,21 +350,22 @@ def oracle_best_response(problem: GameProblem,
         # double range when any node's substituted blocks are
         if not one_chunk:
             return False
-        spare = chunk.copy()
+        spare = window.copy()
         with np.errstate(over="ignore", invalid="ignore"):  # refused by the caller
-            return not all(np.isfinite(b).all() for s in range(grid.points ** lead)
-                           for b in substituted(fill(spare, s)))
+            return not all(np.isfinite(b).all() for w in range(windows)
+                           for b in substituted(fill(spare, w)))
 
     if bounds is None:
-        bounds = np.full(grid.points ** lead, -np.inf)
+        bounds = np.full(windows, -np.inf)
     x0, fx, best = None, np.inf, 0
-    for s in np.argsort(bounds, kind="stable"):
-        if bounds[s] > fx:
+    for w in np.argsort(bounds, kind="stable"):
+        if bounds[w] > fx:
             break  # so is every bound after it: no node there beats or ties fx
-        values = values_at(fill(chunk, s), grid_leaves_range)
-        k = int(np.argmin(values))
-        if x0 is None or values[k] < fx or (values[k] == fx and s < best):
-            x0, fx, best = chunk[k].copy(), float(values[k]), s
+        X = fill(window, w)
+        values = values_at(X, grid_leaves_range)
+        i = int(np.argmin(values))
+        if x0 is None or values[i] < fx or (values[i] == fx and w < best):
+            x0, fx, best = X[i].copy(), float(values[i]), w
     evaluations = grid.points ** D
 
     # one step size per coordinate, starting at the grid spacing; the search

@@ -587,7 +587,7 @@ def test_formula_widths_and_options_end_in_a_documented_exit(tmp_path_factory, c
 
 def test_a_quartic_follower_over_four_coordinates_ends_in_a_documented_exit(tmp_path):
     # level 2's subtree has four coordinates, so at the default grid the
-    # oracle walks its degree-4 polynomial over 41^4 nodes in 41 chunks
+    # oracle walks its degree-4 polynomial over 41^4 nodes in 141 windows
     doc = _game((1, 2, 2), [[1, 0, -1, 2, 0], [0, 1, 1, -1, 0], [-1, 0, 2, 0, 1]],
                 [None, " + (u2_1 - u3_1)^4 + (u2_2 + u3_2)^4", None])
     path = tmp_path / "game.json"

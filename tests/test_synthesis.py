@@ -527,6 +527,18 @@ def test_strategy_offset_form_round_trip(wide):
         assert np.allclose(s(lower), back(lower), atol=1e-12)
 
 
+def test_a_rule_sums_over_every_coordinate_of_each_lower_block():
+    # a rule's value is a sum over each lower block's coordinates: a block
+    # without one is refused, and so is a point of other widths
+    with pytest.raises(DimensionError, match="every lower block"):
+        AffineStrategy(1, DecisionPoint.of([1.0], []), (np.zeros((1, 0)),))
+    rule = AffineStrategy(1, DecisionPoint.of([1.0], [0.0, 0.0]), (np.ones((1, 2)),))
+    assert rule([[1.0, 2.0]]).tolist() == [-2.0]
+    for lower in ([[1.0]], [[1.0, 2.0, 3.0]], [[[1.0, 2.0]]]):
+        with pytest.raises(DimensionError, match="expected widths"):
+            rule(lower)
+
+
 def test_an_offset_past_the_double_range_is_refused():
     # u1 = d1 - 1e10 * (u2 - d2) with d2 = 1e300: the offset d1 + 1e10 * d2 overflows
     rule = AffineStrategy(1, DecisionPoint.of([0.0], [1e300]), ([[1e10]],))

@@ -34,6 +34,7 @@ from revstack.verify import (
     ALGEBRAIC_TOL,
     ARGMIN_TOL,
     GRID_CHUNK_NODES,
+    GRID_WINDOW_NODES,
     MAX_GRID_NODES,
     REFINE_FLOOR,
     REFINE_SHRINK,
@@ -118,15 +119,19 @@ def _one_at_a_time_refinement(problem, chain, level, center, x, fx, grid):
     return x, fx, evaluations
 
 
-@pytest.mark.parametrize("name", ["tri", "wide", "r111", "r2111", "r122"])
+@pytest.mark.parametrize("name", ["tri", "wide", "r111", "r2111", "r122", "r122_17"])
 def test_chunked_grid_walk_matches_the_dense_grid(name, tri, wide, monkeypatch):
-    # level 2 of (1,2,2) has four coordinates: 41 chunks of 41^3 nodes
+    # level 2 of (1,2,2) has four coordinates: 141 windows of 12 slabs of
+    # 41^2 nodes; at 17 points, 17^4 nodes in windows of 4 slabs of 17^3
+    # nodes, each spanning four first-axis values
     problem = {"tri": tri, "wide": wide,
                "r111": random_convex_game(11, (1, 1, 1)),
                "r2111": random_convex_game(12, (2, 1, 1, 1)),
-               "r122": random_convex_game(13, (1, 2, 2))}[name]
+               "r122": random_convex_game(13, (1, 2, 2)),
+               "r122_17": random_convex_game(13, (1, 2, 2))}[name]
     eq, chain = _chain(problem)
-    grid = GridSpec()
+    grid = GridSpec(points=17) if name == "r122_17" else GridSpec()
+    assert name != "r122_17" or 17 ** 4 > GRID_CHUNK_NODES
     monkeypatch.setattr(verify_module, "REFINE_ITERS", 0)  # the grid's best node
     for level in range(2, problem.levels + 1):
         anchor = eq.point.tail(level)
@@ -197,7 +202,8 @@ def _diagonal_122():
     ("tri", 2), ("tri", 3), ("wide", 2), ("wide", 3), ("diagonal_122", 2)])
 def test_refinement_on_the_desired_node_is_one_batch(name, level, tri, wide, monkeypatch):
     # the desired blocks are exact grid nodes with no better neighbour at any
-    # step; level 2 of the (1,2,2) game walks its four-coordinate grid in 41 chunks
+    # step; level 2 of the (1,2,2) game walks its four-coordinate grid in
+    # ceil(41^2 / 12) = 141 windows of 12 slabs of 41^2 nodes
     problem = {"tri": tri, "wide": wide, "diagonal_122": _diagonal_122()}[name]
     eq, chain = _chain(problem)
     calls = []
@@ -209,28 +215,53 @@ def test_refinement_on_the_desired_node_is_one_batch(name, level, tri, wide, mon
     monkeypatch.setattr(verify_module, "evaluate_many", counting)
     res = oracle_best_response(problem, chain, level, anchor=eq.point.tail(level))
     D = res.grid_argmin.size
-    # no trial improves: the grid's chunks, then every sweep down to the
+    # no trial improves: the grid's windows, then every sweep down to the
     # floor (43 sweeps from the 0.5 spacing) in one call
     assert np.array_equal(res.argmin.concat(), eq.point.tail(level).concat())
-    assert GRID_CHUNK_NODES == 41 ** 3
-    assert len(calls) == 41 ** max(D - 3, 0) + 1
+    assert GRID_CHUNK_NODES == 41 ** 3 and GRID_WINDOW_NODES == 12 * 41 ** 2
+    assert len(calls) == (141 if D == 4 else 1) + 1
     assert calls[-1] == res.evaluations - 41 ** D == 2 * D * 43
 
 
 def test_grid_ties_across_chunks_go_to_the_smallest_node():
-    # two exact wells at u2_1 = -1 and +1: different leading indices, so
-    # different chunks of the four-coordinate grid
+    # two exact wells in different windows of the four-coordinate grid:
+    # u2_1 = -1 and +1 (first-axis indices 18 and 22), then u2_2 = -5 and +5
+    # on one first-axis value (slabs 830 and 850 of 41^2 nodes)
     dims = Dims.of(1, 4)
     J1 = QuadraticObjective.build(dims, {(1, 1): np.eye(1), (2, 2): np.eye(4)})
-    J2 = ExprObjective(parse_formula(
-        "(u2_1^2 - 1)^2 + u2_2^2 + u2_3^2 + u2_4^2", dims))
-    prob = GameProblem(dims, (J1, J2))
     gamma = AffineStrategy(1, DecisionPoint.of([0.0], [0.0] * 4), (np.zeros((1, 4)),))
     assert 41 ** 4 > GRID_CHUNK_NODES
-    res = oracle_best_response(prob, [gamma], 2, anchor=DecisionPoint.of([0.0] * 4))
-    assert np.array_equal(res.grid_argmin, [-1.0, 0.0, 0.0, 0.0])
-    assert res.argmin.concat() == pytest.approx([-1.0, 0.0, 0.0, 0.0], abs=1e-9)
-    assert res.value == 0.0
+    for well, nodes in (("(u2_1^2 - 1)^2 + u2_2^2", [(18, 20), (22, 20)]),
+                        ("u2_1^2 + (u2_2^2 - 25)^2", [(20, 10), (20, 30)])):
+        J2 = ExprObjective(parse_formula(well + " + u2_3^2 + u2_4^2", dims))
+        prob = GameProblem(dims, (J1, J2))
+        first, second = ((a * 41 + b) * 41 ** 2 // GRID_WINDOW_NODES for a, b in nodes)
+        assert first < second
+        res = oracle_best_response(prob, [gamma], 2, anchor=DecisionPoint.of([0.0] * 4))
+        expected = [0.5 * nodes[0][0] - 10.0, 0.5 * nodes[0][1] - 10.0, 0.0, 0.0]
+        assert np.array_equal(res.grid_argmin, expected)
+        assert res.argmin.concat() == pytest.approx(expected, abs=1e-9)
+        assert res.value == 0.0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_rule_gives_the_same_bits_in_any_batch(seed):
+    # the level-1 rule of a (1,2,1) game, two-wide block first, over level
+    # 2's 41^3 oracle grid: one batch, 41^2-row slabs, window-sized slabs
+    # and one point at a time
+    problem = random_convex_game(seed, (1, 2, 1))
+    eq, chain = _chain(problem)
+    rule = chain[0]
+    axes = [np.linspace(c - 10.0, c + 10.0, 41) for c in eq.point.tail(2).concat()]
+    grid = np.asfortranarray(np.stack(
+        [m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1))
+    whole = rule.batch(split_blocks([2, 1], grid))
+    for rows in (41 ** 2, GRID_WINDOW_NODES):
+        parts = [rule.batch(split_blocks([2, 1], grid[i:i + rows]))
+                 for i in range(0, len(grid), rows)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+    for i in np.random.default_rng(seed).choice(len(grid), 70, replace=False):
+        assert rule(split_blocks([2, 1], grid[i])).tobytes() == whole[i].tobytes()
 
 
 def _three_coordinate_cases():
@@ -380,6 +411,21 @@ def test_oracle_memory_does_not_grow_with_the_grid():
         tracemalloc.stop()
     assert res.evaluations > 41 ** 4
     assert peak < 16 * 2 ** 20
+
+
+def test_a_four_coordinate_solve_peaks_under_two_mib():
+    # a 41^4 grid walked in windows of 12 * 41^2 nodes: every buffer about
+    # 161 KB; a walk in 41^3-node chunks peaks near 4.8 MiB
+    prob = random_convex_game(5, (1, 2, 2))
+    tracemalloc.start()
+    try:
+        eq, chain = _chain(prob)
+        report = verify_full(prob, chain, desired=eq.point)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verified
+    assert peak < 2 * 2 ** 20
 
 
 def test_oracle_refuses_a_nan_cost_by_name(tri):
