@@ -100,21 +100,9 @@ class AffineStrategy:
         return blocks
 
     def __call__(self, lower) -> np.ndarray:
-        """Announced own block for the given lower-level blocks.
-
-        The sequence of :meth:`batch`, run in Python floats, which round
-        alike: the result equals that point's row of any batch, bit for bit.
-        """
-        blocks = [b.tolist() for b in self._lower_blocks(lower)]
-        out = self.own_anchor.tolist()
-        for r in range(len(out)):
-            for Q, xj, dj in zip(self.coeffs, blocks, self.anchor.blocks[1:]):
-                terms = [(x - d) * q for x, d, q in zip(xj, dj.tolist(), Q[r].tolist())]
-                total = terms[0]
-                for term in terms[1:]:
-                    total += term
-                out[r] -= total
-        return np.array(out)
+        """Announced own block for the given lower-level blocks: the point's
+        row of :meth:`batch`."""
+        return self.batch([b[None, :] for b in self._lower_blocks(lower)])[0]
 
     def batch(self, lower: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized evaluation: lower blocks shaped (P, m_j) -> (P, m_own).

@@ -58,7 +58,7 @@ GRID_CHUNK_NODES = 41 ** 3
 # not grow with points^D.  On a four-coordinate level, 12 slabs of 41^2 nodes:
 # its coordinates, substituted blocks, the kernel's buffers and the values,
 # about nine columns of 161 KB or 1.4 MB, stay inside a 2 MiB per-core L2
-# cache, where the 68,921-node chunk streamed about 5 MB through it.
+# cache.
 GRID_WINDOW_NODES = 12 * 41 ** 2
 # Refinement halves every step after a sweep without improvement and stops
 # after REFINE_ITERS sweeps or once all steps are below the floor.
@@ -262,7 +262,10 @@ def oracle_best_response(problem: GameProblem,
     with a ``RevstackError`` naming the level and the point.  A grid axis
     past the double range, and a cost that is not finite where a point's
     coordinates or substituted rule values are past it, are refused naming
-    the level and ``--grid-radius``.  The whole procedure is deterministic.
+    the level and ``--grid-radius``.  On a grid larger than one chunk each
+    window is judged alone, in walk order, so the first window holding a
+    fault decides which of the two refusals is raised.  The whole procedure
+    is deterministic.
     """
     n = problem.levels
     if not 2 <= level <= n:
