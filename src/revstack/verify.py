@@ -1,8 +1,9 @@
 """Verification of announced strategies.
 
-Best responses are found by brute force (a dense grid, walked in bounded
-windows, plus shrinking-step coordinate descent) on the objectives with the
-announced strategies substituted here, independently of synthesis.
+Best responses are found by brute force (a dense grid walked in windows of
+whole slabs of at most ``GRID_WINDOW_NODES`` nodes, plus shrinking-step
+coordinate descent) on the objectives with the announced strategies
+substituted here, independently of synthesis.
 Hyperplane membership and sublevel one-sidedness are checked by seeded
 sampling, and realization is evaluated directly; for levels 2 and below
 these checks run on the stage game ``synthesis.reduce_problem`` builds.
@@ -50,15 +51,12 @@ ALGEBRAIC_TOL = 1e-9   # scale-normalized residuals (realization, membership)
 # walks on a four-coordinate level; larger grids are refused, not walked, as
 # the walk's time grows with the node count.
 MAX_GRID_NODES = 41 ** 4
-# A grid of at most this many nodes, or of one axis, is one chunk: walked as
-# one batch, or with three or more coordinates as bounded first-axis slabs.
-GRID_CHUNK_NODES = 41 ** 3
-# A larger grid is walked in windows of at most this many nodes (whole slabs
-# of its longest run of trailing axes that fits), so the oracle's memory does
-# not grow with points^D.  On a four-coordinate level, 12 slabs of 41^2 nodes:
-# its coordinates, substituted blocks, the kernel's buffers and the values,
-# about nine columns of 161 KB or 1.4 MB, stay inside a 2 MiB per-core L2
-# cache.
+# Every grid is walked in windows of at most this many nodes, each a run of
+# whole slabs of its longest run of trailing axes that fits, so the oracle's
+# memory does not grow with points^D.  On a four-coordinate level, 12 slabs
+# of 41^2 nodes: its coordinates, substituted blocks, the kernel's buffers
+# and the values, about nine columns of 161 KB or 1.4 MB, stay inside a
+# 2 MiB per-core L2 cache.
 GRID_WINDOW_NODES = 12 * 41 ** 2
 # Refinement halves every step after a sweep without improvement and stops
 # after REFINE_ITERS sweeps or once all steps are below the floor.
@@ -240,32 +238,30 @@ def oracle_best_response(problem: GameProblem,
     Substitutes the announced upper strategies, then minimizes that player's
     cost over all free blocks (its own and everything below) on a dense
     grid centred on ``anchor``, refined by shrinking-step coordinate
-    descent.  A grid of at most ``GRID_CHUNK_NODES`` nodes, or of one axis,
-    is one chunk: with D <= 2 coordinates one batch; with D >= 3 it is
-    walked as ``points`` slabs along its first axis, for a quadratic cost in
-    increasing order of :func:`_slab_bounds`, skipping every slab whose
-    bound is above the best value found, otherwise in node order.  A larger
-    grid is walked in node-index order in windows of at most
+    descent.  Every grid is walked in windows of at most
     ``GRID_WINDOW_NODES`` nodes, each a run of whole slabs over the longest
     run of trailing axes that fits one window, so memory does not grow with
-    ``points^D``.  A rule and a cost give each point one fixed sequence of
-    IEEE operations, so the grid values, and so the best node, are bitwise
+    ``points^D``.  When that leaves one leading axis and
+    :func:`_slab_bounds` certifies a lower bound for each slab, each slab is
+    a window, walked in increasing bound order, skipping every slab whose
+    bound is above the best value found.  Otherwise a window holds as many
+    whole slabs as fit, and the windows go in node-index order.  A rule and a cost give each point one fixed sequence
+    of IEEE operations, so the grid values, and so the best node, are bitwise
     those of one batch.  Grid ties go to the lexicographically smallest
-    node index.  Refinement is compass search:
-    each sweep tries +step, then -step, coordinate by coordinate, moving to
-    the first trial that improves; a sweep without a move halves the steps.
-    Each batch holds every trial that search would still make if nothing
-    improved again (at most ``2 * D * REFINE_ITERS``), and the oracle moves
-    to the first improving one: the accepted path and ``evaluations`` are
-    those of the one-at-a-time search, at one call per accepted move plus
-    one.  A NaN cost at any node or trial of an evaluated batch is refused
-    with a ``RevstackError`` naming the level and the point.  A grid axis
-    past the double range, and a cost that is not finite where a point's
-    coordinates or substituted rule values are past it, are refused naming
-    the level and ``--grid-radius``.  On a grid larger than one chunk each
-    window is judged alone, in walk order, so the first window holding a
-    fault decides which of the two refusals is raised.  The whole procedure
-    is deterministic.
+    node index.  Refinement is compass search: each sweep tries +step, then
+    -step, coordinate by coordinate, moving to the first trial that
+    improves; a sweep without a move halves the steps.  Each batch holds
+    every trial that search would still make if nothing improved again (at
+    most ``2 * D * REFINE_ITERS``), and the oracle moves to the first
+    improving one: the accepted path and ``evaluations`` are those of the
+    one-at-a-time search, at one call per accepted move plus one.  A NaN
+    cost at any node or trial of an evaluated batch is refused with a
+    ``RevstackError`` naming the level and the point.  A grid axis past the
+    double range is refused naming the level and ``--grid-radius``, and so
+    is a cost that is not finite at a trial whose coordinates or substituted
+    rule values are past it, or at a grid node while any node's are: the
+    whole grid is scanned for one, so no refusal depends on the windows.
+    The whole procedure is deterministic.
     """
     n = problem.levels
     if not 2 <= level <= n:
@@ -306,31 +302,26 @@ def oracle_best_response(problem: GameProblem,
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         axes = [np.linspace(center[i] - grid.radius, center[i] + grid.radius, grid.points)
                 if grid.points > 1 else center[i:i + 1] for i in range(D)]
-    if not np.isfinite(axes).all():
+    if not all(np.isfinite(a).all() for a in axes):
         raise RevstackError(past_range)
 
-    # The grid is walked in windows of `per_window` whole slabs, a slab being
-    # its trailing t axes, in one reusable buffer: the trailing columns are
-    # filled once, the leading ones per window.  Column-major, each free
-    # block is contiguous for the strategies' arithmetic (a row-strided view
-    # took half the D=4 oracle's time), and a quadratic cost reads each
-    # coordinate as one contiguous column (QuadraticObjective.values).  A
-    # one-chunk grid is one window, or with three or more coordinates
-    # `points` windows of one first-axis slab, walked in increasing order of
-    # their lower bounds and stopping at the first bound above the best value
-    # found; without bounds every window is walked in order.
-    one_chunk = D == 1 or grid.points ** D <= GRID_CHUNK_NODES
-    t, per_window, bounds = D, 1, None
-    if not one_chunk:
-        t = 0
-        while grid.points ** (t + 1) <= GRID_WINDOW_NODES:
-            t += 1
-        per_window = GRID_WINDOW_NODES // grid.points ** t
-    elif D >= 3:
-        t = D - 1
-        bounds = _slab_bounds(problem, announced, level, center, axes)
+    # The grid is walked in windows of whole slabs, a slab being its trailing
+    # t axes for the largest t <= D with points^t <= GRID_WINDOW_NODES, in one
+    # reusable buffer: the trailing columns are filled once, the leading ones
+    # per window.  Column-major, each free block is contiguous for the
+    # strategies' arithmetic (a row-strided view took half the D=4 oracle's
+    # time), and a quadratic cost reads each coordinate as one contiguous
+    # column (QuadraticObjective.values).  With one leading axis and a
+    # certified bound per slab, each slab is a window, walked in increasing
+    # bound order and stopping at the first bound above the best value
+    # found; otherwise a window holds as many whole slabs as fit, in order.
+    t = 0
+    while t < D and grid.points ** (t + 1) <= GRID_WINDOW_NODES:
+        t += 1
     lead, slab = D - t, grid.points ** t
     slabs = grid.points ** lead
+    bounds = _slab_bounds(problem, announced, level, center, axes) if lead == 1 < D else None
+    per_window = 1 if bounds is not None else min(slabs, GRID_WINDOW_NODES // slab)
     windows = -(-slabs // per_window)
     window = np.empty((per_window * slab, D), order="F")
     for j in range(lead, D):  # node-index order: the last axis varies fastest
@@ -349,10 +340,8 @@ def oracle_best_response(problem: GameProblem,
 
     @functools.cache
     def grid_leaves_range() -> bool:
-        # a one-chunk grid keeps the refusal its single batch gave: past the
-        # double range when any node's substituted blocks are
-        if not one_chunk:
-            return False
+        # whether any node's substituted blocks are past the double range,
+        # the whole grid scanned window by window, whichever window asks
         spare = window.copy()
         with np.errstate(over="ignore", invalid="ignore"):  # refused by the caller
             return not all(np.isfinite(b).all() for w in range(windows)

@@ -423,7 +423,8 @@ def _squares(targets, widths=(1, 1, 1, 1)):
             "c": float(sum(t * t for t in targets))}
 
 
-# a (1,1,1,1) game that verifies: level 2's three-coordinate grid is one chunk
+# a (1,1,1,1) game that verifies: level 2's three-coordinate grid is one
+# window at up to 27 points, and first-axis slabs at 41
 SQUARES = [_squares(t) for t in ((2, 1, 3, 0), (1, 0, 0, 1), (0, 2, 1, 1), (1, 1, 2, 3))]
 
 QUADRATIC_CHANGES = st.one_of(

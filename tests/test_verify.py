@@ -33,7 +33,6 @@ from revstack.model import ExprObjective, split_blocks
 from revstack.verify import (
     ALGEBRAIC_TOL,
     ARGMIN_TOL,
-    GRID_CHUNK_NODES,
     GRID_WINDOW_NODES,
     MAX_GRID_NODES,
     REFINE_FLOOR,
@@ -122,8 +121,8 @@ def _one_at_a_time_refinement(problem, chain, level, center, x, fx, grid):
 @pytest.mark.parametrize("name", ["tri", "wide", "r111", "r2111", "r122", "r122_17"])
 def test_chunked_grid_walk_matches_the_dense_grid(name, tri, wide, monkeypatch):
     # level 2 of (1,2,2) has four coordinates: 141 windows of 12 slabs of
-    # 41^2 nodes; at 17 points, 17^4 nodes in windows of 4 slabs of 17^3
-    # nodes, each spanning four first-axis values
+    # 41^2 nodes; at 17 points, 17 first-axis slabs of 17^3 nodes, walked in
+    # the order of their bounds
     problem = {"tri": tri, "wide": wide,
                "r111": random_convex_game(11, (1, 1, 1)),
                "r2111": random_convex_game(12, (2, 1, 1, 1)),
@@ -131,7 +130,7 @@ def test_chunked_grid_walk_matches_the_dense_grid(name, tri, wide, monkeypatch):
                "r122_17": random_convex_game(13, (1, 2, 2))}[name]
     eq, chain = _chain(problem)
     grid = GridSpec(points=17) if name == "r122_17" else GridSpec()
-    assert name != "r122_17" or 17 ** 4 > GRID_CHUNK_NODES
+    assert name != "r122_17" or 17 ** 3 <= GRID_WINDOW_NODES < 17 ** 4
     monkeypatch.setattr(verify_module, "REFINE_ITERS", 0)  # the grid's best node
     for level in range(2, problem.levels + 1):
         anchor = eq.point.tail(level)
@@ -218,7 +217,7 @@ def test_refinement_on_the_desired_node_is_one_batch(name, level, tri, wide, mon
     # no trial improves: the grid's windows, then every sweep down to the
     # floor (43 sweeps from the 0.5 spacing) in one call
     assert np.array_equal(res.argmin.concat(), eq.point.tail(level).concat())
-    assert GRID_CHUNK_NODES == 41 ** 3 and GRID_WINDOW_NODES == 12 * 41 ** 2
+    assert GRID_WINDOW_NODES == 12 * 41 ** 2
     assert len(calls) == (141 if D == 4 else 1) + 1
     assert calls[-1] == res.evaluations - 41 ** D == 2 * D * 43
 
@@ -230,7 +229,6 @@ def test_grid_ties_across_chunks_go_to_the_smallest_node():
     dims = Dims.of(1, 4)
     J1 = QuadraticObjective.build(dims, {(1, 1): np.eye(1), (2, 2): np.eye(4)})
     gamma = AffineStrategy(1, DecisionPoint.of([0.0], [0.0] * 4), (np.zeros((1, 4)),))
-    assert 41 ** 4 > GRID_CHUNK_NODES
     for well, nodes in (("(u2_1^2 - 1)^2 + u2_2^2", [(18, 20), (22, 20)]),
                         ("u2_1^2 + (u2_2^2 - 25)^2", [(20, 10), (20, 30)])):
         J2 = ExprObjective(parse_formula(well + " + u2_3^2 + u2_4^2", dims))
@@ -320,10 +318,12 @@ def test_slab_bounds_are_below_every_grid_value_of_their_slab():
 
 
 def _counted_slabs(monkeypatch, problem, chain, level, anchor, grid=GridSpec()):
+    """The grid rows evaluated, in slabs of points^2 rows: a window holds
+    whole slabs, a refinement batch fewer rows than one."""
     slabs = []
 
     def counting(obj, blocks):
-        slabs.append(len(blocks[0]) == grid.points ** 2)
+        slabs.append(len(blocks[0]) // grid.points ** 2)
         return evaluate_many(obj, blocks)
 
     monkeypatch.setattr(verify_module, "evaluate_many", counting)
@@ -369,6 +369,7 @@ def test_only_a_certified_quadratic_bound_skips_slabs(monkeypatch):
     as_expr = GameProblem(problem.dims, tuple(
         ExprObjective(parse_formula("u1^2 + u2^2 + u3^2 + u4^2", problem.dims))
         for _ in range(4)))
+    # unskipped, every one of the 41^3 nodes is evaluated: 41 slabs of rows
     assert _counted_slabs(monkeypatch, as_expr, chain, 2, anchor)[0] == 41
     # an indefinite trailing block: u3 * u4 is a saddle
     dims = problem.dims
@@ -398,6 +399,41 @@ def test_a_one_chunk_grid_keeps_the_refusal_of_its_single_batch():
                                                 "double range.*--grid-radius"):
             oracle_best_response(prob, [rule_1, rule_2], 2,
                                  anchor=DecisionPoint.of([10.0], [0.0], [0.0]))
+
+
+def test_a_windowed_grid_keeps_the_refusal_of_the_whole_grid():
+    # the grid above with a fourth coordinate: the NaN node (u2 = 0, window
+    # 0 of 12 * 41^2 nodes) and the first node past the double range (u2 =
+    # 20, window 136) lie in different windows; the refusal is the same
+    dims = Dims.of(1, 1, 1, 1, 1)
+    H = np.zeros((5, 5))
+    H[1, 2] = H[2, 1] = 8e307
+    J = QuadraticObjective(H, np.zeros(5), 0.0, dims.m)
+    rule_1 = AffineStrategy(1, DecisionPoint.of(*[[0.0]] * 5),
+                            (np.array([[-1e307]]),) + (np.zeros((1, 1)),) * 3)
+    assert 40 * 41 ** 3 // GRID_WINDOW_NODES == 136
+    for objective in (J, quadratic_to_expr(J)):
+        prob = GameProblem(dims, (objective,) * 5)
+        with pytest.raises(RevstackError, match="level 2: the oracle grid leaves the "
+                                                "double range.*--grid-radius"):
+            oracle_best_response(prob, [rule_1], 2,
+                                 anchor=DecisionPoint.of([10.0], [0.0], [0.0], [0.0]))
+
+
+def test_a_one_axis_oracle_peaks_near_its_axis():
+    # a 400,001-node axis is 3.2 MB; the leader's eight-wide substituted
+    # block over it, as one batch, would be 25.6 MB more
+    prob = random_convex_game(7, (8, 1))
+    eq, chain = _chain(prob)
+    grid = GridSpec(points=400_001)
+    tracemalloc.start()
+    try:
+        res = oracle_best_response(prob, chain, 2, grid, anchor=eq.point.tail(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.evaluations >= grid.points
+    assert peak < 8 * 2 ** 20
 
 
 def test_oracle_memory_does_not_grow_with_the_grid():
