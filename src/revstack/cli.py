@@ -39,7 +39,7 @@ from .synthesis import (
     synthesize_cascade,
     synthesize_family_leader,
 )
-from .verify import GridSpec, oracle_best_response, response_passes, verify_full
+from .verify import ALGEBRAIC_TOL, ARGMIN_TOL, GridSpec, response_check, verify_full
 
 __all__ = ["main"]
 
@@ -47,8 +47,6 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_FAILED = 3
 EXIT_BAD_INPUT = 4
-
-MEMBER_REALIZATION_TOL = 1e-9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,19 +179,12 @@ def _check_member(problem: GameProblem, family: StrategyFamily,
     realization = float(np.linalg.norm(
         member(member.lower_anchor) - member.own_anchor))
     _, residual = family.membership(member)
-    oracle = oracle_best_response(
-        problem, [member], 2, grid=args.grid,
-        anchor=family.anchor.tail(2))
-    distance = max(
-        float(np.abs(a - b).max(initial=0.0))
-        for a, b in zip(oracle.argmin.blocks, family.anchor.tail(2).blocks))
-    ok = (response_passes(2, distance, args.tol, args.grid)
-          and realization <= MEMBER_REALIZATION_TOL
-          and residual <= MEMBER_REALIZATION_TOL)
+    response = response_check(problem, [member], 2, family.anchor.tail(2), args.tol, args.grid)
+    ok = response.passed and realization <= ALGEBRAIC_TOL and residual <= ALGEBRAIC_TOL
     return {
         "realization_residual": realization,
         "family_residual": residual,
-        "response_distance": distance,
+        "response_distance": response.distance,
         "passed": ok,
     }
 
@@ -356,12 +347,12 @@ def build_parser() -> _Parser:
     # the options after a subcommand's own: the oracle's, then the common ones
     for name, p in commands.items():
         if name != "feasible":  # feasible runs no oracle
-            p.add_argument("--tol", type=_tolerance, default=1e-4,
-                           help="best-response agreement tolerance (default 1e-4)")
-            p.add_argument("--grid-radius", type=float, default=10.0,
+            p.add_argument("--tol", type=_tolerance, default=ARGMIN_TOL,
+                           help="best-response agreement tolerance (default %(default)g)")
+            p.add_argument("--grid-radius", type=float, default=GridSpec.radius,
                            help="half-width of the oracle grid around the anchor")
-            p.add_argument("--grid-points", type=int, default=41,
-                           help="oracle grid nodes per axis (default 41)")
+            p.add_argument("--grid-points", type=int, default=GridSpec.points,
+                           help="oracle grid nodes per axis (default %(default)d)")
         p.add_argument("--seed", type=_count, default=0,
                        help="seed for all sampling (default 0)")
         p.add_argument("--output", choices=("json", "text"), default="text",

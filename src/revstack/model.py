@@ -353,9 +353,9 @@ class QuadraticObjective:
         ``sum_{j<=k} <u^j, A[j,k] u^k> + sum_k <u^k, l[k]> + const``.
 
         ``A`` maps 1-based pairs ``(j, k)`` with ``j <= k`` to ``m_j x m_k``
-        matrices.  ``l`` is either a sequence with one vector per level or a
-        sparse ``{level: vector}`` dict; missing parts default to zero.  Bad
-        keys and shapes raise DimensionError.
+        matrices.  ``l`` is a sequence with one vector per level, or None for
+        zero.  Bad keys and shapes, and an ``l`` of another form, raise
+        DimensionError.
         """
         # assembled in Python floats, whose sums round as numpy's do
         at = list(itertools.accumulate(dims.m, initial=0))
@@ -384,18 +384,11 @@ class QuadraticObjective:
                         H[r0 + r][r0 + c] = v + rows[c][r]
                     else:
                         H[r0 + r][c0 + c] = H[c0 + c][r0 + r] = v
-        lin = [np.zeros(w) for w in dims.m]
-        if isinstance(l, dict):
-            for lev, vec in l.items():
-                if not 1 <= lev <= dims.levels:
-                    raise DimensionError("linear part for level %r is outside the hierarchy"
-                                         % (lev,))
-                lin[lev - 1] = _as_block(vec)
-        elif l is not None:
-            if len(l) != dims.levels:
-                raise DimensionError(
-                    "expected %d linear segments, got %d" % (dims.levels, len(l)))
-            lin = [_as_block(v) for v in l]
+        lin = [np.zeros(w) for w in dims.m] if l is None else l
+        if isinstance(lin, dict) or len(lin) != dims.levels:
+            raise DimensionError("expected a sequence of %d linear segments, got %s"
+                                 % (dims.levels, "a dict" if isinstance(lin, dict) else len(lin)))
+        lin = [_as_block(v) for v in lin]
         for lev, (vec, w) in enumerate(zip(lin, dims.m), start=1):
             if vec.size != w:
                 raise DimensionError("linear vector for level %d has length %d, expected %d"

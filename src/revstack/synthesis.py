@@ -33,7 +33,7 @@ import numpy as np
 from .calculus import gradient
 from .errors import DimensionError, ExistenceError, RevstackError, stage_errors
 from .geometry import leader_existence_check
-from .model import DecisionPoint, GameProblem, LinearConstraints
+from .model import DecisionPoint, GameProblem
 
 __all__ = [
     "AffineStrategy",
@@ -232,24 +232,21 @@ class StrategyFamily:
 
     def membership(self, strategy: AffineStrategy
                    ) -> Tuple[Tuple[np.ndarray, ...], float]:
-        """Least-squares parameters for a strategy plus the residual.
+        """Parameters of a strategy's projection onto the family, plus the residual.
 
-        Residual ~ 0 means the strategy's gains lie in the family's affine
-        set (anchors are not compared).
+        N has orthonormal columns, so T_j = N^T (Q_j - Q^0_j) is the
+        least-squares parameter; the residual is the largest entry of
+        |N T_j - (Q_j - Q^0_j)| over j.  Residual ~ 0 means the strategy's
+        gains lie in the family's affine set (anchors are not compared).
         """
         if strategy.level != self.level or len(strategy.coeffs) != len(self.particular):
             raise DimensionError("strategy does not match the family's shape")
-        params = []
-        worst = 0.0
-        for Q, Q0 in zip(strategy.coeffs, self.particular):
-            rhs = Q - Q0
-            if self.null_basis.shape[1] == 0:
-                T = np.zeros((0, rhs.shape[1]))
-            else:
-                T = np.linalg.lstsq(self.null_basis, rhs, rcond=None)[0]
-            worst = max(worst, float(np.abs(self.null_basis @ T - rhs).max(initial=0.0)))
-            params.append(T)
-        return tuple(params), worst
+        N = self.null_basis
+        rhs = [Q - Q0 for Q, Q0 in zip(strategy.coeffs, self.particular)]
+        params = tuple(N.T @ r for r in rhs)
+        worst = max((float(np.abs(N @ T - r).max(initial=0.0)) for T, r in zip(params, rhs)),
+                    default=0.0)
+        return params, worst
 
 
 def _stage_family(stage: GameProblem, d: DecisionPoint, s: int) -> StrategyFamily:
@@ -322,9 +319,11 @@ def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProble
     below that level); it must map every lower level of this problem.
     Each lower objective substitutes the rule itself (``substitute_top`` in
     ``model``: a quadratic by one congruence of H, an expression into its
-    polynomial); constraint rows absorb the substitution as well.  The
-    result has n-1 levels with level indices shifted down by one.  A
-    substituted coefficient that overflows is refused with RevstackError.
+    polynomial).  The result has n-1 levels with level indices shifted down
+    by one, and no constraint rows: no stage reads them, and
+    ``constrained.feasibility_check`` substitutes a rule into the original
+    game's rows itself.  A substituted coefficient that overflows is refused
+    with RevstackError.
     """
     if len(strategy.coeffs) != problem.levels - 1:
         raise DimensionError("strategy does not map all lower levels of this problem")
@@ -334,17 +333,8 @@ def reduce_problem(problem: GameProblem, strategy: AffineStrategy) -> GameProble
             % (strategy.anchor.widths, problem.dims.m)
         )
     offset, C = strategy.as_affine()
-    new_objectives = tuple(obj.substitute_top(offset, C) for obj in problem.objectives[1:])
-    new_cons = None
-    cons = problem.constraints
-    if cons is not None:
-        A_top = cons.A[0]
-        with np.errstate(over="ignore", invalid="ignore"):  # refused by the constructor
-            new_A = tuple(
-                cons.A[m - 1] + A_top @ C[m - 2] for m in range(2, problem.levels + 1)
-            )
-            new_cons = LinearConstraints(new_A, cons.b - A_top @ offset)
-    return GameProblem(problem.dims.drop_top(), new_objectives, new_cons)
+    return GameProblem(problem.dims.drop_top(),
+                       tuple(obj.substitute_top(offset, C) for obj in problem.objectives[1:]))
 
 
 def _look_ahead(stage: GameProblem, family: StrategyFamily,
@@ -389,9 +379,11 @@ def synthesize_cascade(problem: GameProblem,
     its particular (rank-one) member, or ``instantiate(family, T)`` once
     :func:`_look_ahead` has picked T because the next stage's existence check
     failed under the particular member.  Substituting the announced rule
-    gives the next stage's game.  Existence failures carry the absolute level
-    at which they occurred, and a reduction whose coefficients overflow is
-    refused naming its stage.
+    into the lower objectives gives the next stage's game; constraint rows
+    shape no stage (``constrained.feasibility_check`` judges a rule against
+    them).  Existence failures carry the absolute level at which they
+    occurred, and a reduction whose coefficients overflow is refused naming
+    its stage.
     """
     strategies: List[AffineStrategy] = []
     stage, family, params = problem, _stage_family(problem, desired, 1), None

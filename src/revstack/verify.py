@@ -7,7 +7,9 @@ substituted here, independently of synthesis.
 Hyperplane membership and sublevel one-sidedness are checked by seeded
 sampling, and realization is evaluated directly; for levels 2 and below
 these checks run on the stage game ``synthesis.reduce_problem`` builds.
-A strategy chain is 'verified' when every check lands inside its tolerance.
+``response_check`` is the one judge of a best response, for ``verify_full``
+and for ``revstack family``'s member checks alike.  A strategy chain is
+'verified' when every check lands inside its tolerance.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ __all__ = [
     "ResponseCheck",
     "VerificationReport",
     "oracle_best_response",
-    "response_passes",
+    "response_check",
     "sublevel_inequality_check",
     "verify_full",
 ]
@@ -405,23 +407,6 @@ def oracle_best_response(problem: GameProblem,
     return OracleResult(argmin, fx, x0, drift, evaluations)
 
 
-def response_passes(level: int, distance: float, tol: float, grid: GridSpec) -> bool:
-    """Whether an oracle argmin ``distance`` from the desired blocks passes ``tol``.
-
-    A miss while the refinement's finest step (the grid spacing halved
-    ``REFINE_ITERS - 1`` times) is above ``max(tol, REFINE_FLOOR)`` is the
-    window's, not the response's: a RevstackError naming the level and
-    ``--grid-radius``."""
-    if distance <= tol:
-        return True
-    finest = grid.spacing * REFINE_SHRINK ** (REFINE_ITERS - 1)
-    if finest > max(tol, REFINE_FLOOR):
-        raise RevstackError(
-            "level %d: the oracle's finest step %.3g cannot resolve the tolerance %.3g "
-            "(argmin %.3g away); lower --grid-radius" % (level, finest, tol, distance))
-    return False
-
-
 def sublevel_inequality_check(objective: Objective, anchor: DecisionPoint,
                               strategy: AffineStrategy, count: int,
                               seed: int) -> InequalityStats:
@@ -532,6 +517,36 @@ def _membership_residual(stage: GameProblem, stage_d: DecisionPoint,
     return float(np.max(np.abs(total) / (1.0 + scale)))
 
 
+def response_check(problem: GameProblem, announced: Sequence[AffineStrategy], level: int,
+                   target: DecisionPoint, tol: float, grid: GridSpec) -> ResponseCheck:
+    """Whether the oracle best response at ``level`` lands on ``target``.
+
+    Runs :func:`oracle_best_response` under the announced rules on ``grid``
+    centred on ``target``; the check passes when the argmin is within ``tol``
+    of it componentwise, and is low-confidence when refinement drifted more
+    than two grid spacings from the best node.  A miss while the
+    refinement's finest step (the grid spacing halved ``REFINE_ITERS - 1``
+    times) is above ``max(tol, REFINE_FLOOR)`` is the window's, not the
+    response's: a RevstackError naming the level and ``--grid-radius``.
+    """
+    oracle = oracle_best_response(problem, announced, level, grid, anchor=target)
+    distance = float(np.abs(oracle.argmin.concat() - target.concat()).max(initial=0.0))
+    finest = grid.spacing * REFINE_SHRINK ** (REFINE_ITERS - 1)
+    if not distance <= tol and finest > max(tol, REFINE_FLOOR):
+        raise RevstackError(
+            "level %d: the oracle's finest step %.3g cannot resolve the tolerance %.3g "
+            "(argmin %.3g away); lower --grid-radius" % (level, finest, tol, distance))
+    return ResponseCheck(
+        level=level,
+        argmin=[list(map(float, b)) for b in oracle.argmin.blocks],
+        distance=distance,
+        value=oracle.value,
+        refinement_drift=oracle.refinement_drift,
+        low_confidence=oracle.refinement_drift > 2.0 * grid.spacing,
+        passed=distance <= tol,
+    )
+
+
 def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
                 desired: DecisionPoint,
                 tol: float = ARGMIN_TOL,
@@ -540,14 +555,15 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
     """Run every check against a full strategy chain (levels 1..n-1).
 
     The chain is checked against the ``desired`` point.  In order:
-    realization residuals, hyperplane membership, oracle best responses
-    (each responding level must land on the desired blocks within ``tol``
-    componentwise; see :func:`response_passes` for a window too coarse to
-    tell), and sublevel one-sidedness sampling.  Existence verdicts
-    are reported for context but do not gate the verdict — a working
-    strategy for a degenerate game is still verified.  A residual that
-    overflows fails its check; a stage game whose reduction overflows, or
-    whose follower gradient is not finite, is refused naming the stage.
+    realization residuals, hyperplane membership and sublevel one-sidedness
+    sampling on each stage game (``reduce_problem``'s: the objectives with
+    the rules above substituted, no constraint rows), then one
+    :func:`response_check` per responding level on the original game.
+    Existence verdicts are reported for context but do not gate the
+    verdict — a working strategy for a degenerate game is still verified.
+    A residual that overflows fails its check; a stage game whose reduction
+    overflows, or whose follower gradient is not finite, is refused naming
+    the stage.
     """
     n = problem.levels
     if len(strategies) != n - 1:
@@ -609,27 +625,13 @@ def verify_full(problem: GameProblem, strategies: Sequence[AffineStrategy],
 
     response_checks: List[ResponseCheck] = []
     for lev in range(2, n + 1):
-        target = desired.tail(lev)
-        oracle = oracle_best_response(problem, strategies, lev, grid, anchor=target)
-        distance = float(
-            np.abs(oracle.argmin.concat() - target.concat()).max(initial=0.0)
-        )
-        low_conf = oracle.refinement_drift > 2.0 * grid.spacing
-        passed = response_passes(lev, distance, tol, grid)
-        if not passed:
+        check = response_check(problem, strategies, lev, desired.tail(lev), tol, grid)
+        if not check.passed:
             reasons.append(
                 "level %d: oracle argmin is %.3g away from the desired blocks"
-                % (lev, distance)
+                % (lev, check.distance)
             )
-        response_checks.append(ResponseCheck(
-            level=lev,
-            argmin=[list(map(float, b)) for b in oracle.argmin.blocks],
-            distance=distance,
-            value=oracle.value,
-            refinement_drift=oracle.refinement_drift,
-            low_confidence=low_conf,
-            passed=passed,
-        ))
+        response_checks.append(check)
 
     verified = all(c.passed for c in strategy_checks) and all(
         c.passed for c in response_checks

@@ -17,10 +17,12 @@ from revstack import (
     QuadraticObjective,
     evaluate,
     parse_formula,
+    synthesize_cascade,
     team_optimum,
     team_optimum_constrained,
     team_optimum_descent,
     team_optimum_quadratic,
+    verify_full,
 )
 from revstack.model import split_blocks
 
@@ -263,6 +265,23 @@ def test_search_is_bitwise_the_plain_enumeration(seed, widths, cuts, duplicate):
     value, _, u, stat = _enumerated_optimum(prob)
     assert eq.point.concat().tobytes() == u.tobytes()
     assert (eq.value, eq.kkt_residual) == (value, stat)
+
+
+@pytest.mark.parametrize("seed,widths,cuts,duplicate", [
+    (1, (1, 1, 1), 3, False), (3, (2, 1, 1), 4, False), (4, (1, 2, 1), 3, False),
+    (6, (1, 1, 1, 1), 4, False), (8, (2, 1, 1), 3, True)])
+def test_constraint_rows_shape_no_cascade_stage(seed, widths, cuts, duplicate):
+    # the rules and the verification report are those of the same game
+    # without its rows, at the constrained team optimum
+    prob = _box_and_cuts(seed, widths, cuts, duplicate)
+    bare = GameProblem(prob.dims, prob.objectives)
+    d = team_optimum_constrained(prob).point
+    with_rows, without = synthesize_cascade(prob, d), synthesize_cascade(bare, d)
+    for a, b in zip(with_rows, without, strict=True):
+        assert a.level == b.level
+        assert a.anchor.concat().tobytes() == b.anchor.concat().tobytes()
+        assert [Q.tobytes() for Q in a.coeffs] == [Q.tobytes() for Q in b.coeffs]
+    assert verify_full(prob, with_rows, d) == verify_full(bare, without, d)
 
 
 @pytest.mark.parametrize("seed", range(40))

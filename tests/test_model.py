@@ -301,8 +301,9 @@ def test_build_refuses_bad_linear_parts():
     dims = Dims.of(1, 1)
     with pytest.raises(DimensionError, match="level 2 has length 2"):
         QuadraticObjective.build(dims, {}, l=[[0.0], [0.0, 1.0]])
-    with pytest.raises(DimensionError, match="outside the hierarchy"):
-        QuadraticObjective.build(dims, {}, l={0: [1.0]})
+    # a dict is refused, not read as its keys
+    with pytest.raises(DimensionError, match="got a dict"):
+        QuadraticObjective.build(dims, {}, l={1: [1.0], 2: [1.0]})
 
 
 def test_diagonal_blocks_are_symmetrized():
